@@ -53,7 +53,6 @@ from .objectives import (
     VarianceReport,
     exact_return,
     gradient_norm,
-    mpg_gradient,
     mpg_objective,
     n_step_surrogate_empirical,
     n_step_surrogate_population,
@@ -64,7 +63,6 @@ from .objectives import (
     per_sample_statistic,
     performance_difference_direct,
     performance_difference_trace,
-    ppo_gradient,
     ppo_objective,
     variance_of_statistic,
 )

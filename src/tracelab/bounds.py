@@ -10,19 +10,23 @@ assembled inequality empirically against enumerated truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp
-from .objectives import n_step_surrogate_empirical, performance_difference_direct
-from .policies import d_tv_max, ratio_deviation_bound
+from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp, check_window
+from .objectives import (
+    _empirical_surrogate,
+    n_step_surrogate_empirical,
+    performance_difference_direct,
+)
+from .policies import d_tv_max, policy_prob_table, ratio_deviation_bound
 from .weights import GroupRollout, TraceSet, sample_group
 
 
 def s_n(eps: float, horizon: int, n_step: int) -> float:
     """Sum over tokens of (1 + eps) raised to each token's window length."""
-    _check_window(horizon, n_step)
+    check_window(horizon, n_step)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     return float(
@@ -39,7 +43,7 @@ def b_n(xi: float, eps: float, horizon: int, n_step: int) -> float:
 
 def b_n_increment(xi: float, eps: float, horizon: int, n_step: int) -> float:
     """Closed form for b_n(N+1) - b_n(N); strictly positive below the horizon."""
-    _check_window(horizon, n_step)
+    check_window(horizon, n_step)
     if n_step >= horizon:
         raise ValueError("increment defined for n_step < horizon")
     return xi * eps * eps * (horizon - n_step) * (1.0 + eps) ** (n_step - 1)
@@ -47,7 +51,7 @@ def b_n_increment(xi: float, eps: float, horizon: int, n_step: int) -> float:
 
 def truncation_bias_bound(xi: float, horizon: int, n_step: int, dtv_max: float) -> float:
     """Penalty for the future ratios the window drops; zero at a full window."""
-    _check_window(horizon, n_step)
+    check_window(horizon, n_step)
     if not xi > 0.0:
         raise ValueError("xi must be positive")
     if not 0.0 <= dtv_max <= 1.0:
@@ -65,11 +69,6 @@ def hoeffding_penalty(b_n_value: float, alpha_conf: float, group_size: int) -> f
     if not b_n_value >= 0.0:
         raise ValueError("b_n_value must be non-negative")
     return b_n_value * math.sqrt(2.0 * math.log(1.0 / alpha_conf) / group_size)
-
-
-def _check_window(horizon: int, n_step: int) -> None:
-    if not 1 <= n_step <= horizon:
-        raise ValueError(f"n_step must lie in [1, {horizon}], got {n_step}")
 
 
 @dataclass(frozen=True)
@@ -91,21 +90,43 @@ class BoundReport:
     lower_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "eps": self.eps,
-            "dtv_max": self.dtv_max,
-            "horizon": self.horizon,
-            "n_step": self.n_step,
-            "group_size": self.group_size,
-            "alpha_conf": self.alpha_conf,
-            "empirical_surrogate": self.empirical_surrogate,
-            "truncation_bias": self.truncation_bias,
-            "s_n": self.s_n,
-            "b_n": self.b_n,
-            "hoeffding": self.hoeffding,
-            "lower_bound": self.lower_bound,
-        }
+        return asdict(self)
+
+
+def _bound_report(
+    mdp: TokenMdp, pi, mu, n_step: int, alpha_conf: float, group_size: int, surrogate: float,
+    xi: float, eps: float | None, dtv_max: float | None, cap: int,
+) -> BoundReport:
+    """The bound terms around an empirical surrogate; eps, dtv_max as in
+    :func:`theorem_lower_bound`."""
+    exact_eps = ratio_deviation_bound(pi, mu, mdp, cap)
+    if eps is None:
+        eps = exact_eps
+    elif eps < exact_eps - 1e-12:
+        raise ValueError(f"supplied eps {eps} is below the exact ratio-deviation bound {exact_eps}")
+    # Identical policies deviate by zero; keep the formulas well-defined.
+    eps = max(eps, 1e-12)
+    if dtv_max is None:
+        dtv_max = d_tv_max(mu, pi, mdp, cap)
+    truncation = truncation_bias_bound(xi, mdp.horizon, n_step, dtv_max)
+    s_val = s_n(eps, mdp.horizon, n_step)
+    b_val = xi * eps * s_val
+    penalty = hoeffding_penalty(b_val, alpha_conf, group_size)
+    return BoundReport(
+        xi=xi,
+        eps=eps,
+        dtv_max=dtv_max,
+        horizon=mdp.horizon,
+        n_step=n_step,
+        group_size=group_size,
+        alpha_conf=alpha_conf,
+        empirical_surrogate=surrogate,
+        truncation_bias=truncation,
+        s_n=s_val,
+        b_n=b_val,
+        hoeffding=penalty,
+        lower_bound=surrogate - truncation - penalty,
+    )
 
 
 def theorem_lower_bound(
@@ -122,47 +143,19 @@ def theorem_lower_bound(
     """Assemble the full lower bound for one sampled group.
 
     ``eps`` and ``dtv_max`` default to their exact values for the policy
-    pair, computed by scanning every state; a supplied ``eps`` smaller than
-    the exact ratio-deviation bound would void the hypothesis the bound
-    rests on, so it is rejected.
+    pair, computed from the two state-indexed tables; a supplied ``eps``
+    smaller than the exact ratio-deviation bound would void the hypothesis
+    the bound rests on, so it is rejected.
     """
     mdp = group.mdp
-    _check_window(mdp.horizon, n_step)
+    check_window(mdp.horizon, n_step)
     if xi is None:
         xi = mdp.reward_bound
     if float(np.abs(group.rewards).max(initial=0.0)) > xi + 1e-12:
         raise ValueError("group contains rewards exceeding the bound xi")
-    exact_eps = ratio_deviation_bound(pi, mu, mdp, cap)
-    if eps is None:
-        eps = exact_eps
-    elif eps < exact_eps - 1e-12:
-        raise ValueError(
-            f"supplied eps {eps} is below the exact ratio-deviation bound {exact_eps}"
-        )
-    if eps <= 0.0:
-        # Identical policies deviate by zero; keep the formulas well-defined.
-        eps = 1e-12
-    if dtv_max is None:
-        dtv_max = d_tv_max(mu, pi, mdp, cap)
     surrogate = n_step_surrogate_empirical(group, pi, mu, n_step)
-    truncation = truncation_bias_bound(xi, mdp.horizon, n_step, dtv_max)
-    s_val = s_n(eps, mdp.horizon, n_step)
-    b_val = xi * eps * s_val
-    penalty = hoeffding_penalty(b_val, alpha_conf, group.group_size)
-    return BoundReport(
-        xi=xi,
-        eps=eps,
-        dtv_max=dtv_max,
-        horizon=mdp.horizon,
-        n_step=n_step,
-        group_size=group.group_size,
-        alpha_conf=alpha_conf,
-        empirical_surrogate=surrogate,
-        truncation_bias=truncation,
-        s_n=s_val,
-        b_n=b_val,
-        hoeffding=penalty,
-        lower_bound=surrogate - truncation - penalty,
+    return _bound_report(
+        mdp, pi, mu, n_step, alpha_conf, group.group_size, surrogate, xi, eps, dtv_max, cap
     )
 
 
@@ -179,24 +172,23 @@ def verify_coverage(
 ) -> float:
     """Fraction of independent groups whose bound the true improvement beats.
 
-    The truth is computed once by enumeration; eps and dtv_max are likewise
-    fixed once for the policy pair, so each trial only samples a fresh group
-    and evaluates its empirical surrogate.
+    The truth is computed once by enumeration; eps, dtv_max and the two
+    policy tables are likewise fixed once for the policy pair, so each trial
+    only samples a fresh group and evaluates its empirical surrogate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     truth = performance_difference_direct(mdp, pi, mu, cap)
-    xi = mdp.reward_bound
-    eps = max(ratio_deviation_bound(pi, mu, mdp, cap), 1e-12)
-    dtv = d_tv_max(mu, pi, mdp, cap)
-    truncation = truncation_bias_bound(xi, mdp.horizon, n_step, dtv)
-    penalty = hoeffding_penalty(b_n(xi, eps, mdp.horizon, n_step), alpha_conf, group_size)
+    report = _bound_report(
+        mdp, pi, mu, n_step, alpha_conf, group_size, 0.0, mdp.reward_bound, None, None, cap
+    )
+    p_pi, p_mu = policy_prob_table(pi, mdp, cap), policy_prob_table(mu, mdp, cap)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
         group = sample_group(mdp, mu, group_size, rng)
-        surrogate = n_step_surrogate_empirical(group, pi, mu, n_step)
-        if truth >= surrogate - truncation - penalty:
+        surrogate = _empirical_surrogate(group, p_pi, p_mu, n_step)
+        if truth >= surrogate - report.truncation_bias - report.hoeffding:
             hits += 1
     return hits / trials
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -72,23 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config leaf, e.g. --set objective.N=2",
         )
-        cmd.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker budget (results are invariant to it); default from "
-            "TRACELAB_WORKERS or the CPU count",
-        )
     return parser
-
-
-def _resolve_workers(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("TRACELAB_WORKERS")
-        value = int(env) if env else (os.cpu_count() or 1)
-    if value < 1:
-        raise ConfigError(f"--workers must be >= 1, got {value}")
-    return value
 
 
 def _load_config(args) -> RunConfig:
@@ -105,9 +90,21 @@ def _load_config(args) -> RunConfig:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600; outputs honour the umask
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _format(value) -> str:
@@ -131,7 +128,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[s
         "seed": cfg.seed,
         "outputs": outputs,
     }
-    _atomic_write(out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "run_manifest.json", manifest)
 
 
 def _stamp(cfg: RunConfig) -> str:
@@ -222,7 +219,7 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
             "switch_freq_traced": after,
         },
     }
-    _atomic_write(out_dir / "analyze.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "analyze.json", payload)
     _write_manifest(out_dir, "analyze", cfg, ["analyze.json"])
     return 0
 
@@ -257,7 +254,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         "threshold": threshold,
         "passed": passed,
     }
-    _atomic_write(out_dir / "verify.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "verify.json", payload)
     _write_manifest(out_dir, "verify", cfg, ["verify.json"])
     return 0 if passed else 2
 
@@ -273,7 +270,6 @@ _COMMANDS = {
 def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_workers(args.workers)
         cfg = _load_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

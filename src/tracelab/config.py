@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -88,6 +89,8 @@ def _number(section: dict, path: str, key: str, lo=None, hi=None, *, open_lo=Fal
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(_join(path, key), "a number", value)
     value = float(value)
+    if not math.isfinite(value):
+        raise _fail(_join(path, key), "a finite number", value)
     if lo is not None and (value <= lo if open_lo else value < lo):
         raise _fail(_join(path, key), _domain(lo, hi, open_lo, open_hi), value)
     if hi is not None and (value >= hi if open_hi else value > hi):
@@ -214,7 +217,7 @@ class RunConfig:
                 "beta": self.objective.beta,
                 "eps_low": self.objective.eps_low,
                 "eps_high": self.objective.eps_high,
-                "mask": _mask_dict(self.objective.mask),
+                "mask": self.objective.params()["mask"],
             },
             "experiment": {
                 "G": self.group_size,
@@ -228,15 +231,6 @@ class RunConfig:
             "seed": self.seed,
             "enumeration_cap": self.enumeration_cap,
         }
-
-
-def _mask_dict(mask: MaskSpec) -> dict:
-    out: dict[str, Any] = {"kind": mask.kind}
-    for name in ("eps_low", "eps_high", "delta", "beta"):
-        value = getattr(mask, name)
-        if value is not None:
-            out[name] = value
-    return out
 
 
 def _build_policy(cfg: PolicyConfig, mdp: TokenMdp, mu):

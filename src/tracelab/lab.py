@@ -4,7 +4,7 @@ full-batch tabular training, and learning-dynamics metrics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .objectives import (
     variance_of_statistic,
 )
 from .policies import TabularSoftmaxPolicy, d_tv_max, ratio_deviation_bound
-from .weights import ratios, sample_group, traces
+from .weights import ratios, ratios_from_values, sample_group, traces
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,7 @@ class DynamicsReport:
     trace_variance: float
 
     def to_dict(self) -> dict:
-        return {
-            "correction_strength_rho": self.correction_strength_rho,
-            "correction_strength_trace": self.correction_strength_trace,
-            "switch_freq_rho": self.switch_freq_rho,
-            "switch_freq_trace": self.switch_freq_trace,
-            "trace_variance": self.trace_variance,
-        }
+        return asdict(self)
 
 
 def switch_count(signal: np.ndarray) -> int:
@@ -232,12 +226,3 @@ def smoothing_demo(
     clipped = traces(profile_obj, n_step, beta, eps_low, eps_high).clipped
     return switch_frequency(rho), switch_frequency(rho * clipped)
 
-
-def ratios_from_values(values: Sequence[float]):
-    """Wrap a raw positive ratio sequence as a profile (for constructed demos)."""
-    from .weights import RatioProfile
-
-    arr = np.asarray(values, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("ratios must be positive")
-    return RatioProfile(ratios=arr, log_ratios=np.log(arr))

@@ -96,6 +96,11 @@ class TokenMdp:
         return y
 
 
+def check_window(horizon: int, n_step: int) -> None:
+    if not 1 <= n_step <= horizon:
+        raise ValueError(f"n_step must lie in [1, {horizon}], got {n_step}")
+
+
 def match_length(prefix: Sequence, target: Sequence) -> int:
     """Longest k such that target[:k] is an ordered subsequence of prefix.
 
@@ -179,18 +184,43 @@ def trajectory_chunks(
     if total > cap:
         raise EnumerationCapError(total, cap)
     v, t_len = mdp.vocab_size, mdp.horizon
-    offsets = prefix_offsets(mdp)
     place = np.array([v ** (t_len - 1 - t) for t in range(t_len)], dtype=np.int64)
     for lo in range(0, total, chunk_size):
         idx = np.arange(lo, min(lo + chunk_size, total), dtype=np.int64)
         tokens = (idx[:, None] // place[None, :]) % v
-        state_ids = np.empty_like(tokens)
-        state_ids[:, 0] = 0
-        code = np.zeros(len(idx), dtype=np.int64)
-        for t in range(1, t_len):
-            code = code * v + tokens[:, t - 1]
-            state_ids[:, t] = offsets[t] + code
-        yield tokens, state_ids
+        yield tokens, prefix_state_ids(mdp, tokens)
+
+
+def prefix_state_ids(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
+    """State id of every prefix y_{<t} in a [m, T] token block."""
+    offsets = prefix_offsets(mdp)
+    state_ids = np.empty(tokens.shape, dtype=np.int64)
+    state_ids[:, 0] = 0
+    code = np.zeros(len(tokens), dtype=np.int64)
+    for t in range(1, tokens.shape[1]):
+        code = code * mdp.vocab_size + tokens[:, t - 1]
+        state_ids[:, t] = offsets[t] + code
+    return state_ids
+
+
+def prefix_match_lengths(
+    mdp: TokenMdp, target: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP
+) -> np.ndarray:
+    """match_length(prefix, target) for every state id, built level by level.
+
+    The length-t prefix with code c extends the length-(t-1) prefix with
+    code c // |vocab| by the token c % |vocab|.
+    """
+    if mdp.n_prefixes > cap:
+        raise EnumerationCapError(mdp.n_prefixes, cap)
+    target = np.asarray(target, dtype=np.int64)
+    n, v = len(target), mdp.vocab_size
+    levels = [np.zeros(1, dtype=np.int64)]
+    for _ in range(1, mdp.horizon):
+        parent = np.repeat(levels[-1], v)
+        token = np.tile(np.arange(v), len(levels[-1]))
+        levels.append(parent + ((token == target[np.minimum(parent, n - 1)]) & (parent < n)))
+    return np.concatenate(levels)
 
 
 def reward_vector(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ estimators and the practical clipped/masked objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,18 +18,20 @@ from .mdp import (
     DEFAULT_ENUMERATION_CAP,
     TokenMdp,
     Trajectory,
+    check_window,
     reward,
     reward_vector,
     trajectory_chunks,
 )
-from .policies import TabularSoftmaxPolicy, policy_log_matrix
+from .policies import TabularSoftmaxPolicy, policy_log_matrix, policy_prob_table
 from .weights import (
     MASK_NONE,
     GroupRollout,
     MaskSpec,
+    clipped_trace,
+    group_log_ratios,
+    group_token_mask,
     ratios,
-    token_mask,
-    traces,
     window_products,
 )
 
@@ -66,18 +68,13 @@ class ObjectiveSpec:
             raise ValueError("eps_high must be positive")
 
     def params(self) -> dict:
-        out = {
+        return {
             "n_step": self.n_step,
             "beta": self.beta,
             "eps_low": self.eps_low,
             "eps_high": self.eps_high,
-            "mask": {"kind": self.mask.kind},
+            "mask": {k: v for k, v in asdict(self.mask).items() if v is not None},
         }
-        for name in ("eps_low", "eps_high", "delta", "beta"):
-            value = getattr(self.mask, name)
-            if value is not None:
-                out["mask"][name] = value
-        return out
 
 
 @dataclass(frozen=True)
@@ -122,21 +119,11 @@ def performance_difference_direct(
     return exact_return(mdp, pi, cap) - exact_return(mdp, mu, cap)
 
 
-def _window_matrix(log_ratios: np.ndarray, n_step: int) -> np.ndarray:
-    """Row-wise windowed forward products; robust to -inf log ratios."""
-    m, t_len = log_ratios.shape
-    idx = np.arange(t_len)
-    end = np.minimum(idx + n_step, t_len)
-    if np.isfinite(log_ratios).all():
-        suffix = np.zeros((m, t_len + 1))
-        suffix[:, :-1] = np.cumsum(log_ratios[:, ::-1], axis=1)[:, ::-1]
-        return np.exp(suffix[:, idx + 1] - suffix[:, end])
-    rho = np.exp(log_ratios)
-    out = np.ones((m, t_len))
-    for i in range(t_len):
-        if end[i] > i + 1:
-            out[:, i] = np.prod(rho[:, i + 1 : end[i]], axis=1)
-    return out
+def _windowed_statistic(rewards, log_r: np.ndarray, n_step: int) -> np.ndarray:
+    """Z = R * sum_t (rho_t - 1) * (product of the next n_step-1 ratios),
+    along the last axis."""
+    gamma = window_products(log_r, n_step)
+    return rewards * ((np.exp(log_r) - 1.0) * gamma).sum(axis=-1)
 
 
 def _population_moments(
@@ -148,8 +135,7 @@ def _population_moments(
     require_full_support: bool,
 ) -> tuple[float, float]:
     """First and second moments of the windowed statistic Z under mu."""
-    if not 1 <= n_step <= mdp.horizon:
-        raise ValueError(f"n_step must lie in [1, {mdp.horizon}], got {n_step}")
+    check_window(mdp.horizon, n_step)
     log_pi = policy_log_matrix(pi, mdp, cap)
     log_mu = policy_log_matrix(mu, mdp, cap)
     if require_full_support and np.isneginf(log_mu).any():
@@ -161,13 +147,11 @@ def _population_moments(
         with np.errstate(invalid="ignore"):
             log_weight = token_log_mu.sum(axis=1)
         keep = ~np.isneginf(log_weight)
-        if not keep.any():
-            continue
-        tokens = tokens[keep]
+        if not keep.all():
+            tokens, state_ids, token_log_mu = tokens[keep], state_ids[keep], token_log_mu[keep]
         weights = np.exp(log_weight[keep])
-        log_r = log_pi[state_ids[keep], tokens] - token_log_mu[keep]
-        gamma = _window_matrix(log_r, n_step)
-        z = reward_vector(mdp, tokens) * ((np.exp(log_r) - 1.0) * gamma).sum(axis=1)
+        log_r = log_pi[state_ids, tokens] - token_log_mu
+        z = _windowed_statistic(reward_vector(mdp, tokens), log_r, n_step)
         mean += float(weights @ z)
         second += float(weights @ (z * z))
     return mean, second
@@ -221,47 +205,89 @@ def variance_of_statistic(
 def per_sample_statistic(mdp: TokenMdp, y: Sequence[int], pi, mu, n_step: int) -> PerSampleStat:
     """Reward times the window-corrected sum of ratio deviations for one y."""
     y = mdp.check_trajectory(y)
-    if not 1 <= n_step <= mdp.horizon:
-        raise ValueError(f"n_step must lie in [1, {mdp.horizon}], got {n_step}")
-    profile = ratios(pi, mu, y)
-    gamma = window_products(profile.log_ratios, n_step)
-    z = reward(mdp, y) * float(((profile.ratios - 1.0) * gamma).sum())
-    return PerSampleStat(z=z, trajectory=y)
+    check_window(mdp.horizon, n_step)
+    z = _windowed_statistic(reward(mdp, y), ratios(pi, mu, y).log_ratios, n_step)
+    return PerSampleStat(z=float(z), trajectory=y)
 
 
 def n_step_surrogate_empirical(group: GroupRollout, pi, mu, n_step: int) -> float:
     """Group mean of the per-sample statistic; unbiased for the population value."""
-    stats = [
-        per_sample_statistic(group.mdp, y, pi, mu, n_step).z for y in group.trajectories
-    ]
-    return float(group.weights @ np.asarray(stats))
+    p_pi = policy_prob_table(pi, group.mdp)
+    return _empirical_surrogate(group, p_pi, policy_prob_table(mu, group.mdp), n_step)
+
+
+def _empirical_surrogate(group: GroupRollout, p_pi, p_mu, n_step: int) -> float:
+    """:func:`n_step_surrogate_empirical` from prebuilt probability tables."""
+    check_window(group.mdp.horizon, n_step)
+    log_r = group_log_ratios(group, p_pi, p_mu)
+    z = _windowed_statistic(reward_vector(group.mdp, group.tokens), log_r, n_step)
+    return float(group.weights @ z)
 
 
 # --- practical objectives ------------------------------------------------------
 
 
+def _token_terms(
+    group: GroupRollout, p_pi: np.ndarray, p_mu: np.ndarray, spec: ObjectiveSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-token objective terms and frozen gradient coefficients, both [G, T].
+
+    nfpo and mpg weigh each token by A * keep * trace * rho (trace = 1 for
+    mpg); ppo takes the pessimistic min of the raw and clipped ratio.  The
+    mask, the clipped trace and ppo's active branch are frozen at the
+    evaluation point, so with coefficient c = w * A * keep * trace * rho a
+    token's term has d/d logit(s, b) = c * (1{b = token} - pi(b | s)).
+    """
+    rho = np.exp(group_log_ratios(group, p_pi, p_mu))
+    adv = group.advantages[:, None]
+    trace = 1.0
+    if spec.kind == "ppo":
+        clipped = np.clip(rho, 1.0 - spec.eps_low, 1.0 + spec.eps_high)
+        terms = np.minimum(rho * adv, clipped * adv)
+        keep = rho * adv <= clipped * adv
+    else:
+        keep = group_token_mask(spec.mask, group, rho, p_pi, p_mu)
+        if spec.kind == "nfpo":
+            check_window(group.mdp.horizon, spec.n_step)
+            trace = clipped_trace(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
+        terms = keep * adv * rho * trace
+    return terms, group.weights[:, None] * adv * keep * trace * rho
+
+
+def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> ObjectiveValue:
+    p_pi, p_mu = policy_prob_table(pi, group.mdp), policy_prob_table(mu, group.mdp)
+    terms, _ = _token_terms(group, p_pi, p_mu, spec)
+    value = float(group.weights @ terms.sum(axis=-1))
+    return ObjectiveValue(value=value, kind=spec.kind, params=spec.params())
+
+
+def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> dict:
+    """Analytic gradient w.r.t. the tabular logits, keyed by state; states
+    no kept token touches are absent."""
+    if not isinstance(pi, TabularSoftmaxPolicy):
+        raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
+    p_pi, p_mu = policy_prob_table(pi, group.mdp), policy_prob_table(mu, group.mdp)
+    _, coeffs = _token_terms(group, p_pi, p_mu, spec)
+    hit = coeffs != 0.0
+    states, c = group.state_ids[hit], coeffs[hit]
+    contrib = -c[:, None] * p_pi[states]
+    contrib[np.arange(len(c)), group.tokens[hit]] += c
+    rows = pi.state_rows(group.mdp)[states]
+    grad = np.zeros((len(pi.logits), group.mdp.vocab_size))
+    np.add.at(grad, rows, contrib)
+    keys = list(pi.logits)
+    return {keys[r]: grad[r] for r in np.flatnonzero(np.bincount(rows, minlength=len(grad)))}
+
+
 def ppo_objective(group: GroupRollout, pi, mu, eps_low: float, eps_high: float) -> float:
     """Clipped-ratio surrogate with the usual pessimistic min."""
-    if not 0.0 < eps_low < 1.0:
-        raise ValueError("eps_low must lie in (0, 1)")
-    if not eps_high > 0.0:
-        raise ValueError("eps_high must be positive")
-    total = 0.0
-    for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
-        rho = ratios(pi, mu, y).ratios
-        clipped = np.clip(rho, 1.0 - eps_low, 1.0 + eps_high)
-        total += w * float(np.minimum(rho * adv, clipped * adv).sum())
-    return float(total)
+    spec = ObjectiveSpec("ppo", eps_low=eps_low, eps_high=eps_high)
+    return objective_value(group, pi, mu, spec).value
 
 
 def mpg_objective(group: GroupRollout, pi, mu, mask: MaskSpec) -> float:
     """Masked token-level surrogate: masked tokens contribute exactly nothing."""
-    total = 0.0
-    for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
-        profile = ratios(pi, mu, y)
-        keep = token_mask(mask, profile, float(adv), mu, pi, y)
-        total += w * float((keep * profile.ratios * adv).sum())
-    return float(total)
+    return objective_value(group, pi, mu, ObjectiveSpec("mpg", mask=mask)).value
 
 
 def nfpo_objective(
@@ -279,45 +305,8 @@ def nfpo_objective(
     The trace enters as a frozen coefficient: it shapes the value here and
     is held constant by :func:`nfpo_gradient` when differentiating.
     """
-    total = 0.0
-    for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
-        profile = ratios(pi, mu, y)
-        trace = traces(profile, n_step, beta, eps_low, eps_high)
-        keep = token_mask(mask, profile, float(adv), mu, pi, y)
-        total += w * float((keep * adv * profile.ratios * trace.clipped).sum())
-    return float(total)
-
-
-# --- analytic gradients ---------------------------------------------------------
-
-
-def _score_function_gradient(group: GroupRollout, pi: TabularSoftmaxPolicy, coeffs):
-    """Gradient of sum_i sum_t c_it * rho_it w.r.t. tabular logits.
-
-    Since d(c * rho)/d logit(s, b) = c * rho * (1{b = token} - pi(b | s)),
-    callers pass ``coeffs`` holding the full products c_it * rho_it evaluated
-    at the current policy; each per-state row then sums to zero by
-    construction.
-    """
-    grads: dict = {}
-    vocab_size = pi.mdp.vocab_size
-    for y, coeff in zip(group.trajectories, coeffs):
-        for t, tok in enumerate(y):
-            c = float(coeff[t])
-            if c == 0.0:
-                continue
-            prefix = y[:t]
-            probs = pi.probs(prefix)
-            row = grads.setdefault(pi.key(prefix), np.zeros(vocab_size))
-            row -= c * probs
-            row[tok] += c
-    return grads
-
-
-def _require_tabular(pi) -> TabularSoftmaxPolicy:
-    if not isinstance(pi, TabularSoftmaxPolicy):
-        raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
-    return pi
+    spec = ObjectiveSpec("nfpo", n_step, beta, eps_low, eps_high, mask)
+    return objective_value(group, pi, mu, spec).value
 
 
 def nfpo_gradient(
@@ -332,65 +321,11 @@ def nfpo_gradient(
 ) -> dict:
     """Analytic gradient with masks and clipped traces frozen at the
     evaluation point; gradient flows only through the token ratio."""
-    pi = _require_tabular(pi)
-    coeffs = []
-    for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
-        profile = ratios(pi, mu, y)
-        trace = traces(profile, n_step, beta, eps_low, eps_high)
-        keep = token_mask(mask, profile, float(adv), mu, pi, y)
-        coeffs.append(w * adv * keep * trace.clipped * profile.ratios)
-    return _score_function_gradient(group, pi, coeffs)
-
-
-def mpg_gradient(group: GroupRollout, pi, mu, mask: MaskSpec) -> dict:
-    pi = _require_tabular(pi)
-    coeffs = []
-    for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
-        profile = ratios(pi, mu, y)
-        keep = token_mask(mask, profile, float(adv), mu, pi, y)
-        coeffs.append(w * adv * keep * profile.ratios)
-    return _score_function_gradient(group, pi, coeffs)
-
-
-def ppo_gradient(group: GroupRollout, pi, mu, eps_low: float, eps_high: float) -> dict:
-    """Gradient flows only through tokens where the min picks the raw-ratio
-    branch; the clipped branch is a constant."""
-    pi = _require_tabular(pi)
-    coeffs = []
-    for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
-        rho = ratios(pi, mu, y).ratios
-        clipped = np.clip(rho, 1.0 - eps_low, 1.0 + eps_high)
-        unclipped_active = rho * adv <= clipped * adv
-        coeffs.append(w * adv * unclipped_active * rho)
-    return _score_function_gradient(group, pi, coeffs)
+    spec = ObjectiveSpec("nfpo", n_step, beta, eps_low, eps_high, mask)
+    return objective_gradient(group, pi, mu, spec)
 
 
 def gradient_norm(gradient: dict) -> float:
     if not gradient:
         return 0.0
     return float(np.sqrt(sum(float(np.square(g).sum()) for g in gradient.values())))
-
-
-# --- dispatch ---------------------------------------------------------------------
-
-
-def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> ObjectiveValue:
-    if spec.kind == "nfpo":
-        value = nfpo_objective(
-            group, pi, mu, spec.n_step, spec.beta, spec.eps_low, spec.eps_high, spec.mask
-        )
-    elif spec.kind == "mpg":
-        value = mpg_objective(group, pi, mu, spec.mask)
-    else:
-        value = ppo_objective(group, pi, mu, spec.eps_low, spec.eps_high)
-    return ObjectiveValue(value=value, kind=spec.kind, params=spec.params())
-
-
-def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> dict:
-    if spec.kind == "nfpo":
-        return nfpo_gradient(
-            group, pi, mu, spec.n_step, spec.beta, spec.eps_low, spec.eps_high, spec.mask
-        )
-    if spec.kind == "mpg":
-        return mpg_gradient(group, pi, mu, spec.mask)
-    return ppo_gradient(group, pi, mu, spec.eps_low, spec.eps_high)

@@ -8,16 +8,18 @@ by the matched-target length.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import UnknownStateError, ZeroSupportError
+from .errors import UnknownStateError
 from .mdp import (
     DEFAULT_ENUMERATION_CAP,
     TokenMdp,
     enumerate_prefixes,
     match_length,
+    prefix_match_lengths,
 )
 
 StateKey = Hashable
@@ -43,17 +45,22 @@ class TargetFollowingPolicy:
         table[n, :] = 1.0 / v
         table.flags.writeable = False
         self._table = table
-        self._log_table = np.log(table)
-        self._log_table.flags.writeable = False
 
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
         return self._table[match_length(prefix, self.mdp.target)]
 
-    def log_probs(self, prefix: Sequence[int]) -> np.ndarray:
-        return self._log_table[match_length(prefix, self.mdp.target)]
+    def prob_table(self, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
+        return self._table[prefix_match_lengths(mdp, self.mdp.target, cap)]
 
     def __repr__(self) -> str:
         return f"TargetFollowingPolicy(alpha={self.alpha})"
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 class TabularSoftmaxPolicy:
@@ -62,7 +69,9 @@ class TabularSoftmaxPolicy:
     ``state_key`` selects the state representation: ``"prefix"`` keeps the
     exact generated prefix (faithful but larger), ``"match_length"``
     collapses it to the matched-target length (a sufficient statistic for
-    the target-following family, much cheaper to train).
+    the target-following family, much cheaper to train).  The logits live in
+    one ``[n_rows, vocab]`` array; ``logits`` is a read-only mapping from each
+    state key to a view of its row, so every edit of a row is in place.
     """
 
     STATE_KEYS = ("prefix", "match_length")
@@ -73,17 +82,22 @@ class TabularSoftmaxPolicy:
         logits: dict[StateKey, np.ndarray],
         state_key: str = "prefix",
     ):
-        if state_key not in self.STATE_KEYS:
-            raise ValueError(f"state_key must be one of {self.STATE_KEYS}")
-        self.mdp = mdp
-        self.state_key = state_key
-        self.logits = {k: np.asarray(v, dtype=float).copy() for k, v in logits.items()}
-        for k, row in self.logits.items():
+        keys = list(self._all_keys(mdp, state_key))
+        if logits.keys() != set(keys):
+            raise ValueError(f"logits must cover exactly the {len(keys)} states of the MDP")
+        rows = [np.asarray(logits[k], dtype=float) for k in keys]
+        for k, row in zip(keys, rows):
             if row.shape != (mdp.vocab_size,):
                 raise ValueError(f"logit row for state {k!r} has shape {row.shape}")
+        self.mdp = mdp
+        self.state_key = state_key
+        self._table = np.array(rows)
+        self.logits = MappingProxyType(dict(zip(keys, self._table)))
 
     @classmethod
     def _all_keys(cls, mdp: TokenMdp, state_key: str) -> Iterable[StateKey]:
+        if state_key not in cls.STATE_KEYS:
+            raise ValueError(f"state_key must be one of {cls.STATE_KEYS}")
         if state_key == "match_length":
             return range(len(mdp.target) + 1)
         return enumerate_prefixes(mdp)
@@ -91,24 +105,22 @@ class TabularSoftmaxPolicy:
     @classmethod
     def zeros(cls, mdp: TokenMdp, state_key: str = "prefix") -> "TabularSoftmaxPolicy":
         """Uniform policy: zero logits at every state."""
-        logits = {k: np.zeros(mdp.vocab_size) for k in cls._all_keys(mdp, state_key)}
-        return cls(mdp, logits, state_key)
+        zero = np.zeros(mdp.vocab_size)
+        return cls(mdp, dict.fromkeys(cls._all_keys(mdp, state_key), zero), state_key)
 
     @classmethod
     def from_policy(
         cls, mdp: TokenMdp, policy, state_key: str = "prefix"
     ) -> "TabularSoftmaxPolicy":
         """Copy another policy's distributions into logits (log-probabilities)."""
-        logits: dict[StateKey, np.ndarray] = {}
         if state_key == "match_length":
-            n = len(mdp.target)
             # A representative prefix per matched length: the target's own head.
-            for k in range(n + 1):
-                logits[k] = np.log(policy.probs(mdp.target[:k]))
+            probs = [policy.probs(mdp.target[:k]) for k in range(len(mdp.target) + 1)]
         else:
-            for prefix in enumerate_prefixes(mdp):
-                logits[prefix] = np.log(policy.probs(prefix))
-        return cls(mdp, logits, state_key)
+            probs = policy_prob_table(policy, mdp)
+        with np.errstate(divide="ignore"):
+            logits = np.log(np.asarray(probs, dtype=float))
+        return cls(mdp, dict(zip(cls._all_keys(mdp, state_key), logits)), state_key)
 
     def key(self, prefix: Sequence[int]) -> StateKey:
         if self.state_key == "match_length":
@@ -125,21 +137,26 @@ class TabularSoftmaxPolicy:
             ) from None
 
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
-        row = self._row(prefix)
-        shifted = np.exp(row - row.max())
-        return shifted / shifted.sum()
+        return _softmax(self._row(prefix))
 
-    def log_probs(self, prefix: Sequence[int]) -> np.ndarray:
-        row = self._row(prefix)
-        shifted = row - row.max()
-        return shifted - np.log(np.exp(shifted).sum())
+    def state_rows(self, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """Logit row of every state id of ``mdp``."""
+        if self.state_key == "match_length":
+            return prefix_match_lengths(mdp, self.mdp.target, cap)
+        if mdp.vocab_size != self.mdp.vocab_size or mdp.n_prefixes > len(self._table):
+            raise UnknownStateError("prefix-keyed logits do not cover this MDP's states")
+        return np.arange(mdp.n_prefixes)
+
+    def prob_table(self, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
+        return _softmax(self._table)[self.state_rows(mdp, cap)]
 
     def apply_gradient(self, gradient: dict[StateKey, np.ndarray], learning_rate: float) -> None:
         """Ascent step: logits[state] += learning_rate * gradient[state]."""
         for key, g in gradient.items():
             if key not in self.logits:
                 raise UnknownStateError(f"gradient for unknown state {key!r}")
-            self.logits[key] += learning_rate * np.asarray(g, dtype=float)
+            self.logits[key][:] += learning_rate * np.asarray(g, dtype=float)
 
     def copy(self) -> "TabularSoftmaxPolicy":
         return TabularSoftmaxPolicy(self.mdp, self.logits, self.state_key)
@@ -165,60 +182,64 @@ def trajectory_log_prob(policy, y: Sequence[int]) -> float:
     return total
 
 
+def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total variation distance between distributions along the last axis."""
+    return 0.5 * np.abs(p - q).sum(axis=-1)
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) along the last axis; terms with p = 0 contribute nothing."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0).sum(axis=-1)
+
+
 def state_tv(mu, pi, prefix: Sequence[int]) -> float:
     """Total variation distance between the two token distributions at a state."""
-    return 0.5 * float(np.abs(np.asarray(mu.probs(prefix)) - np.asarray(pi.probs(prefix))).sum())
+    return float(total_variation(np.asarray(mu.probs(prefix)), np.asarray(pi.probs(prefix))))
 
 
 def state_kl(mu, pi, prefix: Sequence[int]) -> float:
     """KL(mu(.|s) || pi(.|s)); the rollout-to-target direction."""
     p = np.asarray(mu.probs(prefix), dtype=float)
     q = np.asarray(pi.probs(prefix), dtype=float)
-    nz = p > 0
-    return float(np.sum(p[nz] * (np.log(p[nz]) - np.log(q[nz]))))
+    return float(kl_divergence(p, q))
 
 
 def d_tv_max(mu, pi, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Max state-wise total variation over all reachable prefixes."""
-    return max(state_tv(mu, pi, prefix) for prefix in enumerate_prefixes(mdp, cap))
+    tv = total_variation(policy_prob_table(mu, mdp, cap), policy_prob_table(pi, mdp, cap))
+    return float(tv.max())
 
 
-def ratio_deviation_bound(
-    pi, mu, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def ratio_deviation_bound(pi, mu, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Exact sup over (state, token) of |pi/mu - 1| on the rollout support.
 
     Tokens with zero rollout probability never appear in sampled
     trajectories, so they are excluded from the bound.
     """
-    worst = 0.0
-    for prefix in enumerate_prefixes(mdp, cap):
-        p_mu = np.asarray(mu.probs(prefix), dtype=float)
-        p_pi = np.asarray(pi.probs(prefix), dtype=float)
-        support = p_mu > 0
-        if not support.any():
-            continue
-        dev = np.abs(p_pi[support] / p_mu[support] - 1.0).max()
-        worst = max(worst, float(dev))
-    return worst
+    p_pi = policy_prob_table(pi, mdp, cap)
+    p_mu = policy_prob_table(mu, mdp, cap)
+    ratio = np.divide(p_pi, p_mu, out=np.ones_like(p_pi), where=p_mu > 0)
+    return float(np.abs(ratio - 1.0).max())
 
 
-def policy_log_matrix(
-    policy, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
-    """[n_prefixes, vocab] log-probabilities in enumeration-order rows.
+def policy_prob_table(policy, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """[n_prefixes, vocab] probabilities in state-id order.
 
     Row order matches the state ids produced by ``mdp.trajectory_chunks``.
-    Zero probabilities map to -inf.
+    Policies without a ``prob_table`` method, which only answer
+    ``probs(prefix)``, are asked once per state.
     """
+    if hasattr(policy, "prob_table"):
+        return policy.prob_table(mdp, cap)
     rows = np.empty((mdp.n_prefixes, mdp.vocab_size))
     for i, prefix in enumerate(enumerate_prefixes(mdp, cap)):
         rows[i] = np.asarray(policy.probs(prefix), dtype=float)
+    return rows
+
+
+def policy_log_matrix(policy, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """[n_prefixes, vocab] log-probabilities in state-id order; zero
+    probabilities map to -inf."""
     with np.errstate(divide="ignore"):
-        return np.log(rows)
-
-
-def require_support(log_mu_tok: np.ndarray) -> None:
-    """Raise when a sampled token had zero rollout probability."""
-    if np.any(np.isneginf(log_mu_tok)):
-        raise ZeroSupportError("rollout policy has zero probability on a sampled token")
+        return np.log(policy_prob_table(policy, mdp, cap))

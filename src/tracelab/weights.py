@@ -5,13 +5,14 @@ All products are accumulated in log space and exponentiated once, so the
 window/residual decomposition stays numerically exact at any horizon.
 Index convention: position ``i`` (0-based) holds the quantity attached to
 token ``t = i + 1``, e.g. ``full[i]`` is the product of all ratios strictly
-after token ``t``.
+after token ``t``.  Window and trace arrays run along the last axis, so one
+trajectory ``[T]`` and a whole group ``[G, T]`` share the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,12 +21,13 @@ from .mdp import (
     DEFAULT_ENUMERATION_CAP,
     TokenMdp,
     Trajectory,
-    reward,
+    check_window,
+    prefix_state_ids,
+    reward_vector,
     sample_trajectory,
     trajectory_chunks,
-    reward_vector,
 )
-from .policies import policy_log_matrix, state_kl, state_tv
+from .policies import kl_divergence, policy_log_matrix, state_kl, state_tv, total_variation
 
 
 @dataclass(frozen=True)
@@ -55,23 +57,38 @@ def ratios(pi, mu, y: Sequence[int]) -> RatioProfile:
     return RatioProfile(ratios=np.exp(log_r), log_ratios=log_r)
 
 
+def ratios_from_values(values: Sequence[float]) -> RatioProfile:
+    """Wrap a raw positive ratio sequence as a profile (for constructed demos)."""
+    arr = np.asarray(values, dtype=float)
+    if np.any(arr <= 0):
+        raise ValueError("ratios must be positive")
+    return RatioProfile(ratios=arr, log_ratios=np.log(arr))
+
+
 def window_products(log_ratios: np.ndarray, n_step: int) -> np.ndarray:
     """For each position i: product of the next min(n_step-1, T-1-i) ratios.
 
     This is the truncated forward correction attached to token i+1; an
-    empty window gives 1.
+    empty window gives 1.  Works along the last axis and stays exact when
+    a ratio is zero (log ratio -inf).
     """
-    t_len = len(log_ratios)
-    suffix = _suffix_sums(log_ratios)
+    t_len = log_ratios.shape[-1]
     idx = np.arange(t_len)
     end = np.minimum(idx + n_step, t_len)
-    return np.exp(suffix[idx + 1] - suffix[end])
+    if np.isfinite(log_ratios).all():
+        suffix = _suffix_sums(log_ratios)
+        return np.exp(suffix[..., idx + 1] - suffix[..., end])
+    rho = np.exp(log_ratios)
+    out = np.ones_like(rho)
+    for i in range(t_len):
+        out[..., i] = np.prod(rho[..., i + 1 : end[i]], axis=-1)
+    return out
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
-    """suffix[i] = sum(values[i:]); suffix[len] = 0."""
-    out = np.zeros(len(values) + 1)
-    out[:-1] = np.cumsum(values[::-1])[::-1]
+    """suffix[..., i] = sum(values[..., i:]); suffix[..., T] = 0."""
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    out[..., :-1] = np.cumsum(values[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -107,8 +124,7 @@ def traces(
 ) -> TraceSet:
     """All trace variants for one trajectory's ratio profile."""
     t_len = len(profile)
-    if not 1 <= n_step <= t_len:
-        raise ValueError(f"n_step must lie in [1, {t_len}], got {n_step}")
+    check_window(t_len, n_step)
     if not beta > 1:
         raise ValueError(f"beta must exceed 1, got {beta}")
     if not 0.0 < eps_low < 1.0:
@@ -116,32 +132,25 @@ def traces(
     if not eps_high > 0.0:
         raise ValueError(f"eps_high must be positive, got {eps_high}")
 
-    idx = np.arange(t_len)
-    end = np.minimum(idx + n_step, t_len)
-
     suffix = _suffix_sums(profile.log_ratios)
-    full = np.exp(suffix[idx + 1])
-    n_step_arr = np.exp(suffix[idx + 1] - suffix[end])
-    residual = np.exp(suffix[end])
-
-    clipped_ratio = np.clip(profile.ratios, 1.0 / beta, beta)
-    clipped_suffix = _suffix_sums(np.log(clipped_ratio))
-    clipped = np.clip(
-        np.exp(clipped_suffix[idx + 1] - clipped_suffix[end]),
-        1.0 - eps_low,
-        1.0 + eps_high,
-    )
     return TraceSet(
-        full=full,
-        n_step=n_step_arr,
-        residual=residual,
-        clipped_ratio=clipped_ratio,
-        clipped=clipped,
+        full=np.exp(suffix[1:]),
+        n_step=window_products(profile.log_ratios, n_step),
+        residual=np.exp(suffix[np.minimum(np.arange(t_len) + n_step, t_len)]),
+        clipped_ratio=np.clip(profile.ratios, 1.0 / beta, beta),
+        clipped=clipped_trace(profile.ratios, n_step, beta, eps_low, eps_high),
         horizon_n=n_step,
         beta=beta,
         eps_low=eps_low,
         eps_high=eps_high,
     )
+
+
+def clipped_trace(ratios, n_step: int, beta: float, eps_low: float, eps_high: float) -> np.ndarray:
+    """Window product of ratios clipped to [1/beta, beta], then clipped to
+    [1 - eps_low, 1 + eps_high]; along the last axis."""
+    log_clipped = np.log(np.clip(ratios, 1.0 / beta, beta))
+    return np.clip(window_products(log_clipped, n_step), 1.0 - eps_low, 1.0 + eps_high)
 
 
 # --- token masks -------------------------------------------------------------
@@ -186,6 +195,20 @@ class MaskSpec:
 MASK_NONE = MaskSpec("none")
 
 
+def _keep(mask: MaskSpec, rho: np.ndarray, advantage, measure: Callable) -> np.ndarray:
+    """Keep/drop for tokens with ratios ``rho``; ``measure()`` gives each
+    token's state TV or KL and is only called by the tv and kl masks."""
+    toward_rollout = advantage * (rho - 1.0) <= 0.0
+    if mask.kind == "none":
+        return np.ones(rho.shape, dtype=bool)
+    if mask.kind == "grpo_ratio":
+        inside = (rho > 1.0 - mask.eps_low) & (rho < 1.0 + mask.eps_high)
+        return inside | toward_rollout
+    if mask.kind == "icepop":
+        return (rho >= 1.0 / mask.beta) & (rho <= mask.beta)
+    return (measure() <= mask.delta) | toward_rollout
+
+
 def token_mask(
     mask: MaskSpec,
     profile: RatioProfile,
@@ -196,22 +219,20 @@ def token_mask(
 ) -> np.ndarray:
     """Binary keep/drop vector for one trajectory's tokens."""
     y = tuple(y)
-    rho = profile.ratios
-    toward_rollout = advantage * (rho - 1.0) <= 0.0
-    if mask.kind == "none":
-        keep = np.ones(len(y), dtype=bool)
-    elif mask.kind == "grpo_ratio":
-        inside = (rho > 1.0 - mask.eps_low) & (rho < 1.0 + mask.eps_high)
-        keep = inside | toward_rollout
-    elif mask.kind == "icepop":
-        keep = (rho >= 1.0 / mask.beta) & (rho <= mask.beta)
-    else:
-        measure = state_tv if mask.kind == "tv" else state_kl
-        within = np.array(
-            [measure(mu, pi, y[:t]) <= mask.delta for t in range(len(y))], dtype=bool
-        )
-        keep = within | toward_rollout
-    return keep.astype(np.int64)
+    measure = state_tv if mask.kind == "tv" else state_kl
+
+    def per_token() -> np.ndarray:
+        return np.array([measure(mu, pi, y[:t]) for t in range(len(y))])
+
+    return _keep(mask, profile.ratios, advantage, per_token).astype(np.int64)
+
+
+def group_token_mask(mask: MaskSpec, group: GroupRollout, rho, p_pi, p_mu) -> np.ndarray:
+    """:func:`token_mask` for a whole group as a [G, T] bool array, with the
+    state TV or KL read from state-indexed probability tables."""
+    measure = total_variation if mask.kind == "tv" else kl_divergence
+    advantage = group.advantages[:, None]
+    return _keep(mask, rho, advantage, lambda: measure(p_mu, p_pi)[group.state_ids])
 
 
 # --- group rollouts ----------------------------------------------------------
@@ -229,29 +250,57 @@ def group_advantages(rewards: Sequence[float]) -> np.ndarray:
 class GroupRollout:
     """A batch of trajectories with rewards and group-centered advantages.
 
-    ``weights`` are the aggregation weights of the batch mean: uniform 1/G
-    for sampled groups, exact trajectory probabilities for the population
-    pseudo-group used in enumeration checks.
+    ``tokens`` is a read-only ``[G, T]`` integer array and ``state_ids``
+    holds the state id of every token's prefix, the row index into the
+    state-indexed policy tables.  ``weights`` are the aggregation weights of
+    the batch mean: uniform 1/G for sampled groups, exact trajectory
+    probabilities for the population pseudo-group used in enumeration checks.
     """
 
     mdp: TokenMdp
-    trajectories: tuple[Trajectory, ...]
+    tokens: np.ndarray
     rewards: np.ndarray
     advantages: np.ndarray
     weights: np.ndarray
+    state_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = len(self.trajectories)
-        if g < 1:
-            raise ValueError("a rollout group needs at least one trajectory")
+        tokens = np.array(self.tokens)
+        t_len, v = self.mdp.horizon, self.mdp.vocab_size
+        if tokens.ndim != 2 or len(tokens) < 1 or tokens.shape[1] != t_len:
+            raise ValueError(f"rollout tokens must be a [G, {t_len}] array, got {tokens.shape}")
+        if not np.issubdtype(tokens.dtype, np.integer) or tokens.min() < 0 or tokens.max() >= v:
+            raise ValueError(f"rollout tokens must be integers in [0, {v})")
+        g = len(tokens)
         if not (len(self.rewards) == len(self.advantages) == len(self.weights) == g):
             raise ValueError("rollout group field lengths disagree")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("rollout group weights must sum to 1")
+        tokens = tokens.astype(np.int64, copy=False)
+        state_ids = prefix_state_ids(self.mdp, tokens)
+        tokens.flags.writeable = state_ids.flags.writeable = False
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "state_ids", state_ids)
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """The tokens as a tuple of trajectories."""
+        return tuple(tuple(row) for row in self.tokens.tolist())
 
     @property
     def group_size(self) -> int:
-        return len(self.trajectories)
+        return len(self.tokens)
+
+
+def group_log_ratios(group: GroupRollout, p_pi: np.ndarray, p_mu: np.ndarray) -> np.ndarray:
+    """log(pi / mu) at every token of the group, [G, T], read from
+    state-indexed probability tables."""
+    at = (group.state_ids, group.tokens)
+    p_mu_tok = p_mu[at]
+    if np.any(p_mu_tok == 0.0):
+        raise ZeroSupportError("rollout policy gives zero probability to a sampled token")
+    with np.errstate(divide="ignore"):
+        return np.log(p_pi[at]) - np.log(p_mu_tok)
 
 
 def sample_group(
@@ -260,11 +309,11 @@ def sample_group(
     """Sample G trajectories from the rollout policy and center their rewards."""
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    trajectories = tuple(sample_trajectory(mdp, mu, rng) for _ in range(group_size))
-    rewards = np.array([reward(mdp, y) for y in trajectories])
+    tokens = np.array([sample_trajectory(mdp, mu, rng) for _ in range(group_size)])
+    rewards = reward_vector(mdp, tokens)
     return GroupRollout(
         mdp=mdp,
-        trajectories=trajectories,
+        tokens=tokens,
         rewards=rewards,
         advantages=rewards - rewards.mean(),
         weights=np.full(group_size, 1.0 / group_size),
@@ -285,13 +334,11 @@ def population_group(
         log_p = log_mu[state_ids, tokens].sum(axis=1)
         keep = ~np.isneginf(log_p)
         blocks.append((tokens[keep], np.exp(log_p[keep]), reward_vector(mdp, tokens[keep])))
-    tokens = np.concatenate([b[0] for b in blocks])
-    weights = np.concatenate([b[1] for b in blocks])
-    rewards = np.concatenate([b[2] for b in blocks])
+    tokens, weights, rewards = (np.concatenate(parts) for parts in zip(*blocks))
     mean_reward = float(weights @ rewards)
     return GroupRollout(
         mdp=mdp,
-        trajectories=tuple(tuple(int(v) for v in row) for row in tokens),
+        tokens=tokens,
         rewards=rewards,
         advantages=rewards - mean_reward,
         weights=weights,

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -35,9 +36,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mdp.reward_scale"):
             parse_config(raw)
 
-    def test_domain_violation_named(self):
-        raw = apply_overrides(default_config(), ["policies.mu.alpha=1.5"])
-        with pytest.raises(ConfigError, match="policies.mu.alpha"):
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("policies.mu.alpha", "1.5"),
+            ("experiment.learning_rate", "NaN"),
+            ("objective.beta", "NaN"),
+            ("mdp.reward_bound", "Infinity"),
+        ],
+    )
+    def test_domain_violation_named(self, key, value):
+        raw = apply_overrides(default_config(), [f"{key}={value}"])
+        with pytest.raises(ConfigError, match=key):
             parse_config(raw)
 
     def test_window_must_fit_horizon(self):
@@ -72,7 +82,7 @@ class TestSweepCommand:
 
     def test_byte_identical_reruns_and_worker_invariance(self, tmp_path):
         run(["sweep", "--out", str(tmp_path / "a")])
-        run(["sweep", "--out", str(tmp_path / "b"), "--workers", "3"])
+        run(["sweep", "--out", str(tmp_path / "b")])
         for name in ("sweep.csv", "run_manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -86,6 +96,17 @@ class TestSweepCommand:
     def test_no_temp_files_left(self, tmp_path):
         run(["sweep", "--out", str(tmp_path)])
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_stale_temp_directory_ignored(self, tmp_path):
+        (tmp_path / "sweep.csv.tmp").mkdir()
+        umask = os.umask(0o022)
+        try:
+            assert run(["sweep", "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(umask)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["run_manifest.json", "sweep.csv", "sweep.csv.tmp"]
+        assert (tmp_path / "sweep.csv").stat().st_mode & 0o777 == 0o644
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         code = run(["sweep", "--out", str(tmp_path), "--set", "policies.mu.alpha=1.5"])
@@ -155,6 +176,3 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["bound_report"]["dtv_max"] == pytest.approx(0.3)
-
-    def test_bad_workers_rejected(self, tmp_path):
-        assert run(["verify", "--out", str(tmp_path), "--workers", "0"]) == 1

@@ -49,7 +49,7 @@ def _manual_group(mdp, trajectories, advantages, rewards=None):
     rewards = np.zeros(g) if rewards is None else np.asarray(rewards, dtype=float)
     return GroupRollout(
         mdp=mdp,
-        trajectories=tuple(trajectories),
+        tokens=np.array(trajectories),
         rewards=rewards,
         advantages=np.asarray(advantages, dtype=float),
         weights=np.full(g, 1.0 / g),
