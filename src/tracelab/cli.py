@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -29,6 +30,8 @@ from .config import (
 )
 from .errors import ConfigError, TracelabError
 from .lab import (
+    SweepRow,
+    TrainRecord,
     alternating_profile,
     bias_variance_sweep,
     dynamics_report,
@@ -37,17 +40,9 @@ from .lab import (
 )
 from .weights import sample_group
 
-SWEEP_COLUMNS = (
-    "N",
-    "population_surrogate",
-    "exact_improvement",
-    "abs_bias",
-    "per_sample_variance",
-    "bound_truncation",
-    "b_n",
-    "hoeffding",
-)
-TRAIN_COLUMNS = ("step", "objective", "exact_return", "dtv_max", "grad_norm")
+# Each CSV row is one record dataclass as a tuple; the header names its fields.
+SWEEP_COLUMNS = ("N",) + tuple(f.name for f in fields(SweepRow))[1:]
+TRAIN_COLUMNS = tuple(f.name for f in fields(TrainRecord))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,24 +140,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
         cfg.alpha_conf,
         cap=cfg.enumeration_cap,
     )
-    _write_csv(
-        out_dir / "sweep.csv",
-        SWEEP_COLUMNS,
-        (
-            (
-                r.n_step,
-                r.population_surrogate,
-                r.exact_improvement,
-                r.abs_bias,
-                r.per_sample_variance,
-                r.bound_truncation,
-                r.b_n,
-                r.hoeffding,
-            )
-            for r in rows
-        ),
-        _stamp(cfg),
-    )
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, map(astuple, rows), _stamp(cfg))
     _write_manifest(out_dir, "sweep", cfg, ["sweep.csv"])
     return 0
 
@@ -184,12 +162,7 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
         rollout_refresh=cfg.rollout_refresh,
         cap=cfg.enumeration_cap,
     )
-    _write_csv(
-        out_dir / "train.csv",
-        TRAIN_COLUMNS,
-        ((r.step, r.objective, r.exact_return, r.dtv_max, r.grad_norm) for r in records),
-        _stamp(cfg),
-    )
+    _write_csv(out_dir / "train.csv", TRAIN_COLUMNS, map(astuple, records), _stamp(cfg))
     _write_manifest(out_dir, "train", cfg, ["train.csv"])
     return 0
 

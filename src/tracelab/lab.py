@@ -16,11 +16,9 @@ from .objectives import (
     ObjectiveSpec,
     exact_return,
     gradient_norm,
-    n_step_surrogate_population,
     objective_gradient,
     objective_value,
-    performance_difference_direct,
-    variance_of_statistic,
+    population_moments,
 )
 from .policies import TabularSoftmaxPolicy, d_tv_max, ratio_deviation_bound
 from .weights import ratios, ratios_from_values, sample_group, traces
@@ -49,15 +47,15 @@ def bias_variance_sweep(
     alpha_conf: float,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[SweepRow]:
-    """Exact surrogate, bias, variance, and bound terms for each window size."""
-    improvement = performance_difference_direct(mdp, pi, mu, cap)
+    """Exact surrogate, bias, variance, and bound terms for each window size,
+    all from one enumeration pass."""
+    moments = population_moments(mdp, pi, mu, n_list, cap)
+    improvement = moments.return_pi - moments.return_mu
     dtv = d_tv_max(mu, pi, mdp, cap)
     eps = max(ratio_deviation_bound(pi, mu, mdp, cap), 1e-12)
     xi = mdp.reward_bound
     rows = []
-    for n_step in n_list:
-        surrogate = n_step_surrogate_population(mdp, pi, mu, n_step, cap)
-        variance = variance_of_statistic(mdp, pi, mu, n_step, cap=cap).per_sample
+    for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
         b_val = b_n(xi, eps, mdp.horizon, n_step)
         rows.append(
             SweepRow(
@@ -65,7 +63,7 @@ def bias_variance_sweep(
                 population_surrogate=surrogate,
                 exact_improvement=improvement,
                 abs_bias=abs(improvement - surrogate),
-                per_sample_variance=variance,
+                per_sample_variance=var,
                 bound_truncation=truncation_bias_bound(xi, mdp.horizon, n_step, dtv),
                 b_n=b_val,
                 hoeffding=hoeffding_penalty(b_val, alpha_conf, group_size),

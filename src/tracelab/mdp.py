@@ -167,13 +167,6 @@ def sample_trajectory(mdp: TokenMdp, policy, rng: np.random.Generator) -> Trajec
 # memory footprint bounded near the enumeration cap.
 
 
-def prefix_offsets(mdp: TokenMdp) -> np.ndarray:
-    """offset[t] = index of the first length-t prefix in enumeration order."""
-    v = mdp.vocab_size
-    counts = [v**length for length in range(mdp.horizon)]
-    return np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.int64)
-
-
 def trajectory_chunks(
     mdp: TokenMdp,
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -186,20 +179,22 @@ def trajectory_chunks(
     v, t_len = mdp.vocab_size, mdp.horizon
     place = np.array([v ** (t_len - 1 - t) for t in range(t_len)], dtype=np.int64)
     for lo in range(0, total, chunk_size):
-        idx = np.arange(lo, min(lo + chunk_size, total), dtype=np.int64)
-        tokens = (idx[:, None] // place[None, :]) % v
+        tokens = np.arange(lo, min(lo + chunk_size, total), dtype=np.int64)[:, None] // place
+        tokens %= v
         yield tokens, prefix_state_ids(mdp, tokens)
+        del tokens  # a consumer that drops its chunk keeps one chunk alive, not two
 
 
 def prefix_state_ids(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
     """State id of every prefix y_{<t} in a [m, T] token block."""
-    offsets = prefix_offsets(mdp)
     state_ids = np.empty(tokens.shape, dtype=np.int64)
     state_ids[:, 0] = 0
     code = np.zeros(len(tokens), dtype=np.int64)
+    offset = 0  # number of prefixes shorter than t
     for t in range(1, tokens.shape[1]):
+        offset += mdp.vocab_size ** (t - 1)
         code = code * mdp.vocab_size + tokens[:, t - 1]
-        state_ids[:, t] = offsets[t] + code
+        state_ids[:, t] = offset + code
     return state_ids
 
 

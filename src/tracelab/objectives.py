@@ -9,7 +9,7 @@ estimators and the practical clipped/masked objectives.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .weights import (
     clipped_trace,
     group_log_ratios,
     group_token_mask,
+    iter_window_products,
     ratios,
-    window_products,
 )
 
 OBJECTIVE_KINDS = ("nfpo", "mpg", "ppo")
@@ -119,42 +119,69 @@ def performance_difference_direct(
     return exact_return(mdp, pi, cap) - exact_return(mdp, mu, cap)
 
 
-def _windowed_statistic(rewards, log_r: np.ndarray, n_step: int) -> np.ndarray:
-    """Z = R * sum_t (rho_t - 1) * (product of the next n_step-1 ratios),
-    along the last axis."""
-    gamma = window_products(log_r, n_step)
-    return rewards * ((np.exp(log_r) - 1.0) * gamma).sum(axis=-1)
+def _windowed_statistics(rewards, log_r: np.ndarray, n_list: Sequence[int]) -> Iterator[np.ndarray]:
+    """Z = R * sum_t (rho_t - 1) * (product of the next N-1 ratios), along
+    the last axis, for each window N in ``n_list``."""
+    deviation = np.exp(log_r) - 1.0
+    for gamma in iter_window_products(log_r, n_list):
+        gamma *= deviation
+        yield rewards * gamma.sum(axis=-1)
 
 
-def _population_moments(
+class PopulationMoments(NamedTuple):
+    """Per-window mean and variance of Z under mu, and both exact returns."""
+
+    mean: np.ndarray
+    variance: np.ndarray
+    return_pi: float
+    return_mu: float
+
+
+def population_moments(
     mdp: TokenMdp,
     pi,
     mu,
-    n_step: int,
-    cap: int,
-    require_full_support: bool,
-) -> tuple[float, float]:
-    """First and second moments of the windowed statistic Z under mu."""
-    check_window(mdp.horizon, n_step)
+    n_list: Sequence[int],
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    require_full_support: bool = True,
+) -> PopulationMoments:
+    """Mean and variance of Z for each window in ``n_list``, and both returns, in one pass.
+
+    Z and the return terms p(y) R(y) vanish where R(y) = 0, so each chunk
+    keeps only its rewarded trajectories, and the moments only those mu can
+    generate.  Every window comes from one suffix sum of the log ratios.
+    """
+    for n_step in n_list:
+        check_window(mdp.horizon, n_step)
     log_pi = policy_log_matrix(pi, mdp, cap)
     log_mu = policy_log_matrix(mu, mdp, cap)
     if require_full_support and np.isneginf(log_mu).any():
         raise ZeroSupportError("rollout policy must have full support for exact identities")
-    mean = 0.0
-    second = 0.0
-    for tokens, state_ids in trajectory_chunks(mdp, cap):
-        token_log_mu = log_mu[state_ids, tokens]
-        with np.errstate(invalid="ignore"):
-            log_weight = token_log_mu.sum(axis=1)
-        keep = ~np.isneginf(log_weight)
-        if not keep.all():
-            tokens, state_ids, token_log_mu = tokens[keep], state_ids[keep], token_log_mu[keep]
-        weights = np.exp(log_weight[keep])
-        log_r = log_pi[state_ids, tokens] - token_log_mu
-        z = _windowed_statistic(reward_vector(mdp, tokens), log_r, n_step)
-        mean += float(weights @ z)
-        second += float(weights @ (z * z))
-    return mean, second
+    totals = np.zeros((len(n_list) + 1, 2))
+    for chunk in trajectory_chunks(mdp, cap):
+        totals += _chunk_moments(mdp, log_pi, log_mu, *chunk, n_list)
+        del chunk  # free this chunk before the next one is built
+    mean, second = totals[1:].T
+    return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0), *totals[0].tolist())
+
+
+def _chunk_moments(mdp: TokenMdp, log_pi, log_mu, tokens, state_ids, n_list) -> np.ndarray:
+    """One chunk's sums: row 0 is (J(pi), J(mu)), then (E[Z], E[Z^2]) per window."""
+    rewards = reward_vector(mdp, tokens)
+    hit = np.flatnonzero(rewards)
+    at = (state_ids[hit], tokens[hit])
+    rewards, log_r, token_log_mu = rewards[hit], log_pi[at], log_mu[at]
+    del at
+    log_weight = token_log_mu.sum(axis=1)
+    returns = np.exp([log_r.sum(axis=1), log_weight]) @ rewards
+    keep = ~np.isneginf(log_weight)
+    if not keep.all():
+        rewards, log_r, token_log_mu = rewards[keep], log_r[keep], token_log_mu[keep]
+    log_r -= token_log_mu
+    del token_log_mu
+    weights = np.exp(log_weight[keep])
+    stats = [(weights @ z, weights @ (z * z)) for z in _windowed_statistics(rewards, log_r, n_list)]
+    return np.vstack([returns, np.reshape(stats, (-1, 2))])
 
 
 def n_step_surrogate_population(
@@ -162,8 +189,7 @@ def n_step_surrogate_population(
 ) -> float:
     """Exact windowed surrogate; the local surrogate at n_step=1 and the
     full performance difference at n_step=horizon."""
-    mean, _ = _population_moments(mdp, pi, mu, n_step, cap, require_full_support=True)
-    return mean
+    return float(population_moments(mdp, pi, mu, [n_step], cap).mean[0])
 
 
 def performance_difference_trace(
@@ -175,10 +201,7 @@ def performance_difference_trace(
     telescoping identity, verified by the test suite on every enumerable
     configuration.
     """
-    mean, _ = _population_moments(
-        mdp, pi, mu, mdp.horizon, cap, require_full_support=True
-    )
-    return mean
+    return float(population_moments(mdp, pi, mu, [mdp.horizon], cap).mean[0])
 
 
 def variance_of_statistic(
@@ -192,10 +215,8 @@ def variance_of_statistic(
     """Exact variance of the per-sample statistic, and its mean-of-G scaling."""
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
-    mean, second = _population_moments(
-        mdp, pi, mu, n_step, cap, require_full_support=False
-    )
-    per_sample = max(second - mean * mean, 0.0)
+    moments = population_moments(mdp, pi, mu, [n_step], cap, require_full_support=False)
+    per_sample = float(moments.variance[0])
     return VarianceReport(per_sample=per_sample, per_group=per_sample / group_size)
 
 
@@ -206,7 +227,7 @@ def per_sample_statistic(mdp: TokenMdp, y: Sequence[int], pi, mu, n_step: int) -
     """Reward times the window-corrected sum of ratio deviations for one y."""
     y = mdp.check_trajectory(y)
     check_window(mdp.horizon, n_step)
-    z = _windowed_statistic(reward(mdp, y), ratios(pi, mu, y).log_ratios, n_step)
+    (z,) = _windowed_statistics(reward(mdp, y), ratios(pi, mu, y).log_ratios, [n_step])
     return PerSampleStat(z=float(z), trajectory=y)
 
 
@@ -220,7 +241,7 @@ def _empirical_surrogate(group: GroupRollout, p_pi, p_mu, n_step: int) -> float:
     """:func:`n_step_surrogate_empirical` from prebuilt probability tables."""
     check_window(group.mdp.horizon, n_step)
     log_r = group_log_ratios(group, p_pi, p_mu)
-    z = _windowed_statistic(reward_vector(group.mdp, group.tokens), log_r, n_step)
+    (z,) = _windowed_statistics(reward_vector(group.mdp, group.tokens), log_r, [n_step])
     return float(group.weights @ z)
 
 

@@ -114,8 +114,11 @@ class TabularSoftmaxPolicy:
     ) -> "TabularSoftmaxPolicy":
         """Copy another policy's distributions into logits (log-probabilities)."""
         if state_key == "match_length":
-            # A representative prefix per matched length: the target's own head.
-            probs = [policy.probs(mdp.target[:k]) for k in range(len(mdp.target) + 1)]
+            # A representative prefix per matched length a state can reach: the
+            # target's own head.  Longer matches are never reached; they stay uniform.
+            reach = min(len(mdp.target), mdp.horizon - 1) + 1
+            probs = [policy.probs(mdp.target[:k]) for k in range(reach)]
+            probs += [np.full(mdp.vocab_size, 1.0 / mdp.vocab_size)] * (len(mdp.target) + 1 - reach)
         else:
             probs = policy_prob_table(policy, mdp)
         with np.errstate(divide="ignore"):

@@ -12,7 +12,7 @@ trajectory ``[T]`` and a whole group ``[G, T]`` share the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -72,17 +72,27 @@ def window_products(log_ratios: np.ndarray, n_step: int) -> np.ndarray:
     empty window gives 1.  Works along the last axis and stays exact when
     a ratio is zero (log ratio -inf).
     """
+    return next(iter_window_products(log_ratios, [n_step]))
+
+
+def iter_window_products(log_ratios: np.ndarray, n_steps: Iterable[int]) -> Iterator[np.ndarray]:
+    """:func:`window_products` for each window in ``n_steps``, in order.
+
+    Each window is one ``exp`` of the difference of two columns of a shared
+    suffix sum, computed in place in a new array the caller may overwrite.
+    """
     t_len = log_ratios.shape[-1]
-    idx = np.arange(t_len)
-    end = np.minimum(idx + n_step, t_len)
-    if np.isfinite(log_ratios).all():
-        suffix = _suffix_sums(log_ratios)
-        return np.exp(suffix[..., idx + 1] - suffix[..., end])
-    rho = np.exp(log_ratios)
-    out = np.ones_like(rho)
-    for i in range(t_len):
-        out[..., i] = np.prod(rho[..., i + 1 : end[i]], axis=-1)
-    return out
+    ends = [np.minimum(np.arange(t_len) + n_step, t_len) for n_step in n_steps]
+    if not np.isfinite(log_ratios).all():
+        rho = np.exp(log_ratios)
+        for end in ends:
+            yield np.stack([np.prod(rho[..., i + 1 : e], axis=-1) for i, e in enumerate(end)], -1)
+        return
+    suffix = _suffix_sums(log_ratios)
+    for end in ends:
+        out = suffix[..., end]
+        np.subtract(suffix[..., 1:], out, out=out)
+        yield np.exp(out, out=out)
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:

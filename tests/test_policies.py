@@ -72,6 +72,18 @@ class TestTabularSoftmax:
         assert len(pi.logits) == 7
         assert pi.key((0, 1, 2)) == 3
 
+    @pytest.mark.parametrize("target", ["aba", "abab", "ab"])
+    def test_match_length_copy_of_prefix_keyed_source(self, target):
+        """A target at least as long as the horizon has match lengths no state
+        reaches; copying a prefix-keyed source must not ask it about them."""
+        mdp = TokenMdp.from_symbols("ab", 3, target)
+        src = random_tabular(mdp, np.random.default_rng(3))
+        pi = TabularSoftmaxPolicy.from_policy(mdp, src, state_key="match_length")
+        assert len(pi.logits) == len(target) + 1
+        for k in range(len(target) + 1):
+            expected = src.probs(mdp.target[:k]) if k < mdp.horizon else [0.5, 0.5]
+            np.testing.assert_allclose(pi.probs(mdp.target[:k]), expected, atol=1e-12)
+
     def test_copy_is_independent(self, toy_mdp):
         pi = TabularSoftmaxPolicy.zeros(toy_mdp)
         snapshot = pi.copy()
