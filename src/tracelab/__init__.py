@@ -85,6 +85,7 @@ from .weights import (
     group_advantages,
     population_group,
     ratios,
+    sample_from_table,
     sample_group,
     token_mask,
     traces,

@@ -21,7 +21,7 @@ from .objectives import (
     performance_difference_direct,
 )
 from .policies import d_tv_max, policy_prob_table, ratio_deviation_bound
-from .weights import GroupRollout, TraceSet, sample_group
+from .weights import GroupRollout, TraceSet, sample_from_table
 
 
 def s_n(eps: float, horizon: int, n_step: int) -> float:
@@ -174,7 +174,8 @@ def verify_coverage(
 
     The truth is computed once by enumeration; eps, dtv_max and the two
     policy tables are likewise fixed once for the policy pair, so each trial
-    only samples a fresh group and evaluates its empirical surrogate.
+    only samples a fresh group from mu's table and evaluates its empirical
+    surrogate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -186,7 +187,7 @@ def verify_coverage(
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
-        group = sample_group(mdp, mu, group_size, rng)
+        group = sample_from_table(mdp, p_mu, group_size, rng)
         surrogate = _empirical_surrogate(group, p_pi, p_mu, n_step)
         if truth >= surrogate - report.truncation_bias - report.hoeffding:
             hits += 1

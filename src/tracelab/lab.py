@@ -14,14 +14,14 @@ from .errors import TrainingDivergedError
 from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp
 from .objectives import (
     ObjectiveSpec,
-    exact_return,
+    _logit_gradient,
+    _return_from_table,
+    _token_terms,
     gradient_norm,
-    objective_gradient,
-    objective_value,
     population_moments,
 )
-from .policies import TabularSoftmaxPolicy, d_tv_max, ratio_deviation_bound
-from .weights import ratios, ratios_from_values, sample_group, traces
+from .policies import TabularSoftmaxPolicy, d_tv_max, ratio_deviation_bound, total_variation
+from .weights import ratios, ratios_from_values, sample_from_table, traces
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,10 @@ def train(
     refreshes the same rollouts are re-weighted as the target moves, which
     is what makes the forward traces non-trivial.  The whole run is a pure
     function of its arguments: one seed, one record stream.
+
+    The step works on state-indexed tables: pi's table is built once per
+    step and serves the update, the records and the next step; the rollout
+    snapshot is that table, frozen at the refresh.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -108,23 +112,25 @@ def train(
         raise ValueError("rollout_refresh must be >= 1")
     rng = np.random.default_rng(seed)
     records: list[TrainRecord] = []
-    mu_snapshot = pi.copy()
-    group = sample_group(mdp, mu_snapshot, group_size, rng)
+    p_pi = pi.prob_table(mdp, cap)
     for step in range(steps):
-        if step > 0 and step % rollout_refresh == 0:
-            mu_snapshot = pi.copy()
-            group = sample_group(mdp, mu_snapshot, group_size, rng)
-        value = objective_value(group, pi, mu_snapshot, objective_spec).value
+        if step % rollout_refresh == 0:
+            p_mu = p_pi
+            p_mu.flags.writeable = False
+            group = sample_from_table(mdp, p_mu, group_size, rng)
+        terms, coeffs = _token_terms(group, p_pi, p_mu, objective_spec)
+        value = float(group.weights @ terms.sum(axis=-1))
         if not math.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} at step {step}")
-        gradient = objective_gradient(group, pi, mu_snapshot, objective_spec)
+        gradient = _logit_gradient(group, pi, p_pi, coeffs)
         pi.apply_gradient(gradient, learning_rate)
+        p_pi = pi.prob_table(mdp, cap)
         records.append(
             TrainRecord(
                 step=step,
                 objective=value,
-                exact_return=exact_return(mdp, pi, cap),
-                dtv_max=d_tv_max(mu_snapshot, pi, mdp, cap),
+                exact_return=_return_from_table(mdp, p_pi, cap),
+                dtv_max=float(total_variation(p_mu, p_pi).max()),
                 grad_norm=gradient_norm(gradient),
             )
         )

@@ -163,8 +163,9 @@ def sample_trajectory(mdp: TokenMdp, policy, rng: np.random.Generator) -> Trajec
 # --- vectorized enumeration internals ---------------------------------------
 #
 # Trajectory m is identified with its base-|vocab| code, and the prefix
-# y_{<t} with code offset(t) + encode(y_{<t}).  Chunked iteration keeps the
-# memory footprint bounded near the enumeration cap.
+# y_{<t} with code offset(t) + encode(y_{<t}).  The children of state s are
+# then the consecutive states |vocab| * s + 1 + token.  Chunked iteration
+# keeps the memory footprint bounded near the enumeration cap.
 
 
 def trajectory_chunks(
@@ -172,7 +173,11 @@ def trajectory_chunks(
     cap: int = DEFAULT_ENUMERATION_CAP,
     chunk_size: int = _CHUNK,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (tokens [m, T], prefix_state_ids [m, T]) over all trajectories."""
+    """Yield (tokens [m, T], rewards [m]) over all trajectories.
+
+    Consumers that need state ids build them with :func:`prefix_state_ids`
+    for the rows they keep.
+    """
     total = mdp.n_trajectories
     if total > cap:
         raise EnumerationCapError(total, cap)
@@ -181,20 +186,15 @@ def trajectory_chunks(
     for lo in range(0, total, chunk_size):
         tokens = np.arange(lo, min(lo + chunk_size, total), dtype=np.int64)[:, None] // place
         tokens %= v
-        yield tokens, prefix_state_ids(mdp, tokens)
+        yield tokens, reward_vector(mdp, tokens)
         del tokens  # a consumer that drops its chunk keeps one chunk alive, not two
 
 
 def prefix_state_ids(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
     """State id of every prefix y_{<t} in a [m, T] token block."""
-    state_ids = np.empty(tokens.shape, dtype=np.int64)
-    state_ids[:, 0] = 0
-    code = np.zeros(len(tokens), dtype=np.int64)
-    offset = 0  # number of prefixes shorter than t
+    state_ids = np.zeros(tokens.shape, dtype=np.int64)
     for t in range(1, tokens.shape[1]):
-        offset += mdp.vocab_size ** (t - 1)
-        code = code * mdp.vocab_size + tokens[:, t - 1]
-        state_ids[:, t] = offset + code
+        state_ids[:, t] = state_ids[:, t - 1] * mdp.vocab_size + 1 + tokens[:, t - 1]
     return state_ids
 
 

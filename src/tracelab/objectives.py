@@ -1,8 +1,9 @@
 """Scalar objectives and their gradients.
 
 Population quantities (exact return, performance differences, windowed
-surrogates and their variance) are computed by exhaustive enumeration only,
-so they are exact up to float rounding.  Sampled groups feed the empirical
+surrogates and their variance) are computed by exhaustive enumeration, or
+for the return by backward induction over every state, so they are exact up
+to float rounding.  Sampled groups feed the empirical
 estimators and the practical clipped/masked objectives.
 """
 
@@ -13,12 +14,14 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ZeroSupportError
+from .errors import EnumerationCapError, ZeroSupportError
 from .mdp import (
     DEFAULT_ENUMERATION_CAP,
     TokenMdp,
     Trajectory,
     check_window,
+    prefix_match_lengths,
+    prefix_state_ids,
     reward,
     reward_vector,
     trajectory_chunks,
@@ -101,15 +104,31 @@ class VarianceReport(NamedTuple):
 
 
 def exact_return(mdp: TokenMdp, policy, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Expected reward under the policy, summed over every trajectory."""
-    log_p = policy_log_matrix(policy, mdp, cap)
-    total = 0.0
-    for tokens, state_ids in trajectory_chunks(mdp, cap):
-        with np.errstate(invalid="ignore"):
-            log_traj = log_p[state_ids, tokens].sum(axis=1)
-        weights = np.exp(log_traj)
-        total += float(weights @ reward_vector(mdp, tokens))
-    return total
+    """Expected reward under the policy, by backward induction over every state."""
+    return _return_from_table(mdp, policy_prob_table(policy, mdp, cap), cap)
+
+
+def _return_from_table(
+    mdp: TokenMdp, probs: np.ndarray, cap: int = DEFAULT_ENUMERATION_CAP
+) -> float:
+    """:func:`exact_return` from a state-indexed probability table.
+
+    A state one token short of the horizon is worth the probability of its
+    rewarded next tokens.  Every shorter state is worth the probability-
+    weighted value of its |vocab| children, which are consecutive states one
+    level down, so each level is one row-wise dot.
+    """
+    if mdp.n_trajectories > cap:
+        raise EnumerationCapError(mdp.n_trajectories, cap)
+    v, n = mdp.vocab_size, len(mdp.target)
+    first = mdp.n_prefixes - v ** (mdp.horizon - 1)
+    matched, last = prefix_match_lengths(mdp, mdp.target, cap)[first:], probs[first:]
+    value = np.where(matched == n, last.sum(axis=1), 0.0)
+    value += np.where(matched == n - 1, last[:, mdp.target[-1]], 0.0)
+    for t in range(mdp.horizon - 2, -1, -1):
+        first -= v**t
+        value = np.einsum("ij,ij->i", probs[first : first + v**t], value.reshape(-1, v))
+    return float(value[0])
 
 
 def performance_difference_direct(
@@ -165,13 +184,13 @@ def population_moments(
     return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0), *totals[0].tolist())
 
 
-def _chunk_moments(mdp: TokenMdp, log_pi, log_mu, tokens, state_ids, n_list) -> np.ndarray:
+def _chunk_moments(mdp: TokenMdp, log_pi, log_mu, tokens, rewards, n_list) -> np.ndarray:
     """One chunk's sums: row 0 is (J(pi), J(mu)), then (E[Z], E[Z^2]) per window."""
-    rewards = reward_vector(mdp, tokens)
     hit = np.flatnonzero(rewards)
-    at = (state_ids[hit], tokens[hit])
+    tokens = tokens[hit]
+    at = (prefix_state_ids(mdp, tokens), tokens)
     rewards, log_r, token_log_mu = rewards[hit], log_pi[at], log_mu[at]
-    del at
+    del at, tokens
     log_weight = token_log_mu.sum(axis=1)
     returns = np.exp([log_r.sum(axis=1), log_weight]) @ rewards
     keep = ~np.isneginf(log_weight)
@@ -289,6 +308,14 @@ def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> dict
         raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
     p_pi, p_mu = policy_prob_table(pi, group.mdp), policy_prob_table(mu, group.mdp)
     _, coeffs = _token_terms(group, p_pi, p_mu, spec)
+    return _logit_gradient(group, pi, p_pi, coeffs)
+
+
+def _logit_gradient(
+    group: GroupRollout, pi: TabularSoftmaxPolicy, p_pi: np.ndarray, coeffs: np.ndarray
+) -> dict:
+    """Scatter the frozen coefficients of :func:`_token_terms` into pi's
+    logit rows, keyed by state."""
     hit = coeffs != 0.0
     states, c = group.state_ids[hit], coeffs[hit]
     contrib = -c[:, None] * p_pi[states]

@@ -320,13 +320,49 @@ def sample_group(
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     tokens = np.array([sample_trajectory(mdp, mu, rng) for _ in range(group_size)])
+    return _sampled_group(mdp, tokens)
+
+
+def sample_from_table(
+    mdp: TokenMdp, p_mu: np.ndarray, group_size: int, rng: np.random.Generator
+) -> GroupRollout:
+    """:func:`sample_group` from the rollout policy's state-indexed table.
+
+    One ``[G, T]`` draw of uniforms, in the trajectory-major order in which
+    :func:`sample_group` draws them one token at a time, so equal generators
+    give equal tokens.  Each step is an inverse-CDF lookup for all G rows.
+    Like :func:`sample_trajectory`, it checks every distribution the draw
+    reads, so a draw costs O(G T V) however many states the table has.
+    """
+    if group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    p_mu = np.asarray(p_mu, dtype=float)
+    v = mdp.vocab_size
+    if p_mu.shape != (mdp.n_prefixes, v):
+        raise ValueError(f"rollout table must be [{mdp.n_prefixes}, {v}], got {p_mu.shape}")
+    u = rng.random((group_size, mdp.horizon))
+    tokens = np.empty(u.shape, dtype=np.int64)
+    states = np.zeros(u.shape, dtype=np.int64)
+    for t in range(mdp.horizon):
+        below = np.cumsum(p_mu[states[:, t]], axis=1) <= u[:, t, None]
+        tokens[:, t] = np.minimum(below.sum(axis=1), v - 1)
+        if t + 1 < mdp.horizon:
+            states[:, t + 1] = states[:, t] * v + 1 + tokens[:, t]
+    read = p_mu[states]
+    if np.any(read < 0) or not np.all(np.abs(read.sum(axis=-1) - 1.0) <= 1e-9):
+        raise ValueError("rollout table holds an invalid distribution at a sampled state")
+    return _sampled_group(mdp, tokens)
+
+
+def _sampled_group(mdp: TokenMdp, tokens: np.ndarray) -> GroupRollout:
+    """A uniformly weighted group with group-centered rewards."""
     rewards = reward_vector(mdp, tokens)
     return GroupRollout(
         mdp=mdp,
         tokens=tokens,
         rewards=rewards,
         advantages=rewards - rewards.mean(),
-        weights=np.full(group_size, 1.0 / group_size),
+        weights=np.full(len(tokens), 1.0 / len(tokens)),
     )
 
 
@@ -340,10 +376,10 @@ def population_group(
     """
     log_mu = policy_log_matrix(mu, mdp, cap)
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for tokens, state_ids in trajectory_chunks(mdp, cap):
-        log_p = log_mu[state_ids, tokens].sum(axis=1)
+    for tokens, rewards in trajectory_chunks(mdp, cap):
+        log_p = log_mu[prefix_state_ids(mdp, tokens), tokens].sum(axis=1)
         keep = ~np.isneginf(log_p)
-        blocks.append((tokens[keep], np.exp(log_p[keep]), reward_vector(mdp, tokens[keep])))
+        blocks.append((tokens[keep], np.exp(log_p[keep]), rewards[keep]))
     tokens, weights, rewards = (np.concatenate(parts) for parts in zip(*blocks))
     mean_reward = float(weights @ rewards)
     return GroupRollout(

@@ -9,6 +9,21 @@ import numpy as np
 from tracelab import TabularSoftmaxPolicy, TargetFollowingPolicy, TokenMdp
 
 
+class OneHotPolicy:
+    """Puts all mass on the next required target token: zero probability elsewhere."""
+
+    def __init__(self, mdp: TokenMdp):
+        self.mdp = mdp
+
+    def probs(self, prefix):
+        from tracelab import match_length
+
+        p = np.zeros(self.mdp.vocab_size)
+        k = match_length(prefix, self.mdp.target)
+        p[self.mdp.target[min(k, len(self.mdp.target) - 1)]] = 1.0
+        return p
+
+
 def random_small_mdp(rng: np.random.Generator) -> TokenMdp:
     """A random enumerable MDP: 2-3 tokens, horizon 2-6, random target."""
     vocab_size = int(rng.integers(2, 4))

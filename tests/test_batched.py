@@ -1,9 +1,10 @@
-"""Property tests: the batched group kernel against the per-trajectory oracle.
+"""Property tests: the batched group kernels against their per-trajectory oracles.
 
 Objective values and gradients come from state-indexed tables and one
 [G, T] pass; the oracle walks each sampled trajectory prefix by prefix with
 ``ratios``, ``traces`` and ``token_mask`` (via
 ``helpers.frozen_nfpo_coefficients``) and the score-function identity.
+The table sampler is checked token for token against ``sample_group``.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from tracelab import (
     MaskSpec,
     ObjectiveSpec,
     TabularSoftmaxPolicy,
+    enumerate_prefixes,
     objective_gradient,
     objective_value,
     ratios,
@@ -23,7 +25,7 @@ from tracelab import (
     token_mask,
 )
 from tracelab.policies import policy_prob_table
-from tracelab.weights import group_log_ratios, group_token_mask
+from tracelab.weights import group_log_ratios, group_token_mask, sample_from_table
 from helpers import frozen_nfpo_coefficients, random_setups, random_small_mdp
 
 MASK_KINDS = ["none", "grpo_ratio", "tv", "kl", "icepop"]
@@ -133,3 +135,83 @@ def test_group_rejects_malformed_tokens(seed, bad):
         tokens[rng.integers(g), rng.integers(width)] = mdp.vocab_size if bad == "high" else -1
     with pytest.raises(ValueError):
         GroupRollout(mdp, tokens, np.zeros(g), np.zeros(g), np.full(g, 1.0 / g))
+
+
+@st.composite
+def rollout_policies(draw):
+    """A ``random_setups`` MDP with one of its two policies, or with a
+    match-length-keyed tabular policy."""
+    seed = draw(st.integers(0, 2**16))
+    mdp, pi, mu = random_setups(2, seed)[draw(st.integers(0, 1))]
+    choice = draw(st.sampled_from(["pi", "mu", "match_length"]))
+    if choice == "match_length":
+        rng = np.random.default_rng(seed)
+        logits = {k: rng.normal(0.0, 0.8, mdp.vocab_size) for k in range(len(mdp.target) + 1)}
+        return mdp, TabularSoftmaxPolicy(mdp, logits, "match_length")
+    return mdp, pi if choice == "pi" else mu
+
+
+@PROPERTY
+@given(setup=rollout_policies(), group_size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_table_sampler_draws_the_tokens_of_sample_group(setup, group_size, seed):
+    mdp, mu = setup
+    table_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = sample_from_table(mdp, policy_prob_table(mu, mdp), group_size, table_rng)
+    oracle = sample_group(mdp, mu, group_size, oracle_rng)
+    np.testing.assert_array_equal(batched.tokens, oracle.tokens)
+    assert table_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TablePolicy:
+    """A duck-typed policy that answers ``probs(prefix)`` from a state-indexed table."""
+
+    def __init__(self, mdp, table):
+        self.table = table
+        self.index = {prefix: i for i, prefix in enumerate(enumerate_prefixes(mdp))}
+
+    def probs(self, prefix):
+        return self.table[self.index[tuple(prefix)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    setup=rollout_policies(),
+    bad=st.sampled_from(["negative", "sum_high", "sum_low"]),
+    where=st.integers(0, 2**16),
+    at_root=st.booleans(),
+)
+def test_table_sampler_rejects_the_rows_sample_group_rejects(setup, bad, where, at_root):
+    """A malformed row raises ValueError exactly when a draw reads it, as in
+    ``sample_group``; the root row is read by every draw."""
+    mdp, mu = setup
+    table = policy_prob_table(mu, mdp).copy()
+    state = 0 if at_root else where % mdp.n_prefixes
+    if bad == "negative":
+        table[state, 1] += table[state, 0] + 0.1
+        table[state, 0] = -0.1
+    else:
+        table[state, table[state].argmax()] += 1e-6 if bad == "sum_high" else -1e-6
+    try:
+        oracle = sample_group(mdp, TablePolicy(mdp, table), 3, np.random.default_rng(where))
+    except ValueError:
+        oracle = None
+    assert oracle is None or not at_root
+    if oracle is None:
+        with pytest.raises(ValueError):
+            sample_from_table(mdp, table, 3, np.random.default_rng(where))
+    else:
+        batched = sample_from_table(mdp, table, 3, np.random.default_rng(where))
+        np.testing.assert_array_equal(batched.tokens, oracle.tokens)
+
+
+@pytest.mark.parametrize("shape", ["short", "wide", "flat"])
+def test_table_sampler_rejects_wrong_shapes(toy_mdp, mu05, shape):
+    table = policy_prob_table(mu05, toy_mdp)
+    if shape == "short":
+        table = table[:-1]
+    elif shape == "wide":
+        table = np.hstack([table, np.zeros((len(table), 1))])
+    else:
+        table = table.ravel()
+    with pytest.raises(ValueError):
+        sample_from_table(toy_mdp, table, 2, np.random.default_rng(0))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,18 +8,26 @@ from tracelab import (
     MaskSpec,
     ObjectiveSpec,
     TabularSoftmaxPolicy,
+    TrainRecord,
     alternating_profile,
     bias_variance_sweep,
+    d_tv_max,
     dynamics_report,
     exact_return,
+    gradient_norm,
     n_step_surrogate_population,
     nfpo_gradient,
+    objective_gradient,
+    objective_value,
     performance_difference_direct,
     population_group,
+    sample_group,
     smoothing_demo,
     switch_frequency,
     train,
 )
+from tracelab import bounds, lab, objectives, policies, weights
+from tracelab import mdp as mdp_module
 
 NFPO_TOY = ObjectiveSpec(
     kind="nfpo", n_step=4, beta=3.0, eps_low=0.2, eps_high=0.4, mask=MaskSpec("tv", delta=0.2)
@@ -101,6 +111,73 @@ class TestTrain:
         gradient = nfpo_gradient(group, pi, pi, 4, 3.0, 0.2, 0.4, MASK_NONE)
         pi.apply_gradient(gradient, 0.05)
         assert n_step_surrogate_population(toy_mdp, pi, mu05, 4) > 0.0
+
+
+def _reference_train(mdp, pi, spec, steps, learning_rate, group_size, seed, rollout_refresh):
+    """The policy-object training loop that ``train`` runs on tables: a
+    copied rollout policy, token-by-token sampling, and fresh tables inside
+    every objective, gradient, return and TV call."""
+    rng = np.random.default_rng(seed)
+    records = []
+    mu = pi.copy()
+    group = sample_group(mdp, mu, group_size, rng)
+    for step in range(steps):
+        if step > 0 and step % rollout_refresh == 0:
+            mu = pi.copy()
+            group = sample_group(mdp, mu, group_size, rng)
+        value = objective_value(group, pi, mu, spec).value
+        gradient = objective_gradient(group, pi, mu, spec)
+        pi.apply_gradient(gradient, learning_rate)
+        records.append(
+            TrainRecord(
+                step, value, exact_return(mdp, pi), d_tv_max(mu, pi, mdp), gradient_norm(gradient)
+            )
+        )
+    return records
+
+
+class TestTableTraining:
+    @pytest.mark.parametrize("rollout_refresh", [1, 4])
+    @pytest.mark.parametrize("kind", ["nfpo", "mpg", "ppo"])
+    @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
+    def test_matches_policy_object_loop(self, toy_mdp, mu05, state_key, kind, rollout_refresh):
+        spec = ObjectiveSpec(kind, eps_low=0.2, eps_high=0.28, mask=MaskSpec("tv", delta=0.2))
+        runs = []
+        for loop in (train, _reference_train):
+            pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
+            runs.append(loop(toy_mdp, pi, spec, 20, 0.3, 8, 3, rollout_refresh=rollout_refresh))
+        for fast, slow in zip(*runs):
+            assert (fast.step, fast.objective, fast.dtv_max, fast.grad_norm) == (
+                slow.step, slow.objective, slow.dtv_max, slow.grad_norm
+            )
+            assert abs(fast.exact_return - slow.exact_return) <= 1e-12
+        assert len(runs[0]) == len(runs[1]) == 20
+        assert max(r.dtv_max for r in runs[0]) > 0.0
+
+    @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
+    def test_one_table_and_one_kernel_pass_per_step(self, toy_mdp, mu05, state_key):
+        calls = Counter()
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        steps = 7
+        with pytest.MonkeyPatch.context() as patch:
+            original = TabularSoftmaxPolicy.prob_table
+            patch.setattr(TabularSoftmaxPolicy, "prob_table", counted("prob_table", original))
+            for name in ("_token_terms", "sample_trajectory", "trajectory_chunks"):
+                inner = getattr(objectives if name == "_token_terms" else mdp_module, name)
+                for module in (mdp_module, policies, weights, objectives, bounds, lab):
+                    if getattr(module, name, None) is inner:
+                        patch.setattr(module, name, counted(name, inner))
+            pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
+            calls.clear()
+            train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
+        assert dict(calls) == {"prob_table": steps + 1, "_token_terms": steps}
 
 
 class TestDynamics:

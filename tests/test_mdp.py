@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from tracelab import (
     EnumerationCapError,
     TokenMdp,
+    enumerate_prefixes,
     enumerate_trajectories,
     match_length,
     reward,
     sample_trajectory,
     trajectory_log_prob,
 )
+from tracelab.mdp import prefix_state_ids, trajectory_chunks
+from helpers import OneHotPolicy
 
 
 class TestMatchLength:
@@ -101,24 +104,23 @@ class TestEnumeration:
             enumerate_trajectories(mdp)
         assert str(3**20) in str(err.value)
 
+    def test_chunks_and_state_ids_follow_enumeration_order(self):
+        mdp = TokenMdp.from_symbols("abc", 4, "acb")
+        trajectories = list(enumerate_trajectories(mdp))
+        chunks = list(trajectory_chunks(mdp, chunk_size=10))
+        tokens = np.concatenate([chunk[0] for chunk in chunks])
+        np.testing.assert_array_equal(tokens, trajectories)
+        rewards = np.concatenate([chunk[1] for chunk in chunks])
+        np.testing.assert_array_equal(rewards, [reward(mdp, y) for y in trajectories])
+        index = {prefix: i for i, prefix in enumerate(enumerate_prefixes(mdp))}
+        expected = [[index[y[:t]] for t in range(mdp.horizon)] for y in trajectories]
+        np.testing.assert_array_equal(prefix_state_ids(mdp, tokens), expected)
+
     def test_probabilities_sum_to_one(self, toy_mdp, mu05):
         total = sum(
             np.exp(trajectory_log_prob(mu05, y)) for y in enumerate_trajectories(toy_mdp)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-class _OneHotPolicy:
-    """Test double putting all mass on the next required target token."""
-
-    def __init__(self, mdp):
-        self.mdp = mdp
-
-    def probs(self, prefix):
-        p = np.zeros(self.mdp.vocab_size)
-        k = match_length(prefix, self.mdp.target)
-        p[self.mdp.target[min(k, len(self.mdp.target) - 1)]] = 1.0
-        return p
 
 
 class _BrokenPolicy:
@@ -128,7 +130,7 @@ class _BrokenPolicy:
 
 class TestSampling:
     def test_deterministic_policy_completes_target(self, toy_mdp):
-        y = sample_trajectory(toy_mdp, _OneHotPolicy(toy_mdp), np.random.default_rng(0))
+        y = sample_trajectory(toy_mdp, OneHotPolicy(toy_mdp), np.random.default_rng(0))
         assert y[:6] == toy_mdp.target
         assert reward(toy_mdp, y) == 1.0
 

@@ -1,8 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelab import (
     MASK_NONE,
+    EnumerationCapError,
     GroupRollout,
     MaskSpec,
     TabularSoftmaxPolicy,
@@ -22,14 +28,18 @@ from tracelab import (
     performance_difference_trace,
     ppo_objective,
     ratio_deviation_bound,
+    reward,
     sample_group,
+    trajectory_log_prob,
     variance_of_statistic,
 )
 from helpers import (
+    OneHotPolicy,
     brute_force_local_surrogate,
     finite_difference_gradient,
     frozen_nfpo_coefficients,
     gradient_gap,
+    random_setups,
     random_tabular,
 )
 
@@ -56,6 +66,14 @@ def _manual_group(mdp, trajectories, advantages, rewards=None):
     )
 
 
+def _enumerated_return(mdp, policy) -> float:
+    """Plain-Python oracle: sum of exp(log P(y)) * R(y) over every trajectory."""
+    total = 0.0
+    for y in itertools.product(range(mdp.vocab_size), repeat=mdp.horizon):
+        total += math.exp(trajectory_log_prob(policy, y)) * reward(mdp, y)
+    return total
+
+
 class TestExactReturn:
     def test_rollout_alpha(self, toy_mdp, mu05):
         # closed form: P(Bin(7, 0.5) >= 6) = 8/128
@@ -66,16 +84,41 @@ class TestExactReturn:
         assert exact_return(toy_mdp, pi08) == pytest.approx(0.5767168, abs=1e-12)
 
     def test_deterministic_success(self, toy_mdp):
-        class OneHot:
-            def probs(self, prefix):
-                from tracelab import match_length
+        assert exact_return(toy_mdp, OneHotPolicy(toy_mdp)) == pytest.approx(1.0, abs=1e-12)
 
-                p = np.zeros(3)
-                k = match_length(prefix, toy_mdp.target)
-                p[toy_mdp.target[min(k, 5)]] = 1.0
-                return p
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), which=st.integers(0, 3))
+    def test_backward_induction_matches_enumeration(self, seed, which):
+        mdp, pi, mu = random_setups(2, seed)[which // 2]
+        policy = (pi, mu)[which % 2]
+        oracle = _enumerated_return(mdp, policy)
+        assert abs(exact_return(mdp, policy) - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
-        assert exact_return(toy_mdp, OneHot()) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("vocab,horizon,target", [("abc", 7, "abcabc"), ("ab", 4, "bab")])
+    def test_zero_probability_tokens(self, vocab, horizon, target):
+        mdp = TokenMdp.from_symbols(vocab, horizon, target)
+        oracle = _enumerated_return(mdp, OneHotPolicy(mdp))
+        assert oracle == 1.0
+        assert abs(exact_return(mdp, OneHotPolicy(mdp)) - oracle) <= 1e-12
+
+    def test_target_longer_than_horizon_returns_zero(self):
+        mdp = TokenMdp.from_symbols("ab", 3, "abab")
+        policy = random_tabular(mdp, np.random.default_rng(5))
+        assert _enumerated_return(mdp, policy) == 0.0
+        assert exact_return(mdp, policy) == 0.0
+        assert exact_return(mdp, OneHotPolicy(mdp)) == 0.0
+
+    def test_single_token_horizon(self):
+        mdp, pi, mu = _single_token_setup()
+        for policy, value in ((pi, 0.8), (mu, 0.4)):
+            assert abs(exact_return(mdp, policy) - _enumerated_return(mdp, policy)) <= 1e-12
+            assert exact_return(mdp, policy) == pytest.approx(value, abs=1e-12)
+
+    def test_enumeration_cap(self, toy_mdp, mu05):
+        with pytest.raises(EnumerationCapError):
+            exact_return(toy_mdp, mu05, cap=toy_mdp.n_trajectories - 1)
+        capped = exact_return(toy_mdp, mu05, cap=toy_mdp.n_trajectories)
+        assert capped == pytest.approx(0.0625, abs=1e-12)
 
 
 class TestPerformanceDifference:

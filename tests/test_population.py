@@ -23,6 +23,7 @@ from tracelab import (
     TokenMdp,
     ZeroSupportError,
     bias_variance_sweep,
+    exact_return,
     per_sample_statistic,
     reward,
     traces,
@@ -159,6 +160,23 @@ def test_one_pass_memory_is_bounded_by_the_chunk(horizon):
     assert peak < 3 * table + 5 * block
     if mdp.n_trajectories > 4 * mdp_module._CHUNK:
         assert 5 * block < 8 * mdp.n_trajectories * horizon
+
+
+def test_exact_return_memory_is_bounded_by_the_table():
+    """Backward induction holds the policy table and a few per-state vectors,
+    never the V**T trajectories: at T=12 its tracemalloc peak, table build
+    included, stays under three tables (a third of one [V**T, T] token array)."""
+    mdp = TokenMdp.from_symbols("abc", 12, "abcabc")
+    mu = TargetFollowingPolicy(mdp, 0.5)
+    table = 8 * mdp.n_prefixes * mdp.vocab_size
+    tracemalloc.start()
+    try:
+        value = exact_return(mdp, mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table < 8 * mdp.n_trajectories * mdp.horizon / 2
+    assert value == pytest.approx(population_moments(mdp, mu, mu, [1]).return_mu, rel=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
