@@ -14,13 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp, check_window
-from .objectives import (
-    _empirical_surrogate,
-    n_step_surrogate_empirical,
-    performance_difference_direct,
-)
-from .policies import d_tv_max, policy_prob_table, ratio_deviation_bound
+from .mdp import TokenMdp, check_window
+from .objectives import _empirical_surrogate, _return_from_table
+from .policies import policy_prob_table, table_ratio_deviation, total_variation
+from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import GroupRollout, TraceSet, sample_from_table
 
 
@@ -93,36 +90,45 @@ class BoundReport:
         return asdict(self)
 
 
-def _bound_report(
-    mdp: TokenMdp, pi, mu, n_step: int, alpha_conf: float, group_size: int, surrogate: float,
-    xi: float, eps: float | None, dtv_max: float | None, cap: int,
-) -> BoundReport:
-    """The bound terms around an empirical surrogate; eps, dtv_max as in
-    :func:`theorem_lower_bound`."""
-    exact_eps = ratio_deviation_bound(pi, mu, mdp, cap)
+def _policy_gap(
+    p_pi, p_mu, eps: float | None = None, dtv_max: float | None = None
+) -> tuple[float, float]:
+    """eps and dtv_max for a policy pair, read from its two state-indexed tables.
+
+    Each defaults to its exact value.  A supplied ``eps`` smaller than the
+    exact ratio-deviation bound would void the hypothesis the bound rests
+    on, so it is rejected.
+    """
+    exact_eps = table_ratio_deviation(p_pi, p_mu)
     if eps is None:
         eps = exact_eps
     elif eps < exact_eps - 1e-12:
         raise ValueError(f"supplied eps {eps} is below the exact ratio-deviation bound {exact_eps}")
-    # Identical policies deviate by zero; keep the formulas well-defined.
-    eps = max(eps, 1e-12)
     if dtv_max is None:
-        dtv_max = d_tv_max(mu, pi, mdp, cap)
-    truncation = truncation_bias_bound(xi, mdp.horizon, n_step, dtv_max)
-    s_val = s_n(eps, mdp.horizon, n_step)
-    b_val = xi * eps * s_val
+        dtv_max = float(total_variation(p_mu, p_pi).max())
+    # Identical policies deviate by zero; keep the formulas well-defined.
+    return max(eps, 1e-12), dtv_max
+
+
+def _bound_report(
+    horizon: int, n_step: int, alpha_conf: float, group_size: int, surrogate: float,
+    xi: float, eps: float, dtv_max: float,
+) -> BoundReport:
+    """The bound terms around a surrogate, for eps and dtv_max from :func:`_policy_gap`."""
+    truncation = truncation_bias_bound(xi, horizon, n_step, dtv_max)
+    b_val = b_n(xi, eps, horizon, n_step)
     penalty = hoeffding_penalty(b_val, alpha_conf, group_size)
     return BoundReport(
         xi=xi,
         eps=eps,
         dtv_max=dtv_max,
-        horizon=mdp.horizon,
+        horizon=horizon,
         n_step=n_step,
         group_size=group_size,
         alpha_conf=alpha_conf,
         empirical_surrogate=surrogate,
         truncation_bias=truncation,
-        s_n=s_val,
+        s_n=s_n(eps, horizon, n_step),
         b_n=b_val,
         hoeffding=penalty,
         lower_bound=surrogate - truncation - penalty,
@@ -138,14 +144,13 @@ def theorem_lower_bound(
     xi: float | None = None,
     eps: float | None = None,
     dtv_max: float | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BoundReport:
     """Assemble the full lower bound for one sampled group.
 
     ``eps`` and ``dtv_max`` default to their exact values for the policy
-    pair, computed from the two state-indexed tables; a supplied ``eps``
-    smaller than the exact ratio-deviation bound would void the hypothesis
-    the bound rests on, so it is rejected.
+    pair; both, and the surrogate, come from one build of each policy's
+    state-indexed table.  A supplied ``eps`` smaller than the exact
+    ratio-deviation bound is rejected (see :func:`_policy_gap`).
     """
     mdp = group.mdp
     check_window(mdp.horizon, n_step)
@@ -153,9 +158,11 @@ def theorem_lower_bound(
         xi = mdp.reward_bound
     if float(np.abs(group.rewards).max(initial=0.0)) > xi + 1e-12:
         raise ValueError("group contains rewards exceeding the bound xi")
-    surrogate = n_step_surrogate_empirical(group, pi, mu, n_step)
+    p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
+    surrogate = _empirical_surrogate(group, p_pi, p_mu, n_step)
+    eps, dtv_max = _policy_gap(p_pi, p_mu, eps, dtv_max)
     return _bound_report(
-        mdp, pi, mu, n_step, alpha_conf, group.group_size, surrogate, xi, eps, dtv_max, cap
+        mdp.horizon, n_step, alpha_conf, group.group_size, surrogate, xi, eps, dtv_max
     )
 
 
@@ -168,22 +175,20 @@ def verify_coverage(
     alpha_conf: float,
     trials: int,
     seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Fraction of independent groups whose bound the true improvement beats.
 
-    The truth is computed once by enumeration; eps, dtv_max and the two
-    policy tables are likewise fixed once for the policy pair, so each trial
-    only samples a fresh group from mu's table and evaluates its empirical
-    surrogate.
+    The two policy tables are built once; the truth, eps and dtv_max all
+    come from them, so each trial only samples a fresh group from mu's
+    table and evaluates its empirical surrogate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    truth = performance_difference_direct(mdp, pi, mu, cap)
+    p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
+    truth = _return_from_table(mdp, p_pi) - _return_from_table(mdp, p_mu)
     report = _bound_report(
-        mdp, pi, mu, n_step, alpha_conf, group_size, 0.0, mdp.reward_bound, None, None, cap
+        mdp.horizon, n_step, alpha_conf, group_size, 0.0, mdp.reward_bound, *_policy_gap(p_pi, p_mu)
     )
-    p_pi, p_mu = policy_prob_table(pi, mdp, cap), policy_prob_table(mu, mdp, cap)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):

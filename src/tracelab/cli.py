@@ -138,7 +138,6 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
         cfg.n_list,
         cfg.group_size,
         cfg.alpha_conf,
-        cap=cfg.enumeration_cap,
     )
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, map(astuple, rows), _stamp(cfg))
     _write_manifest(out_dir, "sweep", cfg, ["sweep.csv"])
@@ -160,7 +159,6 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
         group_size=cfg.group_size,
         seed=cfg.seed,
         rollout_refresh=cfg.rollout_refresh,
-        cap=cfg.enumeration_cap,
     )
     _write_csv(out_dir / "train.csv", TRAIN_COLUMNS, map(astuple, records), _stamp(cfg))
     _write_manifest(out_dir, "train", cfg, ["train.csv"])
@@ -201,9 +199,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     mu = cfg.build_mu()
     pi = cfg.build_pi()
     group = sample_group(cfg.mdp, mu, cfg.group_size, np.random.default_rng(cfg.seed))
-    report = theorem_lower_bound(
-        group, pi, mu, cfg.objective.n_step, cfg.alpha_conf, cap=cfg.enumeration_cap
-    )
+    report = theorem_lower_bound(group, pi, mu, cfg.objective.n_step, cfg.alpha_conf)
     coverage = verify_coverage(
         cfg.mdp,
         pi,
@@ -213,7 +209,6 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         cfg.alpha_conf,
         cfg.trials,
         seed=cfg.seed + 1,
-        cap=cfg.enumeration_cap,
     )
     nominal = 1.0 - cfg.alpha_conf
     threshold = nominal - 3.0 * math.sqrt(nominal * cfg.alpha_conf / cfg.trials)

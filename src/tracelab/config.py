@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import ConfigError
-from .mdp import TokenMdp
+from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
 from .policies import TabularSoftmaxPolicy, TargetFollowingPolicy
 from .weights import MASK_KINDS, MaskSpec
@@ -53,7 +53,7 @@ DEFAULT_CONFIG: dict = {
         "rollout_refresh": 1,
     },
     "seed": 0,
-    "enumeration_cap": 10_000_000,
+    "enumeration_cap": DEFAULT_ENUMERATION_CAP,
 }
 
 
@@ -193,7 +193,6 @@ class RunConfig:
     n_list: tuple[int, ...]
     rollout_refresh: int
     seed: int
-    enumeration_cap: int
 
     def build_mu(self):
         return _build_policy(self.mu, self.mdp, mu=None)
@@ -229,7 +228,7 @@ class RunConfig:
                 "rollout_refresh": self.rollout_refresh,
             },
             "seed": self.seed,
-            "enumeration_cap": self.enumeration_cap,
+            "enumeration_cap": self.mdp.enumeration_cap,
         }
 
 
@@ -264,8 +263,9 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(target, str) or not target:
         raise _fail("mdp.target", "a non-empty string over the vocab", target)
     reward_bound = _number(mdp_section, "mdp", "reward_bound", 0.0, open_lo=True, default=1.0)
+    cap = _integer(data, "", "enumeration_cap", lo=1, default=DEFAULT_ENUMERATION_CAP)
     try:
-        mdp = TokenMdp.from_symbols(vocab, horizon, target, reward_bound)
+        mdp = TokenMdp.from_symbols(vocab, horizon, target, reward_bound, cap)
     except ValueError as exc:
         raise ConfigError(f"config key 'mdp': {exc}") from exc
 
@@ -316,7 +316,6 @@ def parse_config(data: dict) -> RunConfig:
     rollout_refresh = _integer(experiment, "experiment", "rollout_refresh", lo=1, default=1)
 
     seed = _integer(data, "", "seed", lo=0, default=0)
-    cap = _integer(data, "", "enumeration_cap", lo=1, default=DEFAULT_CONFIG["enumeration_cap"])
 
     return RunConfig(
         mdp=mdp,
@@ -331,7 +330,6 @@ def parse_config(data: dict) -> RunConfig:
         n_list=tuple(n_list_raw),
         rollout_refresh=rollout_refresh,
         seed=seed,
-        enumeration_cap=cap,
     )
 
 

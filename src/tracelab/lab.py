@@ -9,9 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import b_n, hoeffding_penalty, truncation_bias_bound
+from .bounds import _bound_report, _policy_gap
 from .errors import TrainingDivergedError
-from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp
+from .mdp import TokenMdp
 from .objectives import (
     ObjectiveSpec,
     _logit_gradient,
@@ -20,7 +20,8 @@ from .objectives import (
     gradient_norm,
     population_moments,
 )
-from .policies import TabularSoftmaxPolicy, d_tv_max, ratio_deviation_bound, total_variation
+from .policies import TabularSoftmaxPolicy, policy_prob_table, total_variation
+from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import ratios, ratios_from_values, sample_from_table, traces
 
 
@@ -45,18 +46,18 @@ def bias_variance_sweep(
     n_list: Sequence[int],
     group_size: int,
     alpha_conf: float,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[SweepRow]:
     """Exact surrogate, bias, variance, and bound terms for each window size,
-    all from one enumeration pass."""
-    moments = population_moments(mdp, pi, mu, n_list, cap)
+    all from one enumeration pass; eps and dtv_max come from one build of
+    each policy's table."""
+    moments = population_moments(mdp, pi, mu, n_list)
     improvement = moments.return_pi - moments.return_mu
-    dtv = d_tv_max(mu, pi, mdp, cap)
-    eps = max(ratio_deviation_bound(pi, mu, mdp, cap), 1e-12)
-    xi = mdp.reward_bound
+    gap = _policy_gap(policy_prob_table(pi, mdp), policy_prob_table(mu, mdp))
     rows = []
     for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
-        b_val = b_n(xi, eps, mdp.horizon, n_step)
+        report = _bound_report(
+            mdp.horizon, n_step, alpha_conf, group_size, surrogate, mdp.reward_bound, *gap
+        )
         rows.append(
             SweepRow(
                 n_step=n_step,
@@ -64,9 +65,9 @@ def bias_variance_sweep(
                 exact_improvement=improvement,
                 abs_bias=abs(improvement - surrogate),
                 per_sample_variance=var,
-                bound_truncation=truncation_bias_bound(xi, mdp.horizon, n_step, dtv),
-                b_n=b_val,
-                hoeffding=hoeffding_penalty(b_val, alpha_conf, group_size),
+                bound_truncation=report.truncation_bias,
+                b_n=report.b_n,
+                hoeffding=report.hoeffding,
             )
         )
     return rows
@@ -92,7 +93,6 @@ def train(
     group_size: int,
     seed: int,
     rollout_refresh: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[TrainRecord]:
     """Full-batch gradient ascent on the chosen objective.
 
@@ -112,7 +112,7 @@ def train(
         raise ValueError("rollout_refresh must be >= 1")
     rng = np.random.default_rng(seed)
     records: list[TrainRecord] = []
-    p_pi = pi.prob_table(mdp, cap)
+    p_pi = pi.prob_table(mdp)
     for step in range(steps):
         if step % rollout_refresh == 0:
             p_mu = p_pi
@@ -124,12 +124,12 @@ def train(
             raise TrainingDivergedError(f"objective became {value} at step {step}")
         gradient = _logit_gradient(group, pi, p_pi, coeffs)
         pi.apply_gradient(gradient, learning_rate)
-        p_pi = pi.prob_table(mdp, cap)
+        p_pi = pi.prob_table(mdp)
         records.append(
             TrainRecord(
                 step=step,
                 objective=value,
-                exact_return=_return_from_table(mdp, p_pi, cap),
+                exact_return=_return_from_table(mdp, p_pi),
                 dtv_max=float(total_variation(p_mu, p_pi).max()),
                 grad_norm=gradient_norm(gradient),
             )

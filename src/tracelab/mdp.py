@@ -31,12 +31,15 @@ class TokenMdp:
     ``target`` is stored as vocabulary indices.  ``reward_bound`` is the
     declared bound on |reward|; it is 1 for the binary subsequence reward
     but kept as a field so the concentration formulas generalize.
+    ``enumeration_cap`` bounds every enumeration and every state-indexed
+    table built for this MDP; each is checked before it is built.
     """
 
     vocab: tuple[str, ...]
     horizon: int
     target: tuple[int, ...]
     reward_bound: float = 1.0
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         if len(self.vocab) < 2:
@@ -51,6 +54,8 @@ class TokenMdp:
             raise ValueError("target contains out-of-vocab indices")
         if not (self.reward_bound > 0):
             raise ValueError("reward_bound must be positive")
+        if not self.enumeration_cap >= 1:
+            raise ValueError("enumeration_cap must be >= 1")
 
     @classmethod
     def from_symbols(
@@ -59,6 +64,7 @@ class TokenMdp:
         horizon: int,
         target: Sequence[str],
         reward_bound: float = 1.0,
+        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     ) -> "TokenMdp":
         """Build an MDP from token symbols, e.g. vocab "abc", target "abcabc"."""
         index = {sym: i for i, sym in enumerate(vocab)}
@@ -68,7 +74,7 @@ class TokenMdp:
             target_idx = tuple(index[s] for s in target)
         except KeyError as exc:
             raise ValueError(f"target symbol {exc.args[0]!r} not in vocab") from exc
-        return cls(tuple(vocab), int(horizon), target_idx, float(reward_bound))
+        return cls(tuple(vocab), int(horizon), target_idx, float(reward_bound), enumeration_cap)
 
     @property
     def vocab_size(self) -> int:
@@ -94,6 +100,12 @@ class TokenMdp:
         if any(not (0 <= t < self.vocab_size) for t in y):
             raise ValueError("trajectory contains out-of-vocab indices")
         return y
+
+
+def check_enumeration_cap(mdp: TokenMdp, count: int) -> None:
+    """Refuse to enumerate or tabulate ``count`` items beyond the MDP's cap."""
+    if count > mdp.enumeration_cap:
+        raise EnumerationCapError(count, mdp.enumeration_cap)
 
 
 def check_window(horizon: int, n_step: int) -> None:
@@ -123,28 +135,24 @@ def reward(mdp: TokenMdp, y: Sequence[int]) -> float:
     return 1.0 if match_length(y, mdp.target) == len(mdp.target) else 0.0
 
 
-def enumerate_trajectories(
-    mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Trajectory]:
+def enumerate_trajectories(mdp: TokenMdp) -> Iterator[Trajectory]:
     """All |vocab|^horizon trajectories, each exactly once, lexicographic."""
-    total = mdp.n_trajectories
-    if total > cap:
-        raise EnumerationCapError(total, cap)
+    check_enumeration_cap(mdp, mdp.n_trajectories)
     return itertools.product(range(mdp.vocab_size), repeat=mdp.horizon)
 
 
-def enumerate_prefixes(
-    mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Prefix]:
+def enumerate_prefixes(mdp: TokenMdp) -> Iterator[Prefix]:
     """All reachable states: prefixes of length 0 .. horizon-1.
 
     Ordered by length, lexicographic within each length, which matches the
-    integer state codes used by the vectorized enumeration helpers.
+    integer state codes used by the vectorized enumeration helpers.  The cap
+    is checked on the call, before the first prefix is asked for.
     """
-    if mdp.n_prefixes > cap:
-        raise EnumerationCapError(mdp.n_prefixes, cap)
-    for length in range(mdp.horizon):
-        yield from itertools.product(range(mdp.vocab_size), repeat=length)
+    check_enumeration_cap(mdp, mdp.n_prefixes)
+    v = range(mdp.vocab_size)
+    return itertools.chain.from_iterable(
+        itertools.product(v, repeat=length) for length in range(mdp.horizon)
+    )
 
 
 def sample_trajectory(mdp: TokenMdp, policy, rng: np.random.Generator) -> Trajectory:
@@ -165,13 +173,11 @@ def sample_trajectory(mdp: TokenMdp, policy, rng: np.random.Generator) -> Trajec
 # Trajectory m is identified with its base-|vocab| code, and the prefix
 # y_{<t} with code offset(t) + encode(y_{<t}).  The children of state s are
 # then the consecutive states |vocab| * s + 1 + token.  Chunked iteration
-# keeps the memory footprint bounded near the enumeration cap.
+# keeps the memory footprint of a pass to a few chunks.
 
 
 def trajectory_chunks(
-    mdp: TokenMdp,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    chunk_size: int = _CHUNK,
+    mdp: TokenMdp, chunk_size: int = _CHUNK
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (tokens [m, T], rewards [m]) over all trajectories.
 
@@ -179,8 +185,7 @@ def trajectory_chunks(
     for the rows they keep.
     """
     total = mdp.n_trajectories
-    if total > cap:
-        raise EnumerationCapError(total, cap)
+    check_enumeration_cap(mdp, total)
     v, t_len = mdp.vocab_size, mdp.horizon
     place = np.array([v ** (t_len - 1 - t) for t in range(t_len)], dtype=np.int64)
     for lo in range(0, total, chunk_size):
@@ -198,16 +203,13 @@ def prefix_state_ids(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
     return state_ids
 
 
-def prefix_match_lengths(
-    mdp: TokenMdp, target: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
+def prefix_match_lengths(mdp: TokenMdp, target: Sequence[int]) -> np.ndarray:
     """match_length(prefix, target) for every state id, built level by level.
 
     The length-t prefix with code c extends the length-(t-1) prefix with
     code c // |vocab| by the token c % |vocab|.
     """
-    if mdp.n_prefixes > cap:
-        raise EnumerationCapError(mdp.n_prefixes, cap)
+    check_enumeration_cap(mdp, mdp.n_prefixes)
     target = np.asarray(target, dtype=np.int64)
     n, v = len(target), mdp.vocab_size
     levels = [np.zeros(1, dtype=np.int64)]

@@ -14,11 +14,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError, ZeroSupportError
+from .errors import ZeroSupportError
 from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
     TokenMdp,
     Trajectory,
+    check_enumeration_cap,
     check_window,
     prefix_match_lengths,
     prefix_state_ids,
@@ -103,14 +103,12 @@ class VarianceReport(NamedTuple):
 # --- exact population quantities ---------------------------------------------
 
 
-def exact_return(mdp: TokenMdp, policy, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def exact_return(mdp: TokenMdp, policy) -> float:
     """Expected reward under the policy, by backward induction over every state."""
-    return _return_from_table(mdp, policy_prob_table(policy, mdp, cap), cap)
+    return _return_from_table(mdp, policy_prob_table(policy, mdp))
 
 
-def _return_from_table(
-    mdp: TokenMdp, probs: np.ndarray, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def _return_from_table(mdp: TokenMdp, probs: np.ndarray) -> float:
     """:func:`exact_return` from a state-indexed probability table.
 
     A state one token short of the horizon is worth the probability of its
@@ -118,11 +116,10 @@ def _return_from_table(
     weighted value of its |vocab| children, which are consecutive states one
     level down, so each level is one row-wise dot.
     """
-    if mdp.n_trajectories > cap:
-        raise EnumerationCapError(mdp.n_trajectories, cap)
+    check_enumeration_cap(mdp, mdp.n_trajectories)
     v, n = mdp.vocab_size, len(mdp.target)
     first = mdp.n_prefixes - v ** (mdp.horizon - 1)
-    matched, last = prefix_match_lengths(mdp, mdp.target, cap)[first:], probs[first:]
+    matched, last = prefix_match_lengths(mdp, mdp.target)[first:], probs[first:]
     value = np.where(matched == n, last.sum(axis=1), 0.0)
     value += np.where(matched == n - 1, last[:, mdp.target[-1]], 0.0)
     for t in range(mdp.horizon - 2, -1, -1):
@@ -131,11 +128,9 @@ def _return_from_table(
     return float(value[0])
 
 
-def performance_difference_direct(
-    mdp: TokenMdp, pi, mu, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def performance_difference_direct(mdp: TokenMdp, pi, mu) -> float:
     """Expected-reward gap computed from the two returns separately."""
-    return exact_return(mdp, pi, cap) - exact_return(mdp, mu, cap)
+    return exact_return(mdp, pi) - exact_return(mdp, mu)
 
 
 def _windowed_statistics(rewards, log_r: np.ndarray, n_list: Sequence[int]) -> Iterator[np.ndarray]:
@@ -161,7 +156,6 @@ def population_moments(
     pi,
     mu,
     n_list: Sequence[int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
     require_full_support: bool = True,
 ) -> PopulationMoments:
     """Mean and variance of Z for each window in ``n_list``, and both returns, in one pass.
@@ -172,12 +166,12 @@ def population_moments(
     """
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
-    log_pi = policy_log_matrix(pi, mdp, cap)
-    log_mu = policy_log_matrix(mu, mdp, cap)
+    log_pi = policy_log_matrix(pi, mdp)
+    log_mu = policy_log_matrix(mu, mdp)
     if require_full_support and np.isneginf(log_mu).any():
         raise ZeroSupportError("rollout policy must have full support for exact identities")
     totals = np.zeros((len(n_list) + 1, 2))
-    for chunk in trajectory_chunks(mdp, cap):
+    for chunk in trajectory_chunks(mdp):
         totals += _chunk_moments(mdp, log_pi, log_mu, *chunk, n_list)
         del chunk  # free this chunk before the next one is built
     mean, second = totals[1:].T
@@ -203,38 +197,29 @@ def _chunk_moments(mdp: TokenMdp, log_pi, log_mu, tokens, rewards, n_list) -> np
     return np.vstack([returns, np.reshape(stats, (-1, 2))])
 
 
-def n_step_surrogate_population(
-    mdp: TokenMdp, pi, mu, n_step: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def n_step_surrogate_population(mdp: TokenMdp, pi, mu, n_step: int) -> float:
     """Exact windowed surrogate; the local surrogate at n_step=1 and the
     full performance difference at n_step=horizon."""
-    return float(population_moments(mdp, pi, mu, [n_step], cap).mean[0])
+    return float(population_moments(mdp, pi, mu, [n_step]).mean[0])
 
 
-def performance_difference_trace(
-    mdp: TokenMdp, pi, mu, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def performance_difference_trace(mdp: TokenMdp, pi, mu) -> float:
     """Expected-reward gap through the forward-trace identity.
 
     Agreement with :func:`performance_difference_direct` is the exact
     telescoping identity, verified by the test suite on every enumerable
     configuration.
     """
-    return float(population_moments(mdp, pi, mu, [mdp.horizon], cap).mean[0])
+    return float(population_moments(mdp, pi, mu, [mdp.horizon]).mean[0])
 
 
 def variance_of_statistic(
-    mdp: TokenMdp,
-    pi,
-    mu,
-    n_step: int,
-    group_size: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    mdp: TokenMdp, pi, mu, n_step: int, group_size: int = 1
 ) -> VarianceReport:
     """Exact variance of the per-sample statistic, and its mean-of-G scaling."""
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
-    moments = population_moments(mdp, pi, mu, [n_step], cap, require_full_support=False)
+    moments = population_moments(mdp, pi, mu, [n_step], require_full_support=False)
     per_sample = float(moments.variance[0])
     return VarianceReport(per_sample=per_sample, per_group=per_sample / group_size)
 

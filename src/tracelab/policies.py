@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import UnknownStateError
 from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
     TokenMdp,
+    check_enumeration_cap,
     enumerate_prefixes,
     match_length,
     prefix_match_lengths,
@@ -49,9 +49,9 @@ class TargetFollowingPolicy:
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
         return self._table[match_length(prefix, self.mdp.target)]
 
-    def prob_table(self, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    def prob_table(self, mdp: TokenMdp) -> np.ndarray:
         """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
-        return self._table[prefix_match_lengths(mdp, self.mdp.target, cap)]
+        return self._table[prefix_match_lengths(mdp, self.mdp.target)]
 
     def __repr__(self) -> str:
         return f"TargetFollowingPolicy(alpha={self.alpha})"
@@ -142,17 +142,18 @@ class TabularSoftmaxPolicy:
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
         return _softmax(self._row(prefix))
 
-    def state_rows(self, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    def state_rows(self, mdp: TokenMdp) -> np.ndarray:
         """Logit row of every state id of ``mdp``."""
         if self.state_key == "match_length":
-            return prefix_match_lengths(mdp, self.mdp.target, cap)
+            return prefix_match_lengths(mdp, self.mdp.target)
+        check_enumeration_cap(mdp, mdp.n_prefixes)
         if mdp.vocab_size != self.mdp.vocab_size or mdp.n_prefixes > len(self._table):
             raise UnknownStateError("prefix-keyed logits do not cover this MDP's states")
         return np.arange(mdp.n_prefixes)
 
-    def prob_table(self, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    def prob_table(self, mdp: TokenMdp) -> np.ndarray:
         """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
-        return _softmax(self._table)[self.state_rows(mdp, cap)]
+        return _softmax(self._table)[self.state_rows(mdp)]
 
     def apply_gradient(self, gradient: dict[StateKey, np.ndarray], learning_rate: float) -> None:
         """Ascent step: logits[state] += learning_rate * gradient[state]."""
@@ -208,25 +209,28 @@ def state_kl(mu, pi, prefix: Sequence[int]) -> float:
     return float(kl_divergence(p, q))
 
 
-def d_tv_max(mu, pi, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def d_tv_max(mu, pi, mdp: TokenMdp) -> float:
     """Max state-wise total variation over all reachable prefixes."""
-    tv = total_variation(policy_prob_table(mu, mdp, cap), policy_prob_table(pi, mdp, cap))
+    tv = total_variation(policy_prob_table(mu, mdp), policy_prob_table(pi, mdp))
     return float(tv.max())
 
 
-def ratio_deviation_bound(pi, mu, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def ratio_deviation_bound(pi, mu, mdp: TokenMdp) -> float:
     """Exact sup over (state, token) of |pi/mu - 1| on the rollout support.
 
     Tokens with zero rollout probability never appear in sampled
     trajectories, so they are excluded from the bound.
     """
-    p_pi = policy_prob_table(pi, mdp, cap)
-    p_mu = policy_prob_table(mu, mdp, cap)
+    return table_ratio_deviation(policy_prob_table(pi, mdp), policy_prob_table(mu, mdp))
+
+
+def table_ratio_deviation(p_pi: np.ndarray, p_mu: np.ndarray) -> float:
+    """:func:`ratio_deviation_bound` from the two state-indexed tables."""
     ratio = np.divide(p_pi, p_mu, out=np.ones_like(p_pi), where=p_mu > 0)
     return float(np.abs(ratio - 1.0).max())
 
 
-def policy_prob_table(policy, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
     """[n_prefixes, vocab] probabilities in state-id order.
 
     Row order matches the state ids produced by ``mdp.trajectory_chunks``.
@@ -234,15 +238,16 @@ def policy_prob_table(policy, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP)
     ``probs(prefix)``, are asked once per state.
     """
     if hasattr(policy, "prob_table"):
-        return policy.prob_table(mdp, cap)
+        return policy.prob_table(mdp)
+    prefixes = enumerate_prefixes(mdp)
     rows = np.empty((mdp.n_prefixes, mdp.vocab_size))
-    for i, prefix in enumerate(enumerate_prefixes(mdp, cap)):
+    for i, prefix in enumerate(prefixes):
         rows[i] = np.asarray(policy.probs(prefix), dtype=float)
     return rows
 
 
-def policy_log_matrix(policy, mdp: TokenMdp, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def policy_log_matrix(policy, mdp: TokenMdp) -> np.ndarray:
     """[n_prefixes, vocab] log-probabilities in state-id order; zero
     probabilities map to -inf."""
     with np.errstate(divide="ignore"):
-        return np.log(policy_prob_table(policy, mdp, cap))
+        return np.log(policy_prob_table(policy, mdp))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ZeroSupportError
 from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
     TokenMdp,
     Trajectory,
     check_window,
@@ -366,17 +365,15 @@ def _sampled_group(mdp: TokenMdp, tokens: np.ndarray) -> GroupRollout:
     )
 
 
-def population_group(
-    mdp: TokenMdp, mu, cap: int = DEFAULT_ENUMERATION_CAP
-) -> GroupRollout:
+def population_group(mdp: TokenMdp, mu) -> GroupRollout:
     """Every trajectory, weighted by its exact rollout probability.
 
     Batch means over this pseudo-group are population expectations under mu;
     zero-probability trajectories are dropped so ratios stay well-defined.
     """
-    log_mu = policy_log_matrix(mu, mdp, cap)
+    log_mu = policy_log_matrix(mu, mdp)
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for tokens, rewards in trajectory_chunks(mdp, cap):
+    for tokens, rewards in trajectory_chunks(mdp):
         log_p = log_mu[prefix_state_ids(mdp, tokens), tokens].sum(axis=1)
         keep = ~np.isneginf(log_p)
         blocks.append((tokens[keep], np.exp(log_p[keep]), rewards[keep]))

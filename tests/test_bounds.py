@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tracelab import (
     truncation_bias_bound,
     verify_coverage,
 )
+from tracelab import bounds, cli, config, lab, objectives, policies, weights
 from tracelab.lab import ratios_from_values
 
 
@@ -142,6 +144,28 @@ class TestCoverage:
         coverage = verify_coverage(toy_mdp, pi08, mu05, 4, 8, 0.5, trials=300, seed=6)
         sigma = math.sqrt(0.5 * 0.5 / 300)
         assert coverage >= 0.5 - 3 * sigma
+
+
+class TestTableBuilds:
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_each_policy_table_built_twice_per_run(self, tmp_path, command):
+        """verify builds pi's and mu's tables once for the bound report and
+        once for the coverage check; sweep once for its enumeration pass and
+        once for eps and dtv_max."""
+        calls = Counter()
+        inner = policies.policy_prob_table
+
+        def counted(*args, **kwargs):
+            calls["policy_prob_table"] += 1
+            return inner(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (policies, weights, objectives, bounds, lab, config, cli):
+                if getattr(module, "policy_prob_table", None) is inner:
+                    patch.setattr(module, "policy_prob_table", counted)
+            args = [command, "--out", str(tmp_path), "--set", "experiment.trials=20"]
+            assert cli.run(args) == 0
+        assert calls == {"policy_prob_table": 4}
 
 
 class TestResidualCheck:

@@ -1,8 +1,21 @@
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tracelab import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    TargetFollowingPolicy,
+    objective_value,
+    sample_group,
+    theorem_lower_bound,
+)
 from tracelab.cli import run
 from tracelab.config import (
     apply_overrides,
@@ -11,6 +24,18 @@ from tracelab.config import (
     parse_config,
 )
 from tracelab.errors import ConfigError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+COPY_OF_MU = 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu"}'
+# Runs argv[1:] from a small interpreter and prints its exit code and peak RSS
+# in MB.  A child started straight from the test process would report the
+# test process's own high-water mark instead.
+PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0)
+"""
 
 
 def _read_csv(path):
@@ -43,6 +68,7 @@ class TestConfigParsing:
             ("experiment.learning_rate", "NaN"),
             ("objective.beta", "NaN"),
             ("mdp.reward_bound", "Infinity"),
+            ("enumeration_cap", "0"),
         ],
     )
     def test_domain_violation_named(self, key, value):
@@ -70,6 +96,68 @@ class TestConfigParsing:
         a = config_hash(parse_config(default_config()).to_dict())
         b = config_hash(parse_config(default_config()).to_dict())
         assert a == b and len(a) == 64
+
+
+class TestEnumerationCap:
+    """The config's cap lives on the MDP, so every enumeration and every
+    state-indexed table of a run is checked against it before it is built."""
+
+    def test_cap_rides_on_the_mdp(self):
+        assert default_config()["enumeration_cap"] == DEFAULT_ENUMERATION_CAP
+        cfg = parse_config(apply_overrides(default_config(), ["enumeration_cap=5000"]))
+        assert cfg.mdp.enumeration_cap == 5000
+        assert cfg.to_dict()["enumeration_cap"] == 5000
+        assert parse_config(default_config()).mdp.enumeration_cap == DEFAULT_ENUMERATION_CAP
+
+    @pytest.mark.parametrize(
+        "command,horizon,overrides",
+        [
+            ("verify", 13, ["experiment.trials=10"]),
+            ("train", 12, ["experiment.steps=2", COPY_OF_MU]),
+        ],
+    )
+    def test_cap_bounds_child_memory(self, tmp_path, command, horizon, overrides):
+        """A capped run fails before it builds any table: its peak RSS stays
+        within a few MB of the interpreter with numpy loaded, less than one
+        [n_states, V] table (19 MB at T=13, 6 MB at T=12) would add."""
+        sets = [f"mdp.horizon={horizon}", "enumeration_cap=100", *overrides]
+        argv = ["-m", "tracelab.cli", command, "--out", str(tmp_path)]
+        argv += [arg for s in sets for arg in ("--set", s)]
+        env = dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", PEAK_RSS, sys.executable, *cmd],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            for cmd in (["-c", "import numpy, tracelab.cli"], argv)
+        ]
+        (_, base_rss), (code, rss) = (run.stdout.split() for run in runs)
+        assert int(code) == 1
+        assert f"needs {(3**horizon - 1) // 2} items, cap is 100" in runs[1].stderr
+        assert list(tmp_path.iterdir()) == []
+        assert float(rss) - float(base_rss) < 5.0, (base_rss, rss)
+
+    def test_cap_checked_before_allocation(self):
+        raw = apply_overrides(
+            default_config(), ["mdp.horizon=12", "enumeration_cap=100", COPY_OF_MU]
+        )
+        cfg = parse_config(raw)
+        mu, pi = cfg.build_mu(), TargetFollowingPolicy(cfg.mdp, 0.8)
+        group = sample_group(cfg.mdp, mu, 8, np.random.default_rng(0))
+        calls = [
+            cfg.build_pi,
+            lambda: theorem_lower_bound(group, pi, mu, 4, 0.05),
+            lambda: objective_value(group, pi, mu, cfg.objective),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(EnumerationCapError, match="cap is 100"):
+                    call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 class TestSweepCommand:

@@ -104,6 +104,19 @@ class TestEnumeration:
             enumerate_trajectories(mdp)
         assert str(3**20) in str(err.value)
 
+    def test_cap_is_the_mdps_own(self):
+        # 40 prefixes and 81 trajectories; each site compares its own count.
+        mdp = TokenMdp.from_symbols("abc", 4, "abc", enumeration_cap=40)
+        assert len(list(enumerate_prefixes(mdp))) == 40
+        with pytest.raises(EnumerationCapError, match="needs 81 items, cap is 40"):
+            enumerate_trajectories(mdp)
+        with pytest.raises(EnumerationCapError, match="needs 81 items, cap is 40"):
+            next(trajectory_chunks(mdp))
+        with pytest.raises(EnumerationCapError, match="needs 40 items, cap is 39"):
+            enumerate_prefixes(TokenMdp.from_symbols("abc", 4, "abc", enumeration_cap=39))
+        with pytest.raises(ValueError, match="enumeration_cap"):
+            TokenMdp.from_symbols("abc", 4, "abc", enumeration_cap=0)
+
     def test_chunks_and_state_ids_follow_enumeration_order(self):
         mdp = TokenMdp.from_symbols("abc", 4, "acb")
         trajectories = list(enumerate_trajectories(mdp))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ class TestExactReturn:
 
     def test_enumeration_cap(self, toy_mdp, mu05):
         with pytest.raises(EnumerationCapError):
-            exact_return(toy_mdp, mu05, cap=toy_mdp.n_trajectories - 1)
-        capped = exact_return(toy_mdp, mu05, cap=toy_mdp.n_trajectories)
+            exact_return(replace(toy_mdp, enumeration_cap=toy_mdp.n_trajectories - 1), mu05)
+        capped = exact_return(replace(toy_mdp, enumeration_cap=toy_mdp.n_trajectories), mu05)
         assert capped == pytest.approx(0.0625, abs=1e-12)
 
 

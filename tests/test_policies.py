@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tracelab import (
+    EnumerationCapError,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     TokenMdp,
@@ -90,6 +93,21 @@ class TestTabularSoftmax:
         pi.apply_gradient({(): np.array([1.0, -1.0, 0.0])}, 0.5)
         np.testing.assert_allclose(snapshot.probs(()), [1 / 3] * 3, atol=1e-15)
         assert pi.probs(())[0] > 1 / 3
+
+    @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
+    def test_table_bounded_by_the_asking_mdps_cap(self, toy_mdp, mu05, state_key):
+        # 1093 states: every table build is checked against the MDP it is built for.
+        small = replace(toy_mdp, enumeration_cap=toy_mdp.n_prefixes - 1)
+        pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
+        for policy in (pi, mu05):
+            with pytest.raises(EnumerationCapError, match="needs 1093 items"):
+                policy.prob_table(small)
+        with pytest.raises(EnumerationCapError):
+            TabularSoftmaxPolicy.from_policy(small, mu05)
+        np.testing.assert_array_equal(
+            pi.prob_table(replace(small, enumeration_cap=toy_mdp.n_prefixes)),
+            pi.prob_table(toy_mdp),
+        )
 
 
 class TestDivergences:
