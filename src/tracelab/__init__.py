@@ -12,7 +12,6 @@ from .bounds import (
     b_n,
     b_n_increment,
     hoeffding_penalty,
-    residual_check,
     s_n,
     theorem_lower_bound,
     truncation_bias_bound,
@@ -41,54 +40,37 @@ from .mdp import (
     DEFAULT_ENUMERATION_CAP,
     TokenMdp,
     enumerate_prefixes,
-    enumerate_trajectories,
     match_length,
     reward,
-    sample_trajectory,
 )
 from .objectives import (
     ObjectiveSpec,
     ObjectiveValue,
-    PerSampleStat,
     VarianceReport,
     exact_return,
     gradient_norm,
-    mpg_objective,
     n_step_surrogate_empirical,
     n_step_surrogate_population,
-    nfpo_gradient,
-    nfpo_objective,
     objective_gradient,
     objective_value,
-    per_sample_statistic,
     performance_difference_direct,
     performance_difference_trace,
-    ppo_objective,
     variance_of_statistic,
 )
 from .policies import (
+    PolicyRows,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     d_tv_max,
+    policy_rows,
     ratio_deviation_bound,
-    state_kl,
-    state_tv,
-    token_prob,
-    trajectory_log_prob,
 )
 from .weights import (
     MASK_NONE,
     GroupRollout,
     MaskSpec,
-    RatioProfile,
-    TraceSet,
     group_advantages,
-    population_group,
-    ratios,
     sample_from_table,
-    sample_group,
-    token_mask,
-    traces,
 )
 
 __version__ = "0.1.0"

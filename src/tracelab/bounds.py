@@ -16,9 +16,9 @@ import numpy as np
 
 from .mdp import TokenMdp, check_window
 from .objectives import _empirical_surrogate, _return_from_table
-from .policies import policy_prob_table, table_ratio_deviation, total_variation
+from .policies import PolicyRows, policy_prob_table, table_ratio_deviation, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
-from .weights import GroupRollout, TraceSet, sample_from_table
+from .weights import GroupRollout, sample_from_table
 
 
 def s_n(eps: float, horizon: int, n_step: int) -> float:
@@ -159,7 +159,7 @@ def theorem_lower_bound(
     if float(np.abs(group.rewards).max(initial=0.0)) > xi + 1e-12:
         raise ValueError("group contains rewards exceeding the bound xi")
     p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
-    surrogate = _empirical_surrogate(group, p_pi, p_mu, n_step)
+    surrogate = _empirical_surrogate(group, PolicyRows(p_pi), PolicyRows(p_mu), n_step)
     eps, dtv_max = _policy_gap(p_pi, p_mu, eps, dtv_max)
     return _bound_report(
         mdp.horizon, n_step, alpha_conf, group.group_size, surrogate, xi, eps, dtv_max
@@ -190,17 +190,11 @@ def verify_coverage(
         mdp.horizon, n_step, alpha_conf, group_size, 0.0, mdp.reward_bound, *_policy_gap(p_pi, p_mu)
     )
     rng = np.random.default_rng(seed)
+    pi_rows, mu_rows = PolicyRows(p_pi), PolicyRows(p_mu)
     hits = 0
     for _ in range(trials):
-        group = sample_from_table(mdp, p_mu, group_size, rng)
-        surrogate = _empirical_surrogate(group, p_pi, p_mu, n_step)
+        group = sample_from_table(mdp, mu_rows, group_size, rng)
+        surrogate = _empirical_surrogate(group, pi_rows, mu_rows, n_step)
         if truth >= surrogate - report.truncation_bias - report.hoeffding:
             hits += 1
     return hits / trials
-
-
-def residual_check(trace_set: TraceSet) -> float:
-    """Largest defect of the window/residual factorization of the full trace."""
-    return float(
-        np.abs(trace_set.full - trace_set.n_step * trace_set.residual).max(initial=0.0)
-    )

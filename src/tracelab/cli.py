@@ -38,7 +38,8 @@ from .lab import (
     smoothing_demo,
     train,
 )
-from .weights import sample_group
+from .policies import policy_rows
+from .weights import group_log_ratios, sample_from_table
 
 # Each CSV row is one record dataclass as a tuple; the header names its fields.
 SWEEP_COLUMNS = ("N",) + tuple(f.name for f in fields(SweepRow))[1:]
@@ -166,14 +167,12 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
-    mu = cfg.build_mu()
-    pi = cfg.build_pi()
-    rng = np.random.default_rng(cfg.seed)
-    group = sample_group(cfg.mdp, mu, cfg.group_size, rng)
+    mu_rows = policy_rows(cfg.build_mu(), cfg.mdp)
+    pi_rows = policy_rows(cfg.build_pi(), cfg.mdp)
+    group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
+    rho = np.exp(group_log_ratios(group, pi_rows, mu_rows))
     spec = cfg.objective
-    report = dynamics_report(
-        group.trajectories, pi, mu, spec.n_step, spec.beta, spec.eps_low, spec.eps_high
-    )
+    report = dynamics_report(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
     demo_profile = alternating_profile(0.2, 50)
     before, after = smoothing_demo(
         demo_profile, spec.n_step, spec.beta, spec.eps_low, spec.eps_high
@@ -198,7 +197,8 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
 def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     mu = cfg.build_mu()
     pi = cfg.build_pi()
-    group = sample_group(cfg.mdp, mu, cfg.group_size, np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
+    group = sample_from_table(cfg.mdp, policy_rows(mu, cfg.mdp), cfg.group_size, rng)
     report = theorem_lower_bound(group, pi, mu, cfg.objective.n_step, cfg.alpha_conf)
     coverage = verify_coverage(
         cfg.mdp,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bounds import _bound_report, _policy_gap
 from .errors import TrainingDivergedError
-from .mdp import TokenMdp
+from .mdp import TokenMdp, prefix_match_lengths
 from .objectives import (
     ObjectiveSpec,
     _logit_gradient,
@@ -20,9 +20,9 @@ from .objectives import (
     gradient_norm,
     population_moments,
 )
-from .policies import TabularSoftmaxPolicy, policy_prob_table, total_variation
+from .policies import PolicyRows, TabularSoftmaxPolicy, policy_prob_table, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
-from .weights import ratios, ratios_from_values, sample_from_table, traces
+from .weights import clipped_trace, sample_from_table
 
 
 @dataclass(frozen=True)
@@ -112,24 +112,26 @@ def train(
         raise ValueError("rollout_refresh must be >= 1")
     rng = np.random.default_rng(seed)
     records: list[TrainRecord] = []
+    matched = prefix_match_lengths(mdp, mdp.target)
     p_pi = pi.prob_table(mdp)
     for step in range(steps):
         if step % rollout_refresh == 0:
             p_mu = p_pi
             p_mu.flags.writeable = False
-            group = sample_from_table(mdp, p_mu, group_size, rng)
-        terms, coeffs = _token_terms(group, p_pi, p_mu, objective_spec)
+            group = sample_from_table(mdp, PolicyRows(p_mu), group_size, rng)
+        pi_rows = PolicyRows(p_pi)
+        terms, coeffs = _token_terms(group, pi_rows, PolicyRows(p_mu), objective_spec)
         value = float(group.weights @ terms.sum(axis=-1))
         if not math.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} at step {step}")
-        gradient = _logit_gradient(group, pi, p_pi, coeffs)
+        gradient = _logit_gradient(group, pi, pi_rows, coeffs)
         pi.apply_gradient(gradient, learning_rate)
         p_pi = pi.prob_table(mdp)
         records.append(
             TrainRecord(
                 step=step,
                 objective=value,
-                exact_return=_return_from_table(mdp, p_pi),
+                exact_return=_return_from_table(mdp, p_pi, matched),
                 dtv_max=float(total_variation(p_mu, p_pi).max()),
                 grad_norm=gradient_norm(gradient),
             )
@@ -158,52 +160,37 @@ class DynamicsReport:
 
 
 def switch_count(signal: np.ndarray) -> int:
-    """Adjacent pairs strictly straddling the neutral value 1."""
+    """Adjacent pairs strictly straddling the neutral value 1, summed over
+    every row of the last axis."""
     deviations = np.asarray(signal, dtype=float) - 1.0
-    return int(np.sum(deviations[:-1] * deviations[1:] < 0.0))
+    return int(np.sum(deviations[..., :-1] * deviations[..., 1:] < 0.0))
 
 
 def switch_frequency(signal: Sequence[float]) -> float:
+    """Share of adjacent pairs that switch, pooled over every row of the last axis."""
     signal = np.asarray(signal, dtype=float)
-    if len(signal) < 2:
+    if signal.shape[-1] < 2:
         raise ValueError("switch frequency needs at least 2 tokens")
-    return switch_count(signal) / (len(signal) - 1)
+    return switch_count(signal) / (signal.size - signal.size // signal.shape[-1])
 
 
 def dynamics_report(
-    trajectories: Sequence[Sequence[int]],
-    pi,
-    mu,
-    n_step: int,
-    beta: float,
-    eps_low: float,
-    eps_high: float,
+    rho: np.ndarray, n_step: int, beta: float, eps_low: float, eps_high: float
 ) -> DynamicsReport:
-    """Correction-strength / switch-frequency metrics over pooled rollouts."""
-    if not trajectories:
-        raise ValueError("dynamics_report needs at least one trajectory")
-    abs_dev_rho: list[np.ndarray] = []
-    abs_dev_trace: list[np.ndarray] = []
-    trace_values: list[np.ndarray] = []
-    switches_rho = switches_trace = pairs = 0
-    for y in trajectories:
-        if len(y) < 2:
-            raise ValueError("each trajectory needs at least 2 tokens")
-        profile = ratios(pi, mu, y)
-        clipped = traces(profile, n_step, beta, eps_low, eps_high).clipped
-        corrected = profile.ratios * clipped
-        abs_dev_rho.append(np.abs(profile.ratios - 1.0))
-        abs_dev_trace.append(np.abs(corrected - 1.0))
-        trace_values.append(clipped)
-        switches_rho += switch_count(profile.ratios)
-        switches_trace += switch_count(corrected)
-        pairs += len(y) - 1
+    """Correction-strength / switch-frequency metrics pooled over the tokens
+    of a [G, T] array of token ratios, one row per rollout."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 2 or len(rho) < 1:
+        raise ValueError("dynamics_report needs a [G, T] ratio array with G >= 1")
+    clipped = clipped_trace(rho, n_step, beta, eps_low, eps_high)
+    corrected = rho * clipped
+    # Pooled over the flattened tokens: 2-D reductions sum in another order.
     return DynamicsReport(
-        correction_strength_rho=float(np.concatenate(abs_dev_rho).mean()),
-        correction_strength_trace=float(np.concatenate(abs_dev_trace).mean()),
-        switch_freq_rho=switches_rho / pairs,
-        switch_freq_trace=switches_trace / pairs,
-        trace_variance=float(np.concatenate(trace_values).var(ddof=1)),
+        correction_strength_rho=float(np.abs(rho - 1.0).ravel().mean()),
+        correction_strength_trace=float(np.abs(corrected - 1.0).ravel().mean()),
+        switch_freq_rho=switch_frequency(rho),
+        switch_freq_trace=switch_frequency(corrected),
+        trace_variance=float(clipped.ravel().var(ddof=1)),
     )
 
 
@@ -226,7 +213,7 @@ def smoothing_demo(
 ) -> tuple[float, float]:
     """Switch frequency of a ratio profile before and after trace correction."""
     rho = np.asarray(oscillation_profile, dtype=float)
-    profile_obj = ratios_from_values(rho)
-    clipped = traces(profile_obj, n_step, beta, eps_low, eps_high).clipped
+    if np.any(rho <= 0):
+        raise ValueError("ratios must be positive")
+    clipped = clipped_trace(rho, n_step, beta, eps_low, eps_high)
     return switch_frequency(rho), switch_frequency(rho * clipped)
-

@@ -135,12 +135,6 @@ def reward(mdp: TokenMdp, y: Sequence[int]) -> float:
     return 1.0 if match_length(y, mdp.target) == len(mdp.target) else 0.0
 
 
-def enumerate_trajectories(mdp: TokenMdp) -> Iterator[Trajectory]:
-    """All |vocab|^horizon trajectories, each exactly once, lexicographic."""
-    check_enumeration_cap(mdp, mdp.n_trajectories)
-    return itertools.product(range(mdp.vocab_size), repeat=mdp.horizon)
-
-
 def enumerate_prefixes(mdp: TokenMdp) -> Iterator[Prefix]:
     """All reachable states: prefixes of length 0 .. horizon-1.
 
@@ -153,19 +147,6 @@ def enumerate_prefixes(mdp: TokenMdp) -> Iterator[Prefix]:
     return itertools.chain.from_iterable(
         itertools.product(v, repeat=length) for length in range(mdp.horizon)
     )
-
-
-def sample_trajectory(mdp: TokenMdp, policy, rng: np.random.Generator) -> Trajectory:
-    """Draw one trajectory token by token from policy(. | prefix)."""
-    tokens: list[int] = []
-    for _ in range(mdp.horizon):
-        probs = np.asarray(policy.probs(tuple(tokens)), dtype=float)
-        if probs.shape != (mdp.vocab_size,) or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"policy returned an invalid distribution: {probs!r}")
-        u = rng.random()
-        tok = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        tokens.append(min(tok, mdp.vocab_size - 1))
-    return tuple(tokens)
 
 
 # --- vectorized enumeration internals ---------------------------------------
@@ -195,12 +176,34 @@ def trajectory_chunks(
         del tokens  # a consumer that drops its chunk keeps one chunk alive, not two
 
 
+def extend_rows(mdp: TokenMdp, key: str, ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Row ids of the prefixes with row ids ``ids`` once ``tokens`` are appended:
+    state ids under key ``"prefix"``, matched target lengths under ``"match_length"``."""
+    if key == "prefix":
+        return ids * mdp.vocab_size + 1 + tokens
+    return _extend_match(ids, tokens, np.asarray(mdp.target, dtype=np.int64))
+
+
+def prefix_row_ids(mdp: TokenMdp, tokens: np.ndarray, key: str) -> np.ndarray:
+    """Row id under ``key`` (see :func:`extend_rows`) of every prefix y_{<t}
+    in a [m, T] token block."""
+    if key == "prefix" and mdp.n_prefixes - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"state ids at horizon {mdp.horizon} overflow int64")
+    ids = np.zeros(tokens.shape, dtype=np.int64)
+    for t in range(1, tokens.shape[1]):
+        ids[:, t] = extend_rows(mdp, key, ids[:, t - 1], tokens[:, t - 1])
+    return ids
+
+
 def prefix_state_ids(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
     """State id of every prefix y_{<t} in a [m, T] token block."""
-    state_ids = np.zeros(tokens.shape, dtype=np.int64)
-    for t in range(1, tokens.shape[1]):
-        state_ids[:, t] = state_ids[:, t - 1] * mdp.vocab_size + 1 + tokens[:, t - 1]
-    return state_ids
+    return prefix_row_ids(mdp, tokens, "prefix")
+
+
+def _extend_match(k: np.ndarray, tokens: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Match lengths of ``target`` once ``tokens`` extend prefixes matched up to ``k``."""
+    n = len(target)
+    return k + ((tokens == target[np.minimum(k, n - 1)]) & (k < n))
 
 
 def prefix_match_lengths(mdp: TokenMdp, target: Sequence[int]) -> np.ndarray:
@@ -211,21 +214,18 @@ def prefix_match_lengths(mdp: TokenMdp, target: Sequence[int]) -> np.ndarray:
     """
     check_enumeration_cap(mdp, mdp.n_prefixes)
     target = np.asarray(target, dtype=np.int64)
-    n, v = len(target), mdp.vocab_size
+    v = mdp.vocab_size
     levels = [np.zeros(1, dtype=np.int64)]
     for _ in range(1, mdp.horizon):
         parent = np.repeat(levels[-1], v)
-        token = np.tile(np.arange(v), len(levels[-1]))
-        levels.append(parent + ((token == target[np.minimum(parent, n - 1)]) & (parent < n)))
+        levels.append(_extend_match(parent, np.tile(np.arange(v), len(levels[-1])), target))
     return np.concatenate(levels)
 
 
 def reward_vector(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
     """Vectorized subsequence reward for a [m, T] block of trajectories."""
     target = np.asarray(mdp.target, dtype=np.int64)
-    n = len(target)
     k = np.zeros(tokens.shape[0], dtype=np.int64)
     for t in range(tokens.shape[1]):
-        need = target[np.minimum(k, n - 1)]
-        k = k + ((tokens[:, t] == need) & (k < n))
-    return (k == n).astype(np.float64)
+        k = _extend_match(k, tokens[:, t], target)
+    return (k == len(target)).astype(np.float64)

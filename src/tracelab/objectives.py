@@ -17,16 +17,19 @@ import numpy as np
 from .errors import ZeroSupportError
 from .mdp import (
     TokenMdp,
-    Trajectory,
     check_enumeration_cap,
     check_window,
     prefix_match_lengths,
     prefix_state_ids,
-    reward,
-    reward_vector,
     trajectory_chunks,
 )
-from .policies import TabularSoftmaxPolicy, policy_log_matrix, policy_prob_table
+from .policies import (
+    PolicyRows,
+    TabularSoftmaxPolicy,
+    policy_log_matrix,
+    policy_prob_table,
+    policy_rows,
+)
 from .weights import (
     MASK_NONE,
     GroupRollout,
@@ -35,7 +38,6 @@ from .weights import (
     group_log_ratios,
     group_token_mask,
     iter_window_products,
-    ratios,
 )
 
 OBJECTIVE_KINDS = ("nfpo", "mpg", "ppo")
@@ -87,14 +89,6 @@ class ObjectiveValue:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class PerSampleStat:
-    """Single-trajectory windowed-surrogate statistic."""
-
-    z: float
-    trajectory: Trajectory
-
-
 class VarianceReport(NamedTuple):
     per_sample: float
     per_group: float
@@ -108,18 +102,21 @@ def exact_return(mdp: TokenMdp, policy) -> float:
     return _return_from_table(mdp, policy_prob_table(policy, mdp))
 
 
-def _return_from_table(mdp: TokenMdp, probs: np.ndarray) -> float:
+def _return_from_table(mdp: TokenMdp, probs: np.ndarray, matched=None) -> float:
     """:func:`exact_return` from a state-indexed probability table.
 
     A state one token short of the horizon is worth the probability of its
     rewarded next tokens.  Every shorter state is worth the probability-
     weighted value of its |vocab| children, which are consecutive states one
-    level down, so each level is one row-wise dot.
+    level down, so each level is one row-wise dot.  ``matched`` is
+    ``prefix_match_lengths(mdp, mdp.target)`` when the caller has it.
     """
     check_enumeration_cap(mdp, mdp.n_trajectories)
+    if matched is None:
+        matched = prefix_match_lengths(mdp, mdp.target)
     v, n = mdp.vocab_size, len(mdp.target)
     first = mdp.n_prefixes - v ** (mdp.horizon - 1)
-    matched, last = prefix_match_lengths(mdp, mdp.target)[first:], probs[first:]
+    matched, last = matched[first:], probs[first:]
     value = np.where(matched == n, last.sum(axis=1), 0.0)
     value += np.where(matched == n - 1, last[:, mdp.target[-1]], 0.0)
     for t in range(mdp.horizon - 2, -1, -1):
@@ -164,6 +161,7 @@ def population_moments(
     keeps only its rewarded trajectories, and the moments only those mu can
     generate.  Every window comes from one suffix sum of the log ratios.
     """
+    check_enumeration_cap(mdp, mdp.n_trajectories)
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
     log_pi = policy_log_matrix(pi, mdp)
@@ -227,25 +225,18 @@ def variance_of_statistic(
 # --- empirical estimators ------------------------------------------------------
 
 
-def per_sample_statistic(mdp: TokenMdp, y: Sequence[int], pi, mu, n_step: int) -> PerSampleStat:
-    """Reward times the window-corrected sum of ratio deviations for one y."""
-    y = mdp.check_trajectory(y)
-    check_window(mdp.horizon, n_step)
-    (z,) = _windowed_statistics(reward(mdp, y), ratios(pi, mu, y).log_ratios, [n_step])
-    return PerSampleStat(z=float(z), trajectory=y)
-
-
 def n_step_surrogate_empirical(group: GroupRollout, pi, mu, n_step: int) -> float:
     """Group mean of the per-sample statistic; unbiased for the population value."""
-    p_pi = policy_prob_table(pi, group.mdp)
-    return _empirical_surrogate(group, p_pi, policy_prob_table(mu, group.mdp), n_step)
+    return _empirical_surrogate(
+        group, policy_rows(pi, group.mdp), policy_rows(mu, group.mdp), n_step
+    )
 
 
-def _empirical_surrogate(group: GroupRollout, p_pi, p_mu, n_step: int) -> float:
-    """:func:`n_step_surrogate_empirical` from prebuilt probability tables."""
+def _empirical_surrogate(group: GroupRollout, pi_rows, mu_rows, n_step: int) -> float:
+    """:func:`n_step_surrogate_empirical` from the two policies' rows."""
     check_window(group.mdp.horizon, n_step)
-    log_r = group_log_ratios(group, p_pi, p_mu)
-    (z,) = _windowed_statistics(reward_vector(group.mdp, group.tokens), log_r, [n_step])
+    log_r = group_log_ratios(group, pi_rows, mu_rows)
+    (z,) = _windowed_statistics(group.rewards, log_r, [n_step])
     return float(group.weights @ z)
 
 
@@ -253,7 +244,7 @@ def _empirical_surrogate(group: GroupRollout, p_pi, p_mu, n_step: int) -> float:
 
 
 def _token_terms(
-    group: GroupRollout, p_pi: np.ndarray, p_mu: np.ndarray, spec: ObjectiveSpec
+    group: GroupRollout, pi_rows: PolicyRows, mu_rows: PolicyRows, spec: ObjectiveSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-token objective terms and frozen gradient coefficients, both [G, T].
 
@@ -263,7 +254,7 @@ def _token_terms(
     evaluation point, so with coefficient c = w * A * keep * trace * rho a
     token's term has d/d logit(s, b) = c * (1{b = token} - pi(b | s)).
     """
-    rho = np.exp(group_log_ratios(group, p_pi, p_mu))
+    rho = np.exp(group_log_ratios(group, pi_rows, mu_rows))
     adv = group.advantages[:, None]
     trace = 1.0
     if spec.kind == "ppo":
@@ -271,91 +262,51 @@ def _token_terms(
         terms = np.minimum(rho * adv, clipped * adv)
         keep = rho * adv <= clipped * adv
     else:
-        keep = group_token_mask(spec.mask, group, rho, p_pi, p_mu)
+        keep = group_token_mask(spec.mask, group, rho, pi_rows, mu_rows)
         if spec.kind == "nfpo":
-            check_window(group.mdp.horizon, spec.n_step)
             trace = clipped_trace(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
         terms = keep * adv * rho * trace
     return terms, group.weights[:, None] * adv * keep * trace * rho
 
 
 def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> ObjectiveValue:
-    p_pi, p_mu = policy_prob_table(pi, group.mdp), policy_prob_table(mu, group.mdp)
-    terms, _ = _token_terms(group, p_pi, p_mu, spec)
+    """The practical objective ``spec`` of a group: nfpo (the masked surrogate
+    reweighted by the clipped forward trace), mpg (masked tokens contribute
+    nothing) or ppo (the clipped-ratio surrogate with the pessimistic min)."""
+    pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
+    terms, _ = _token_terms(group, pi_rows, mu_rows, spec)
     value = float(group.weights @ terms.sum(axis=-1))
     return ObjectiveValue(value=value, kind=spec.kind, params=spec.params())
 
 
 def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> dict:
     """Analytic gradient w.r.t. the tabular logits, keyed by state; states
-    no kept token touches are absent."""
+    no kept token touches are absent.  Masks and clipped traces are frozen
+    at the evaluation point, so gradient flows only through the token ratio."""
     if not isinstance(pi, TabularSoftmaxPolicy):
         raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
-    p_pi, p_mu = policy_prob_table(pi, group.mdp), policy_prob_table(mu, group.mdp)
-    _, coeffs = _token_terms(group, p_pi, p_mu, spec)
-    return _logit_gradient(group, pi, p_pi, coeffs)
+    pi_rows = policy_rows(pi, group.mdp)
+    _, coeffs = _token_terms(group, pi_rows, policy_rows(mu, group.mdp), spec)
+    return _logit_gradient(group, pi, pi_rows, coeffs)
 
 
 def _logit_gradient(
-    group: GroupRollout, pi: TabularSoftmaxPolicy, p_pi: np.ndarray, coeffs: np.ndarray
+    group: GroupRollout, pi: TabularSoftmaxPolicy, pi_rows: PolicyRows, coeffs: np.ndarray
 ) -> dict:
     """Scatter the frozen coefficients of :func:`_token_terms` into pi's
     logit rows, keyed by state."""
     hit = coeffs != 0.0
-    states, c = group.state_ids[hit], coeffs[hit]
-    contrib = -c[:, None] * p_pi[states]
+    c = coeffs[hit]
+    contrib = -c[:, None] * group.dists(pi_rows)[hit]
     contrib[np.arange(len(c)), group.tokens[hit]] += c
-    rows = pi.state_rows(group.mdp)[states]
+    if pi.state_key == "match_length" and pi.mdp.target != group.mdp.target:
+        rows = prefix_match_lengths(group.mdp, pi.mdp.target)[group.row_ids("prefix")[hit]]
+    else:
+        rows = group.row_ids(pi.state_key)[hit]
     grad = np.zeros((len(pi.logits), group.mdp.vocab_size))
     np.add.at(grad, rows, contrib)
     keys = list(pi.logits)
     return {keys[r]: grad[r] for r in np.flatnonzero(np.bincount(rows, minlength=len(grad)))}
-
-
-def ppo_objective(group: GroupRollout, pi, mu, eps_low: float, eps_high: float) -> float:
-    """Clipped-ratio surrogate with the usual pessimistic min."""
-    spec = ObjectiveSpec("ppo", eps_low=eps_low, eps_high=eps_high)
-    return objective_value(group, pi, mu, spec).value
-
-
-def mpg_objective(group: GroupRollout, pi, mu, mask: MaskSpec) -> float:
-    """Masked token-level surrogate: masked tokens contribute exactly nothing."""
-    return objective_value(group, pi, mu, ObjectiveSpec("mpg", mask=mask)).value
-
-
-def nfpo_objective(
-    group: GroupRollout,
-    pi,
-    mu,
-    n_step: int,
-    beta: float,
-    eps_low: float,
-    eps_high: float,
-    mask: MaskSpec,
-) -> float:
-    """Masked surrogate reweighted by the clipped forward trace.
-
-    The trace enters as a frozen coefficient: it shapes the value here and
-    is held constant by :func:`nfpo_gradient` when differentiating.
-    """
-    spec = ObjectiveSpec("nfpo", n_step, beta, eps_low, eps_high, mask)
-    return objective_value(group, pi, mu, spec).value
-
-
-def nfpo_gradient(
-    group: GroupRollout,
-    pi,
-    mu,
-    n_step: int,
-    beta: float,
-    eps_low: float,
-    eps_high: float,
-    mask: MaskSpec,
-) -> dict:
-    """Analytic gradient with masks and clipped traces frozen at the
-    evaluation point; gradient flows only through the token ratio."""
-    spec = ObjectiveSpec("nfpo", n_step, beta, eps_low, eps_high, mask)
-    return objective_gradient(group, pi, mu, spec)
 
 
 def gradient_norm(gradient: dict) -> float:

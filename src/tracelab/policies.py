@@ -9,7 +9,7 @@ by the matched-target length.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +23,15 @@ from .mdp import (
 )
 
 StateKey = Hashable
+
+
+class PolicyRows(NamedTuple):
+    """A policy's distinct token distributions, and the key that picks a
+    state's row (see :func:`tracelab.mdp.extend_rows`); every state-indexed
+    table is prefix-keyed rows."""
+
+    probs: np.ndarray
+    key: str = "prefix"
 
 
 class TargetFollowingPolicy:
@@ -48,6 +57,10 @@ class TargetFollowingPolicy:
 
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
         return self._table[match_length(prefix, self.mdp.target)]
+
+    def rows(self) -> PolicyRows:
+        """The |target|+1 distributions, one per matched length."""
+        return PolicyRows(self._table, "match_length")
 
     def prob_table(self, mdp: TokenMdp) -> np.ndarray:
         """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
@@ -142,18 +155,18 @@ class TabularSoftmaxPolicy:
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
         return _softmax(self._row(prefix))
 
-    def state_rows(self, mdp: TokenMdp) -> np.ndarray:
-        """Logit row of every state id of ``mdp``."""
-        if self.state_key == "match_length":
-            return prefix_match_lengths(mdp, self.mdp.target)
-        check_enumeration_cap(mdp, mdp.n_prefixes)
-        if mdp.vocab_size != self.mdp.vocab_size or mdp.n_prefixes > len(self._table):
-            raise UnknownStateError("prefix-keyed logits do not cover this MDP's states")
-        return np.arange(mdp.n_prefixes)
+    def rows(self) -> PolicyRows:
+        """The softmax of every logit row, keyed by ``state_key``."""
+        return PolicyRows(_softmax(self._table), self.state_key)
 
     def prob_table(self, mdp: TokenMdp) -> np.ndarray:
         """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
-        return _softmax(self._table)[self.state_rows(mdp)]
+        if self.state_key == "match_length":
+            return _softmax(self._table)[prefix_match_lengths(mdp, self.mdp.target)]
+        check_enumeration_cap(mdp, mdp.n_prefixes)
+        if mdp.vocab_size != self.mdp.vocab_size or mdp.n_prefixes > len(self._table):
+            raise UnknownStateError("prefix-keyed logits do not cover this MDP's states")
+        return _softmax(self._table[: mdp.n_prefixes])
 
     def apply_gradient(self, gradient: dict[StateKey, np.ndarray], learning_rate: float) -> None:
         """Ascent step: logits[state] += learning_rate * gradient[state]."""
@@ -169,23 +182,6 @@ class TabularSoftmaxPolicy:
         return f"TabularSoftmaxPolicy(states={len(self.logits)}, state_key={self.state_key!r})"
 
 
-def token_prob(policy, prefix: Sequence[int], token: int) -> float:
-    """Probability of one token at one state."""
-    return float(policy.probs(prefix)[token])
-
-
-def trajectory_log_prob(policy, y: Sequence[int]) -> float:
-    """log P(y) under the policy's autoregressive factorization."""
-    y = tuple(y)
-    total = 0.0
-    for t, tok in enumerate(y):
-        p = float(policy.probs(y[:t])[tok])
-        if p == 0.0:
-            return -np.inf
-        total += np.log(p)
-    return total
-
-
 def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Total variation distance between distributions along the last axis."""
     return 0.5 * np.abs(p - q).sum(axis=-1)
@@ -195,18 +191,6 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """KL(p || q) along the last axis; terms with p = 0 contribute nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0).sum(axis=-1)
-
-
-def state_tv(mu, pi, prefix: Sequence[int]) -> float:
-    """Total variation distance between the two token distributions at a state."""
-    return float(total_variation(np.asarray(mu.probs(prefix)), np.asarray(pi.probs(prefix))))
-
-
-def state_kl(mu, pi, prefix: Sequence[int]) -> float:
-    """KL(mu(.|s) || pi(.|s)); the rollout-to-target direction."""
-    p = np.asarray(mu.probs(prefix), dtype=float)
-    q = np.asarray(pi.probs(prefix), dtype=float)
-    return float(kl_divergence(p, q))
 
 
 def d_tv_max(mu, pi, mdp: TokenMdp) -> float:
@@ -244,6 +228,17 @@ def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
     for i, prefix in enumerate(prefixes):
         rows[i] = np.asarray(policy.probs(prefix), dtype=float)
     return rows
+
+
+def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:
+    """The rows that a sampled group of ``mdp`` reads for ``policy``: its own
+    rows when it was built for the same tokens, horizon and target, and its
+    state-indexed table otherwise."""
+    if hasattr(policy, "rows"):
+        own = policy.mdp
+        if (own.vocab, own.horizon, own.target) == (mdp.vocab, mdp.horizon, mdp.target):
+            return policy.rows()
+    return PolicyRows(policy_prob_table(policy, mdp))
 
 
 def policy_log_matrix(policy, mdp: TokenMdp) -> np.ndarray:

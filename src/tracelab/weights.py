@@ -1,5 +1,5 @@
-"""Per-trajectory weighting machinery: likelihood ratios, forward traces,
-token masks, and group-centered advantages.
+"""Per-group weighting machinery: likelihood ratios, forward traces, token
+masks, and group-centered advantages.
 
 All products are accumulated in log space and exponentiated once, so the
 window/residual decomposition stays numerically exact at any horizon.
@@ -17,51 +17,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ZeroSupportError
-from .mdp import (
-    TokenMdp,
-    Trajectory,
-    check_window,
-    prefix_state_ids,
-    reward_vector,
-    sample_trajectory,
-    trajectory_chunks,
-)
-from .policies import kl_divergence, policy_log_matrix, state_kl, state_tv, total_variation
-
-
-@dataclass(frozen=True)
-class RatioProfile:
-    """Per-token likelihood ratios pi/mu along one trajectory."""
-
-    ratios: np.ndarray
-    log_ratios: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ratios)
-
-
-def ratios(pi, mu, y: Sequence[int]) -> RatioProfile:
-    """Token-level likelihood ratios of pi relative to mu along y."""
-    y = tuple(y)
-    log_r = np.zeros(len(y))
-    if pi is not mu:
-        for t, tok in enumerate(y):
-            prefix = y[:t]
-            p_mu = float(mu.probs(prefix)[tok])
-            if p_mu == 0.0:
-                raise ZeroSupportError(
-                    f"rollout policy gives zero probability to token {tok} at step {t + 1}"
-                )
-            log_r[t] = np.log(float(pi.probs(prefix)[tok])) - np.log(p_mu)
-    return RatioProfile(ratios=np.exp(log_r), log_ratios=log_r)
-
-
-def ratios_from_values(values: Sequence[float]) -> RatioProfile:
-    """Wrap a raw positive ratio sequence as a profile (for constructed demos)."""
-    arr = np.asarray(values, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("ratios must be positive")
-    return RatioProfile(ratios=arr, log_ratios=np.log(arr))
+from .mdp import TokenMdp, Trajectory, check_window, extend_rows, prefix_row_ids, reward_vector
+from .policies import PolicyRows, kl_divergence, total_variation
 
 
 def window_products(log_ratios: np.ndarray, n_step: int) -> np.ndarray:
@@ -101,63 +58,16 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TraceSet:
-    """Forward-trace family for one ratio profile.
-
-    full[i]          product of all ratios after token i+1 (1 at the end)
-    n_step[i]        product of the next window of ratios only
-    residual[i]      product of the ratios the window left out
-    clipped_ratio[i] token ratio clipped to [1/beta, beta]
-    clipped[i]       window product of clipped ratios, then clipped to
-                     [1 - eps_low, 1 + eps_high]
-    """
-
-    full: np.ndarray
-    n_step: np.ndarray
-    residual: np.ndarray
-    clipped_ratio: np.ndarray
-    clipped: np.ndarray
-    horizon_n: int
-    beta: float
-    eps_low: float
-    eps_high: float
-
-
-def traces(
-    profile: RatioProfile,
-    n_step: int,
-    beta: float,
-    eps_low: float,
-    eps_high: float,
-) -> TraceSet:
-    """All trace variants for one trajectory's ratio profile."""
-    t_len = len(profile)
-    check_window(t_len, n_step)
+def clipped_trace(ratios, n_step: int, beta: float, eps_low: float, eps_high: float) -> np.ndarray:
+    """Window product of ratios clipped to [1/beta, beta], then clipped to
+    [1 - eps_low, 1 + eps_high]; along the last axis."""
+    check_window(np.shape(ratios)[-1], n_step)
     if not beta > 1:
         raise ValueError(f"beta must exceed 1, got {beta}")
     if not 0.0 < eps_low < 1.0:
         raise ValueError(f"eps_low must lie in (0, 1), got {eps_low}")
     if not eps_high > 0.0:
         raise ValueError(f"eps_high must be positive, got {eps_high}")
-
-    suffix = _suffix_sums(profile.log_ratios)
-    return TraceSet(
-        full=np.exp(suffix[1:]),
-        n_step=window_products(profile.log_ratios, n_step),
-        residual=np.exp(suffix[np.minimum(np.arange(t_len) + n_step, t_len)]),
-        clipped_ratio=np.clip(profile.ratios, 1.0 / beta, beta),
-        clipped=clipped_trace(profile.ratios, n_step, beta, eps_low, eps_high),
-        horizon_n=n_step,
-        beta=beta,
-        eps_low=eps_low,
-        eps_high=eps_high,
-    )
-
-
-def clipped_trace(ratios, n_step: int, beta: float, eps_low: float, eps_high: float) -> np.ndarray:
-    """Window product of ratios clipped to [1/beta, beta], then clipped to
-    [1 - eps_low, 1 + eps_high]; along the last axis."""
     log_clipped = np.log(np.clip(ratios, 1.0 / beta, beta))
     return np.clip(window_products(log_clipped, n_step), 1.0 - eps_low, 1.0 + eps_high)
 
@@ -218,30 +128,15 @@ def _keep(mask: MaskSpec, rho: np.ndarray, advantage, measure: Callable) -> np.n
     return (measure() <= mask.delta) | toward_rollout
 
 
-def token_mask(
-    mask: MaskSpec,
-    profile: RatioProfile,
-    advantage: float,
-    mu,
-    pi,
-    y: Sequence[int],
+def group_token_mask(
+    mask: MaskSpec, group: GroupRollout, rho, pi_rows: PolicyRows, mu_rows: PolicyRows
 ) -> np.ndarray:
-    """Binary keep/drop vector for one trajectory's tokens."""
-    y = tuple(y)
-    measure = state_tv if mask.kind == "tv" else state_kl
-
-    def per_token() -> np.ndarray:
-        return np.array([measure(mu, pi, y[:t]) for t in range(len(y))])
-
-    return _keep(mask, profile.ratios, advantage, per_token).astype(np.int64)
-
-
-def group_token_mask(mask: MaskSpec, group: GroupRollout, rho, p_pi, p_mu) -> np.ndarray:
-    """:func:`token_mask` for a whole group as a [G, T] bool array, with the
-    state TV or KL read from state-indexed probability tables."""
+    """Keep/drop of every token of a group as a [G, T] bool array, for token
+    ratios ``rho``; the tv and kl masks measure each token's state from the
+    two policies' rows."""
     measure = total_variation if mask.kind == "tv" else kl_divergence
     advantage = group.advantages[:, None]
-    return _keep(mask, rho, advantage, lambda: measure(p_mu, p_pi)[group.state_ids])
+    return _keep(mask, rho, advantage, lambda: measure(group.dists(mu_rows), group.dists(pi_rows)))
 
 
 # --- group rollouts ----------------------------------------------------------
@@ -259,11 +154,11 @@ def group_advantages(rewards: Sequence[float]) -> np.ndarray:
 class GroupRollout:
     """A batch of trajectories with rewards and group-centered advantages.
 
-    ``tokens`` is a read-only ``[G, T]`` integer array and ``state_ids``
-    holds the state id of every token's prefix, the row index into the
-    state-indexed policy tables.  ``weights`` are the aggregation weights of
-    the batch mean: uniform 1/G for sampled groups, exact trajectory
-    probabilities for the population pseudo-group used in enumeration checks.
+    ``tokens`` is a read-only ``[G, T]`` integer array.  :meth:`row_ids`
+    gives the row id of every token's prefix under a row key, built the
+    first time a policy with that key reads the group.  ``weights`` are the
+    aggregation weights of the batch mean: uniform 1/G for sampled groups,
+    exact trajectory probabilities for a population pseudo-group.
     """
 
     mdp: TokenMdp
@@ -271,7 +166,7 @@ class GroupRollout:
     rewards: np.ndarray
     advantages: np.ndarray
     weights: np.ndarray
-    state_ids: np.ndarray = field(init=False, repr=False)
+    _row_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tokens = np.array(self.tokens)
@@ -286,10 +181,20 @@ class GroupRollout:
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("rollout group weights must sum to 1")
         tokens = tokens.astype(np.int64, copy=False)
-        state_ids = prefix_state_ids(self.mdp, tokens)
-        tokens.flags.writeable = state_ids.flags.writeable = False
+        tokens.flags.writeable = False
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "state_ids", state_ids)
+
+    def row_ids(self, key: str) -> np.ndarray:
+        """Read-only [G, T] row ids under ``key`` of every token's prefix."""
+        if key not in self._row_ids:
+            ids = prefix_row_ids(self.mdp, self.tokens, key)
+            ids.flags.writeable = False
+            self._row_ids[key] = ids
+        return self._row_ids[key]
+
+    def dists(self, rows: PolicyRows) -> np.ndarray:
+        """The distribution of every token's state, [G, T, V]."""
+        return rows.probs[self.row_ids(rows.key)]
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -301,56 +206,48 @@ class GroupRollout:
         return len(self.tokens)
 
 
-def group_log_ratios(group: GroupRollout, p_pi: np.ndarray, p_mu: np.ndarray) -> np.ndarray:
-    """log(pi / mu) at every token of the group, [G, T], read from
-    state-indexed probability tables."""
-    at = (group.state_ids, group.tokens)
-    p_mu_tok = p_mu[at]
-    if np.any(p_mu_tok == 0.0):
+def group_log_ratios(group: GroupRollout, pi_rows: PolicyRows, mu_rows: PolicyRows) -> np.ndarray:
+    """log(pi / mu) at every token of the group, [G, T], read from each
+    policy's rows."""
+    p_mu, p_pi = (rows.probs[group.row_ids(rows.key), group.tokens] for rows in (mu_rows, pi_rows))
+    if np.any(p_mu == 0.0):
         raise ZeroSupportError("rollout policy gives zero probability to a sampled token")
     with np.errstate(divide="ignore"):
-        return np.log(p_pi[at]) - np.log(p_mu_tok)
-
-
-def sample_group(
-    mdp: TokenMdp, mu, group_size: int, rng: np.random.Generator
-) -> GroupRollout:
-    """Sample G trajectories from the rollout policy and center their rewards."""
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    tokens = np.array([sample_trajectory(mdp, mu, rng) for _ in range(group_size)])
-    return _sampled_group(mdp, tokens)
+        return np.log(p_pi) - np.log(p_mu)
 
 
 def sample_from_table(
-    mdp: TokenMdp, p_mu: np.ndarray, group_size: int, rng: np.random.Generator
+    mdp: TokenMdp, mu_rows: PolicyRows, group_size: int, rng: np.random.Generator
 ) -> GroupRollout:
-    """:func:`sample_group` from the rollout policy's state-indexed table.
+    """Sample G trajectories from the rollout policy's rows and center their rewards.
 
-    One ``[G, T]`` draw of uniforms, in the trajectory-major order in which
-    :func:`sample_group` draws them one token at a time, so equal generators
-    give equal tokens.  Each step is an inverse-CDF lookup for all G rows.
-    Like :func:`sample_trajectory`, it checks every distribution the draw
-    reads, so a draw costs O(G T V) however many states the table has.
+    One ``[G, T]`` draw of uniforms, in the trajectory-major order of a
+    token-by-token sampler, so equal generators give equal tokens.  Each
+    step is an inverse-CDF lookup for all G rows at the row ids of mu's key,
+    which the group keeps.  Every distribution the draw reads is checked.
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    p_mu = np.asarray(p_mu, dtype=float)
+    probs, key = np.asarray(mu_rows.probs, dtype=float), mu_rows.key
     v = mdp.vocab_size
-    if p_mu.shape != (mdp.n_prefixes, v):
-        raise ValueError(f"rollout table must be [{mdp.n_prefixes}, {v}], got {p_mu.shape}")
+    n_rows = mdp.n_prefixes if key == "prefix" else len(mdp.target) + 1
+    if probs.shape != (n_rows, v):
+        raise ValueError(f"rollout rows must be [{n_rows}, {v}], got {probs.shape}")
     u = rng.random((group_size, mdp.horizon))
     tokens = np.empty(u.shape, dtype=np.int64)
-    states = np.zeros(u.shape, dtype=np.int64)
+    ids = np.zeros(u.shape, dtype=np.int64)
     for t in range(mdp.horizon):
-        below = np.cumsum(p_mu[states[:, t]], axis=1) <= u[:, t, None]
+        below = np.cumsum(probs[ids[:, t]], axis=1) <= u[:, t, None]
         tokens[:, t] = np.minimum(below.sum(axis=1), v - 1)
         if t + 1 < mdp.horizon:
-            states[:, t + 1] = states[:, t] * v + 1 + tokens[:, t]
-    read = p_mu[states]
+            ids[:, t + 1] = extend_rows(mdp, key, ids[:, t], tokens[:, t])
+    read = probs[ids]
     if np.any(read < 0) or not np.all(np.abs(read.sum(axis=-1) - 1.0) <= 1e-9):
-        raise ValueError("rollout table holds an invalid distribution at a sampled state")
-    return _sampled_group(mdp, tokens)
+        raise ValueError("rollout rows hold an invalid distribution at a sampled state")
+    group = _sampled_group(mdp, tokens)
+    ids.flags.writeable = False
+    group._row_ids[key] = ids
+    return group
 
 
 def _sampled_group(mdp: TokenMdp, tokens: np.ndarray) -> GroupRollout:
@@ -362,27 +259,4 @@ def _sampled_group(mdp: TokenMdp, tokens: np.ndarray) -> GroupRollout:
         rewards=rewards,
         advantages=rewards - rewards.mean(),
         weights=np.full(len(tokens), 1.0 / len(tokens)),
-    )
-
-
-def population_group(mdp: TokenMdp, mu) -> GroupRollout:
-    """Every trajectory, weighted by its exact rollout probability.
-
-    Batch means over this pseudo-group are population expectations under mu;
-    zero-probability trajectories are dropped so ratios stay well-defined.
-    """
-    log_mu = policy_log_matrix(mu, mdp)
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for tokens, rewards in trajectory_chunks(mdp):
-        log_p = log_mu[prefix_state_ids(mdp, tokens), tokens].sum(axis=1)
-        keep = ~np.isneginf(log_p)
-        blocks.append((tokens[keep], np.exp(log_p[keep]), rewards[keep]))
-    tokens, weights, rewards = (np.concatenate(parts) for parts in zip(*blocks))
-    mean_reward = float(weights @ rewards)
-    return GroupRollout(
-        mdp=mdp,
-        tokens=tokens,
-        rewards=rewards,
-        advantages=rewards - mean_reward,
-        weights=weights,
     )

@@ -21,29 +21,28 @@ from tracelab import (
     b_n_increment,
     bias_variance_sweep,
     d_tv_max,
-    mpg_objective,
     n_step_surrogate_population,
-    nfpo_gradient,
-    nfpo_objective,
+    objective_gradient,
+    objective_value,
     performance_difference_direct,
     performance_difference_trace,
-    ratios,
-    residual_check,
-    sample_group,
     smoothing_demo,
-    traces,
     train,
     truncation_bias_bound,
     verify_coverage,
 )
-from tracelab.lab import ratios_from_values
 from helpers import (
+    brute_force_local_surrogate,
     finite_difference_gradient,
     frozen_nfpo_coefficients,
     gradient_gap,
-    brute_force_local_surrogate,
     random_setups,
     random_tabular,
+    ratios,
+    ratios_from_values,
+    residual_check,
+    sample_group,
+    traces,
 )
 
 
@@ -185,7 +184,8 @@ def test_c09_gradient_vs_finite_differences():
             pi = random_tabular(mdp, rng)
             group = sample_group(mdp, mu, 6, rng)
             mask = masks[trial % len(masks)]
-            analytic = nfpo_gradient(group, pi, mu, 2, 3.0, 0.2, 0.4, mask)
+            spec = ObjectiveSpec("nfpo", 2, 3.0, 0.2, 0.4, mask)
+            analytic = objective_gradient(group, pi, mu, spec)
             coeffs = frozen_nfpo_coefficients(group, pi, mu, 2, 3.0, 0.2, 0.4, mask)
             numeric = finite_difference_gradient(group, pi, mu, coeffs)
             assert gradient_gap(analytic, numeric, list(pi.logits), mdp.vocab_size) < 1e-5
@@ -218,8 +218,9 @@ def test_c11_trivial_window_equivalence(toy_mdp, mu05, pi08):
         for trial in range(20):
             group = sample_group(toy_mdp, mu05, 8, rng)
             mask = masks[trial % len(masks)]
-            a = nfpo_objective(group, pi08, mu05, 1, 3.0, 0.2, 0.4, mask)
-            b = mpg_objective(group, pi08, mu05, mask)
+            nfpo = ObjectiveSpec("nfpo", 1, 3.0, 0.2, 0.4, mask)
+            a = objective_value(group, pi08, mu05, nfpo).value
+            b = objective_value(group, pi08, mu05, ObjectiveSpec("mpg", mask=mask)).value
             assert abs(a - b) < 1e-14
 
 

@@ -1,11 +1,13 @@
 """Property tests: the batched group kernels against their per-trajectory oracles.
 
-Objective values and gradients come from state-indexed tables and one
-[G, T] pass; the oracle walks each sampled trajectory prefix by prefix with
+Objective values and gradients come from each policy's rows and one [G, T]
+pass; the oracle walks each sampled trajectory prefix by prefix with
 ``ratios``, ``traces`` and ``token_mask`` (via
 ``helpers.frozen_nfpo_coefficients``) and the score-function identity.
-The table sampler is checked token for token against ``sample_group``.
+The row sampler is checked token for token against ``sample_group``.
 """
+
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -16,17 +18,28 @@ from tracelab import (
     GroupRollout,
     MaskSpec,
     ObjectiveSpec,
+    PolicyRows,
     TabularSoftmaxPolicy,
+    TargetFollowingPolicy,
+    dynamics_report,
     enumerate_prefixes,
     objective_gradient,
     objective_value,
+    policy_rows,
+)
+from tracelab.lab import DynamicsReport, switch_count
+from tracelab.policies import policy_prob_table
+from tracelab.weights import group_log_ratios, group_token_mask, sample_from_table
+from helpers import (
+    frozen_nfpo_coefficients,
+    random_setups,
+    random_small_mdp,
+    random_tabular,
     ratios,
     sample_group,
     token_mask,
+    traces,
 )
-from tracelab.policies import policy_prob_table
-from tracelab.weights import group_log_ratios, group_token_mask, sample_from_table
-from helpers import frozen_nfpo_coefficients, random_setups, random_small_mdp
 
 MASK_KINDS = ["none", "grpo_ratio", "tv", "kl", "icepop"]
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -111,12 +124,12 @@ def test_gradient_rows_sum_to_zero(kind, setup, mask_kind):
 @given(setup=sampled_setups())
 def test_every_mask_keeps_a_subset_of_none(setup):
     pi, mu, group, _, delta = setup
-    p_pi, p_mu = policy_prob_table(pi, group.mdp), policy_prob_table(mu, group.mdp)
-    rho = np.exp(group_log_ratios(group, p_pi, p_mu))
-    keep_all = group_token_mask(MaskSpec("none"), group, rho, p_pi, p_mu)
+    pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
+    rho = np.exp(group_log_ratios(group, pi_rows, mu_rows))
+    keep_all = group_token_mask(MaskSpec("none"), group, rho, pi_rows, mu_rows)
     assert keep_all.all()
     for mask in (_mask(kind, delta) for kind in MASK_KINDS[1:]):
-        keep = group_token_mask(mask, group, rho, p_pi, p_mu)
+        keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
         assert np.all(keep <= keep_all)
         for row, adv, y in zip(keep, group.advantages, group.trajectories):
             oracle = token_mask(mask, ratios(pi, mu, y), float(adv), mu, pi, y)
@@ -154,12 +167,15 @@ def rollout_policies(draw):
 @PROPERTY
 @given(setup=rollout_policies(), group_size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_table_sampler_draws_the_tokens_of_sample_group(setup, group_size, seed):
+    """From the policy's own rows and from its state-indexed table alike."""
     mdp, mu = setup
-    table_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batched = sample_from_table(mdp, policy_prob_table(mu, mdp), group_size, table_rng)
+    oracle_rng = np.random.default_rng(seed)
     oracle = sample_group(mdp, mu, group_size, oracle_rng)
-    np.testing.assert_array_equal(batched.tokens, oracle.tokens)
-    assert table_rng.bit_generator.state == oracle_rng.bit_generator.state
+    for rows in (policy_rows(mu, mdp), PolicyRows(policy_prob_table(mu, mdp))):
+        table_rng = np.random.default_rng(seed)
+        batched = sample_from_table(mdp, rows, group_size, table_rng)
+        np.testing.assert_array_equal(batched.tokens, oracle.tokens)
+        assert table_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TablePolicy:
@@ -198,9 +214,9 @@ def test_table_sampler_rejects_the_rows_sample_group_rejects(setup, bad, where, 
     assert oracle is None or not at_root
     if oracle is None:
         with pytest.raises(ValueError):
-            sample_from_table(mdp, table, 3, np.random.default_rng(where))
+            sample_from_table(mdp, PolicyRows(table), 3, np.random.default_rng(where))
     else:
-        batched = sample_from_table(mdp, table, 3, np.random.default_rng(where))
+        batched = sample_from_table(mdp, PolicyRows(table), 3, np.random.default_rng(where))
         np.testing.assert_array_equal(batched.tokens, oracle.tokens)
 
 
@@ -214,4 +230,88 @@ def test_table_sampler_rejects_wrong_shapes(toy_mdp, mu05, shape):
     else:
         table = table.ravel()
     with pytest.raises(ValueError):
-        sample_from_table(toy_mdp, table, 2, np.random.default_rng(0))
+        sample_from_table(toy_mdp, PolicyRows(table), 2, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_from_table(toy_mdp, PolicyRows(table, "match_length"), 2, np.random.default_rng(0))
+
+
+def per_prefix_dynamics_report(
+    trajectories: Sequence[Sequence[int]],
+    pi,
+    mu,
+    n_step: int,
+    beta: float,
+    eps_low: float,
+    eps_high: float,
+) -> DynamicsReport:
+    """``dynamics_report`` trajectory by trajectory, from ``ratios`` and ``traces``."""
+    if not trajectories:
+        raise ValueError("dynamics_report needs at least one trajectory")
+    abs_dev_rho: list[np.ndarray] = []
+    abs_dev_trace: list[np.ndarray] = []
+    trace_values: list[np.ndarray] = []
+    switches_rho = switches_trace = pairs = 0
+    for y in trajectories:
+        if len(y) < 2:
+            raise ValueError("each trajectory needs at least 2 tokens")
+        profile = ratios(pi, mu, y)
+        clipped = traces(profile, n_step, beta, eps_low, eps_high).clipped
+        corrected = profile.ratios * clipped
+        abs_dev_rho.append(np.abs(profile.ratios - 1.0))
+        abs_dev_trace.append(np.abs(corrected - 1.0))
+        trace_values.append(clipped)
+        switches_rho += switch_count(profile.ratios)
+        switches_trace += switch_count(corrected)
+        pairs += len(y) - 1
+    return DynamicsReport(
+        correction_strength_rho=float(np.concatenate(abs_dev_rho).mean()),
+        correction_strength_trace=float(np.concatenate(abs_dev_trace).mean()),
+        switch_freq_rho=switches_rho / pairs,
+        switch_freq_trace=switches_trace / pairs,
+        trace_variance=float(np.concatenate(trace_values).var(ddof=1)),
+    )
+
+
+@st.composite
+def mixed_setups(draw):
+    """A random small MDP, pi and mu each target-following, prefix-keyed
+    tabular or match-length-keyed tabular, and a group drawn from mu's rows."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    mdp = random_small_mdp(rng)
+
+    def policy(kind):
+        if kind == "target_following":
+            return TargetFollowingPolicy(mdp, rng.uniform(0.05, 0.95))
+        if kind == "prefix":
+            return random_tabular(mdp, rng)
+        logits = {k: rng.normal(0.0, 0.8, mdp.vocab_size) for k in range(len(mdp.target) + 1)}
+        return TabularSoftmaxPolicy(mdp, logits, "match_length")
+
+    kinds = st.sampled_from(["target_following", "prefix", "match_length"])
+    pi, mu = policy(draw(kinds)), policy(draw(kinds))
+    return mdp, pi, mu, draw(st.integers(1, 6)), seed, draw(st.floats(0.005, 0.5))
+
+
+@PROPERTY
+@given(setup=mixed_setups(), n_step=st.integers(1, 6))
+def test_row_indexed_group_equals_per_prefix_oracles(setup, n_step):
+    """Sampler, log ratios, every mask and the dynamics report, read from
+    each policy's own rows, equal the prefix-by-prefix oracles exactly."""
+    mdp, pi, mu, group_size, seed, delta = setup
+    n_step = min(n_step, mdp.horizon)
+    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    group = sample_from_table(mdp, mu_rows, group_size, np.random.default_rng(seed))
+    oracle = sample_group(mdp, mu, group_size, np.random.default_rng(seed))
+    np.testing.assert_array_equal(group.tokens, oracle.tokens)
+    profiles = [ratios(pi, mu, y) for y in group.trajectories]
+    log_r = group_log_ratios(group, pi_rows, mu_rows)
+    np.testing.assert_array_equal(log_r, [profile.log_ratios for profile in profiles])
+    rho = np.exp(log_r)
+    for mask in (_mask(kind, delta) for kind in MASK_KINDS):
+        keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
+        for row, profile, adv, y in zip(keep, profiles, group.advantages, group.trajectories):
+            expected = token_mask(mask, profile, float(adv), mu, pi, y)
+            np.testing.assert_array_equal(row, expected.astype(bool))
+    report = dynamics_report(rho, n_step, 3.0, 0.2, 0.4)
+    assert report == per_prefix_dynamics_report(group.trajectories, pi, mu, n_step, 3.0, 0.2, 0.4)

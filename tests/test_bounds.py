@@ -8,16 +8,13 @@ from tracelab import (
     b_n,
     b_n_increment,
     hoeffding_penalty,
-    residual_check,
     s_n,
-    sample_group,
     theorem_lower_bound,
-    traces,
     truncation_bias_bound,
     verify_coverage,
 )
 from tracelab import bounds, cli, config, lab, objectives, policies, weights
-from tracelab.lab import ratios_from_values
+from helpers import ratios_from_values, residual_check, sample_group, traces
 
 
 class TestTruncationBias:

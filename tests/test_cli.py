@@ -13,9 +13,10 @@ from tracelab import (
     EnumerationCapError,
     TargetFollowingPolicy,
     objective_value,
-    sample_group,
     theorem_lower_bound,
 )
+from tracelab import cli as cli_module
+from tracelab import lab, objectives, policies
 from tracelab.cli import run
 from tracelab.config import (
     apply_overrides,
@@ -24,6 +25,7 @@ from tracelab.config import (
     parse_config,
 )
 from tracelab.errors import ConfigError
+from helpers import OneHotPolicy, sample_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COPY_OF_MU = 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu"}'
@@ -144,10 +146,13 @@ class TestEnumerationCap:
         cfg = parse_config(raw)
         mu, pi = cfg.build_mu(), TargetFollowingPolicy(cfg.mdp, 0.8)
         group = sample_group(cfg.mdp, mu, 8, np.random.default_rng(0))
+        # Target-following rows need no table; a policy that only answers
+        # probs(prefix) is read from its state-indexed table, which the cap refuses.
+        assert np.isfinite(objective_value(group, pi, mu, cfg.objective).value)
         calls = [
             cfg.build_pi,
             lambda: theorem_lower_bound(group, pi, mu, 4, 0.05),
-            lambda: objective_value(group, pi, mu, cfg.objective),
+            lambda: objective_value(group, pi, OneHotPolicy(cfg.mdp), cfg.objective),
         ]
         for call in calls:
             tracemalloc.start()
@@ -158,6 +163,27 @@ class TestEnumerationCap:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+
+    def test_sweep_refuses_before_any_table(self, tmp_path, capsys):
+        """1093 states fit under the cap, 2187 trajectories do not: the pass
+        is refused before either policy table is built."""
+        calls = []
+        inner = policies.policy_prob_table
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (policies, objectives, lab, cli_module):
+                if getattr(module, "policy_prob_table", None) is inner:
+                    patch.setattr(module, "policy_prob_table", counted)
+            code = run(["sweep", "--out", str(tmp_path), "--set", "enumeration_cap=2000"])
+        assert code == 1
+        assert "needs 2187 items, cap is 2000" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:
@@ -242,6 +268,13 @@ class TestAnalyzeCommand:
         }
         assert payload["smoothing"]["switch_freq_rho"] == 1.0
         assert payload["smoothing"]["switch_freq_traced"] < 1.0
+
+    def test_long_horizon_needs_no_state_ids(self, tmp_path):
+        """At T=45 state ids overflow int64 and raise; target-following rows
+        are keyed by match length, so analyze never asks for them."""
+        assert run(["analyze", "--out", str(tmp_path), "--set", "mdp.horizon=45"]) == 0
+        payload = json.loads((tmp_path / "analyze.json").read_text())
+        assert 0.0 < payload["dynamics"]["correction_strength_rho"] < 1.0
 
 
 class TestVerifyCommand:

@@ -16,18 +16,16 @@ from tracelab import (
     exact_return,
     gradient_norm,
     n_step_surrogate_population,
-    nfpo_gradient,
     objective_gradient,
     objective_value,
     performance_difference_direct,
-    population_group,
-    sample_group,
     smoothing_demo,
     switch_frequency,
     train,
 )
 from tracelab import bounds, lab, objectives, policies, weights
 from tracelab import mdp as mdp_module
+from helpers import population_group, ratios, sample_group
 
 NFPO_TOY = ObjectiveSpec(
     kind="nfpo", n_step=4, beta=3.0, eps_low=0.2, eps_high=0.4, mask=MaskSpec("tv", delta=0.2)
@@ -108,7 +106,8 @@ class TestTrain:
         population windowed surrogate above its on-policy value of zero."""
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
         group = population_group(toy_mdp, pi)
-        gradient = nfpo_gradient(group, pi, pi, 4, 3.0, 0.2, 0.4, MASK_NONE)
+        spec = ObjectiveSpec("nfpo", 4, 3.0, 0.2, 0.4, MASK_NONE)
+        gradient = objective_gradient(group, pi, pi, spec)
         pi.apply_gradient(gradient, 0.05)
         assert n_step_surrogate_population(toy_mdp, pi, mu05, 4) > 0.0
 
@@ -169,7 +168,7 @@ class TestTableTraining:
         with pytest.MonkeyPatch.context() as patch:
             original = TabularSoftmaxPolicy.prob_table
             patch.setattr(TabularSoftmaxPolicy, "prob_table", counted("prob_table", original))
-            for name in ("_token_terms", "sample_trajectory", "trajectory_chunks"):
+            for name in ("_token_terms", "trajectory_chunks"):
                 inner = getattr(objectives if name == "_token_terms" else mdp_module, name)
                 for module in (mdp_module, policies, weights, objectives, bounds, lab):
                     if getattr(module, name, None) is inner:
@@ -178,6 +177,33 @@ class TestTableTraining:
             calls.clear()
             train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
         assert dict(calls) == {"prob_table": steps + 1, "_token_terms": steps}
+
+    @pytest.mark.parametrize("state_key,per_run", [("prefix", 0), ("match_length", 1)])
+    def test_match_lengths_built_once_per_step(self, toy_mdp, mu05, state_key, per_run):
+        """The return's match lengths are built once per run; a match-length
+        pi builds its own once per table, and its gradient reads the group's
+        row ids."""
+        calls = Counter()
+        inner = mdp_module.prefix_match_lengths
+
+        def counted(*args, **kwargs):
+            calls["prefix_match_lengths"] += 1
+            return inner(*args, **kwargs)
+
+        steps = 7
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (mdp_module, policies, weights, objectives, bounds, lab):
+                if getattr(module, "prefix_match_lengths", None) is inner:
+                    patch.setattr(module, "prefix_match_lengths", counted)
+            pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
+            calls.clear()
+            train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
+        assert calls["prefix_match_lengths"] == 1 + per_run * (steps + 1)
+
+
+def _ratio_rows(trajectories, pi, mu) -> np.ndarray:
+    """The [G, T] token ratios of the trajectories, prefix by prefix."""
+    return np.array([ratios(pi, mu, y).ratios for y in trajectories])
 
 
 class TestDynamics:
@@ -190,21 +216,22 @@ class TestDynamics:
 
     def test_identical_policies_silent(self, toy_mdp, mu05):
         trajectories = [(0, 1, 2, 0, 1, 2, 0), (1,) * 7]
-        report = dynamics_report(trajectories, mu05, mu05, 4, 3.0, 0.2, 0.4)
+        report = dynamics_report(_ratio_rows(trajectories, mu05, mu05), 4, 3.0, 0.2, 0.4)
         assert report.correction_strength_rho == 0.0
         assert report.correction_strength_trace == 0.0
         assert report.switch_freq_rho == 0.0
         assert report.switch_freq_trace == 0.0
 
     def test_correction_strength_pools_tokens(self, toy_mdp, mu05, pi08):
-        report = dynamics_report([(0, 1, 2, 0, 1, 2, 0)], pi08, mu05, 4, 3.0, 0.2, 0.4)
+        rho = _ratio_rows([(0, 1, 2, 0, 1, 2, 0)], pi08, mu05)
+        report = dynamics_report(rho, 4, 3.0, 0.2, 0.4)
         # six tokens deviate by 0.6, the absorbed one by 0
         assert report.correction_strength_rho == pytest.approx(0.6 * 6 / 7)
 
     def test_permutation_equivariant(self, toy_mdp, mu05, pi08):
         trajectories = [(0, 1, 2, 0, 1, 2, 0), (1,) * 7, (2, 0, 1, 2, 0, 1, 2)]
-        forward = dynamics_report(trajectories, pi08, mu05, 4, 3.0, 0.2, 0.4)
-        shuffled = dynamics_report(trajectories[::-1], pi08, mu05, 4, 3.0, 0.2, 0.4)
+        forward = dynamics_report(_ratio_rows(trajectories, pi08, mu05), 4, 3.0, 0.2, 0.4)
+        shuffled = dynamics_report(_ratio_rows(trajectories[::-1], pi08, mu05), 4, 3.0, 0.2, 0.4)
         for field in forward.to_dict():
             assert forward.to_dict()[field] == pytest.approx(
                 shuffled.to_dict()[field], abs=1e-12
@@ -212,7 +239,7 @@ class TestDynamics:
 
     def test_rejects_empty_input(self, toy_mdp, mu05):
         with pytest.raises(ValueError):
-            dynamics_report([], mu05, mu05, 4, 3.0, 0.2, 0.4)
+            dynamics_report(np.empty((0, 7)), 4, 3.0, 0.2, 0.4)
 
 
 class TestSmoothing:

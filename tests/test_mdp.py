@@ -7,14 +7,13 @@ from tracelab import (
     EnumerationCapError,
     TokenMdp,
     enumerate_prefixes,
-    enumerate_trajectories,
     match_length,
+    policy_rows,
     reward,
-    sample_trajectory,
-    trajectory_log_prob,
+    sample_from_table,
 )
-from tracelab.mdp import prefix_state_ids, trajectory_chunks
-from helpers import OneHotPolicy
+from tracelab.mdp import prefix_row_ids, prefix_state_ids, trajectory_chunks
+from helpers import OneHotPolicy, enumerate_trajectories, sample_trajectory, trajectory_log_prob
 
 
 class TestMatchLength:
@@ -117,6 +116,17 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="enumeration_cap"):
             TokenMdp.from_symbols("abc", 4, "abc", enumeration_cap=0)
 
+    def test_state_ids_refuse_to_wrap(self):
+        """3**41 states overflow int64; match lengths stay exact at any horizon."""
+        twos = np.full((2, 41), 2, dtype=np.int64)
+        last = TokenMdp.from_symbols("abc", 40, "abc")
+        assert prefix_state_ids(last, twos[:, :40])[0, -1] == last.n_prefixes - 1
+        with pytest.raises(ValueError, match="overflow int64"):
+            prefix_state_ids(TokenMdp.from_symbols("abc", 41, "abc"), twos)
+        mdp = TokenMdp.from_symbols("abc", 45, "abcabc")
+        ids = prefix_row_ids(mdp, np.tile(np.arange(3), (2, 15)), "match_length")
+        np.testing.assert_array_equal(ids[0, :8], [0, 1, 2, 3, 4, 5, 6, 6])
+
     def test_chunks_and_state_ids_follow_enumeration_order(self):
         mdp = TokenMdp.from_symbols("abc", 4, "acb")
         trajectories = list(enumerate_trajectories(mdp))
@@ -163,8 +173,9 @@ class TestSampling:
         rng = np.random.default_rng(2024)
         counts: dict[tuple, int] = {}
         hits = 0
-        for _ in range(n_samples):
-            y = sample_trajectory(toy_mdp, mu05, rng)
+        # The same tokens as n_samples sample_trajectory calls on this generator.
+        group = sample_from_table(toy_mdp, policy_rows(mu05, toy_mdp), n_samples, rng)
+        for y in group.trajectories:
             counts[y] = counts.get(y, 0) + 1
             hits += reward(toy_mdp, y)
 

@@ -12,26 +12,22 @@ from tracelab import (
     EnumerationCapError,
     GroupRollout,
     MaskSpec,
+    ObjectiveSpec,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     TokenMdp,
     b_n,
     exact_return,
-    mpg_objective,
     n_step_surrogate_empirical,
     n_step_surrogate_population,
-    nfpo_gradient,
-    nfpo_objective,
+    objective_gradient,
     objective_value,
-    ObjectiveSpec,
-    per_sample_statistic,
     performance_difference_direct,
     performance_difference_trace,
-    ppo_objective,
+    policy_rows,
     ratio_deviation_bound,
     reward,
-    sample_group,
-    trajectory_log_prob,
+    sample_from_table,
     variance_of_statistic,
 )
 from helpers import (
@@ -40,11 +36,25 @@ from helpers import (
     finite_difference_gradient,
     frozen_nfpo_coefficients,
     gradient_gap,
+    per_sample_statistic,
     random_setups,
     random_tabular,
+    ratios,
+    sample_group,
+    token_mask,
+    trajectory_log_prob,
 )
 
 TOY_TRAJECTORY = (0, 1, 2, 0, 1, 2, 0)
+PPO = ObjectiveSpec("ppo", eps_low=0.2, eps_high=0.28)
+
+
+def _nfpo(n_step: int, mask: MaskSpec) -> ObjectiveSpec:
+    return ObjectiveSpec("nfpo", n_step, 3.0, 0.2, 0.4, mask)
+
+
+def _mpg(mask: MaskSpec) -> ObjectiveSpec:
+    return ObjectiveSpec("mpg", mask=mask)
 
 
 def _single_token_setup():
@@ -221,9 +231,10 @@ class TestEmpiricalSurrogate:
         the enumerated population value."""
         population = n_step_surrogate_population(toy_mdp, pi08, mu05, 4)
         rng = np.random.default_rng(99)
+        rows = policy_rows(mu05, toy_mdp)  # draws the tokens of sample_group on this generator
         values = np.array(
             [
-                n_step_surrogate_empirical(sample_group(toy_mdp, mu05, 8, rng), pi08, mu05, 4)
+                n_step_surrogate_empirical(sample_from_table(toy_mdp, rows, 8, rng), pi08, mu05, 4)
                 for _ in range(10_000)
             ]
         )
@@ -258,28 +269,27 @@ class TestVariance:
 class TestPpoObjective:
     def test_identical_policies_center_out(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        assert ppo_objective(group, mu05, mu05, 0.2, 0.28) == pytest.approx(0.0, abs=1e-12)
+        assert objective_value(group, mu05, mu05, PPO).value == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_clip_engages(self):
         mdp, pi, mu = _single_token_setup()
         group = _manual_group(mdp, [(0,)], [1.0])
-        assert ppo_objective(group, pi, mu, 0.2, 0.28) == pytest.approx(1.28, abs=1e-12)
+        assert objective_value(group, pi, mu, PPO).value == pytest.approx(1.28, abs=1e-12)
 
     def test_negative_advantage_stays_pessimistic(self):
         mdp, pi, mu = _single_token_setup()
         group = _manual_group(mdp, [(0,)], [-1.0])
-        assert ppo_objective(group, pi, mu, 0.2, 0.28) == pytest.approx(-2.0, abs=1e-12)
+        assert objective_value(group, pi, mu, PPO).value == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestMpgObjective:
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        assert mpg_objective(group, mu05, mu05, MASK_NONE) == pytest.approx(0.0, abs=1e-12)
+        value = objective_value(group, mu05, mu05, _mpg(MASK_NONE)).value
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_masked_tokens_contribute_nothing(self, toy_mdp, mu05, pi08):
         """Value equals the hand-summed contribution of unmasked tokens."""
-        from tracelab import ratios, token_mask
-
         spec = MaskSpec("tv", delta=0.2)
         group = sample_group(toy_mdp, mu05, 4, np.random.default_rng(8))
         expected = 0.0
@@ -289,7 +299,8 @@ class TestMpgObjective:
             expected += w * sum(
                 float(adv) * float(profile.ratios[t]) for t in range(7) if keep[t] == 1
             )
-        assert mpg_objective(group, pi08, mu05, spec) == pytest.approx(expected, abs=1e-12)
+        value = objective_value(group, pi08, mu05, _mpg(spec)).value
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 class TestNfpoObjective:
@@ -298,13 +309,13 @@ class TestNfpoObjective:
         rng = np.random.default_rng(31)
         for _ in range(10):
             group = sample_group(toy_mdp, mu05, 8, rng)
-            a = nfpo_objective(group, pi08, mu05, 1, 3.0, 0.2, 0.4, spec)
-            b = mpg_objective(group, pi08, mu05, spec)
+            a = objective_value(group, pi08, mu05, _nfpo(1, spec)).value
+            b = objective_value(group, pi08, mu05, _mpg(spec)).value
             assert abs(a - b) < 1e-14
 
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        value = nfpo_objective(group, mu05, mu05, 4, 3.0, 0.2, 0.4, MASK_NONE)
+        value = objective_value(group, mu05, mu05, _nfpo(4, MASK_NONE)).value
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_evaluated_two_trajectory_group(self, toy_mdp, mu05, pi08):
@@ -314,7 +325,7 @@ class TestNfpoObjective:
         group = _manual_group(
             toy_mdp, [TOY_TRAJECTORY, (0,) * 7], [0.5, -0.5], rewards=[1.0, 0.0]
         )
-        value = nfpo_objective(group, pi08, mu05, 4, 3.0, 0.2, 0.4, MaskSpec("tv", delta=0.2))
+        value = objective_value(group, pi08, mu05, _nfpo(4, MaskSpec("tv", delta=0.2))).value
         assert value == pytest.approx(-0.07, abs=1e-12)
 
     def test_provenance_recorded(self, toy_mdp, mu05, pi08):
@@ -330,14 +341,14 @@ class TestNfpoGradient:
     def test_zero_advantages_give_zero_gradient(self, toy_mdp, mu05):
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
         group = _manual_group(toy_mdp, [TOY_TRAJECTORY, (1,) * 7], [0.0, 0.0])
-        grad = nfpo_gradient(group, pi, mu05, 4, 3.0, 0.2, 0.4, MASK_NONE)
+        grad = objective_gradient(group, pi, mu05, _nfpo(4, MASK_NONE))
         assert grad == {}
 
     def test_single_state_score_identity(self):
         """One unmasked token: d/dlogit_b = c*rho*(1{b=tok} - pi(b))."""
         mdp, pi, mu = _single_token_setup()
         group = _manual_group(mdp, [(0,)], [1.0])
-        grad = nfpo_gradient(group, pi, mu, 1, 3.0, 0.2, 0.4, MASK_NONE)
+        grad = objective_gradient(group, pi, mu, _nfpo(1, MASK_NONE))
         probs = pi.probs(())
         rho = probs[0] / mu.probs(())[0]
         np.testing.assert_allclose(
@@ -348,7 +359,7 @@ class TestNfpoGradient:
         rng = np.random.default_rng(1)  # seed chosen so the group has a reward spread
         pi = random_tabular(toy_mdp, rng)
         group = sample_group(toy_mdp, mu05, 8, rng)
-        grad = nfpo_gradient(group, pi, mu05, 4, 3.0, 0.2, 0.4, MaskSpec("tv", delta=0.2))
+        grad = objective_gradient(group, pi, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))
         assert grad
         for row in grad.values():
             assert abs(row.sum()) < 1e-10
@@ -362,7 +373,7 @@ class TestNfpoGradient:
         for _ in range(20):
             pi = random_tabular(mdp, rng)
             group = sample_group(mdp, mu, 6, rng)
-            grad = nfpo_gradient(group, pi, mu, 2, 3.0, 0.2, 0.4, MaskSpec("tv", delta=0.2))
+            grad = objective_gradient(group, pi, mu, _nfpo(2, MaskSpec("tv", delta=0.2)))
             coeffs = frozen_nfpo_coefficients(
                 group, pi, mu, 2, 3.0, 0.2, 0.4, MaskSpec("tv", delta=0.2)
             )
@@ -374,4 +385,4 @@ class TestNfpoGradient:
     def test_requires_tabular_policy(self, toy_mdp, mu05, pi08):
         group = sample_group(toy_mdp, mu05, 4, np.random.default_rng(0))
         with pytest.raises(TypeError):
-            nfpo_gradient(group, pi08, mu05, 4, 3.0, 0.2, 0.4, MASK_NONE)
+            objective_gradient(group, pi08, mu05, _nfpo(4, MASK_NONE))

@@ -12,13 +12,8 @@ from tracelab import (
     d_tv_max,
     enumerate_prefixes,
     ratio_deviation_bound,
-    ratios,
-    sample_trajectory,
-    state_kl,
-    state_tv,
-    token_prob,
 )
-from helpers import random_tabular
+from helpers import random_tabular, ratios, sample_trajectory, state_kl, state_tv, token_prob
 
 
 class TestTargetFollowing:

@@ -17,23 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelab import (
-    RatioProfile,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     TokenMdp,
     ZeroSupportError,
     bias_variance_sweep,
     exact_return,
-    per_sample_statistic,
     reward,
-    traces,
-    trajectory_log_prob,
 )
 from tracelab import mdp as mdp_module
 from tracelab import objectives
 from tracelab.objectives import population_moments
 from tracelab.weights import iter_window_products, window_products
-from helpers import random_setups
+from helpers import RatioProfile, per_sample_statistic, random_setups, traces, trajectory_log_prob
 
 PROPERTY = settings(max_examples=40, deadline=None)
 

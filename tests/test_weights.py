@@ -9,14 +9,16 @@ from tracelab import (
     ZeroSupportError,
     exact_return,
     group_advantages,
+)
+from helpers import (
     population_group,
     ratios,
+    ratios_from_values,
     residual_check,
     sample_group,
     token_mask,
     traces,
 )
-from tracelab.lab import ratios_from_values
 
 TOY_TRAJECTORY = (0, 1, 2, 0, 1, 2, 0)  # abcabca
 
