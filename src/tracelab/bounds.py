@@ -95,8 +95,8 @@ def _policy_gap(
 ) -> tuple[float, float]:
     """eps and dtv_max for a policy pair, read from its two state-indexed tables.
 
-    Each defaults to its exact value.  A supplied ``eps`` smaller than the
-    exact ratio-deviation bound would void the hypothesis the bound rests
+    Each defaults to its exact value.  A supplied ``eps`` or ``dtv_max``
+    smaller than its exact value would void the hypothesis the bound rests
     on, so it is rejected.
     """
     exact_eps = table_ratio_deviation(p_pi, p_mu)
@@ -104,8 +104,11 @@ def _policy_gap(
         eps = exact_eps
     elif eps < exact_eps - 1e-12:
         raise ValueError(f"supplied eps {eps} is below the exact ratio-deviation bound {exact_eps}")
+    exact_dtv = float(total_variation(p_mu, p_pi).max())
     if dtv_max is None:
-        dtv_max = float(total_variation(p_mu, p_pi).max())
+        dtv_max = exact_dtv
+    elif dtv_max < exact_dtv - 1e-12:
+        raise ValueError(f"supplied dtv_max {dtv_max} is below the exact max state TV {exact_dtv}")
     # Identical policies deviate by zero; keep the formulas well-defined.
     return max(eps, 1e-12), dtv_max
 
@@ -149,8 +152,8 @@ def theorem_lower_bound(
 
     ``eps`` and ``dtv_max`` default to their exact values for the policy
     pair; both, and the surrogate, come from one build of each policy's
-    state-indexed table.  A supplied ``eps`` smaller than the exact
-    ratio-deviation bound is rejected (see :func:`_policy_gap`).
+    state-indexed table.  A supplied ``eps`` or ``dtv_max`` smaller than its
+    exact value is rejected (see :func:`_policy_gap`).
     """
     mdp = group.mdp
     check_window(mdp.horizon, n_step)

@@ -167,6 +167,8 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
+    if cfg.mdp.horizon < 2:
+        raise ConfigError(f"config key 'mdp.horizon': analyze needs T >= 2, got {cfg.mdp.horizon}")
     mu_rows = policy_rows(cfg.build_mu(), cfg.mdp)
     pi_rows = policy_rows(cfg.build_pi(), cfg.mdp)
     group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))

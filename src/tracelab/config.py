@@ -107,14 +107,14 @@ def _integer(section: dict, path: str, key: str, lo=None, hi=None, default=None)
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(_join(path, key), "an integer", value)
     if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise _fail(_join(path, key), _domain(lo, hi, False, False), value)
+        raise _fail(_join(path, key), _domain(lo, hi, False, False, "an integer"), value)
     return value
 
 
-def _domain(lo, hi, open_lo, open_hi) -> str:
+def _domain(lo, hi, open_lo, open_hi, kind: str = "a number") -> str:
     left = "(" if open_lo else "["
     right = ")" if open_hi else "]"
-    return f"a number in {left}{lo if lo is not None else '-inf'}, {hi if hi is not None else 'inf'}{right}"
+    return f"{kind} in {left}{lo if lo is not None else '-inf'}, {hi if hi is not None else 'inf'}{right}"
 
 
 def _choice(section: dict, path: str, key: str, options: Sequence[str], default=None):

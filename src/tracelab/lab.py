@@ -113,7 +113,7 @@ def train(
     rng = np.random.default_rng(seed)
     records: list[TrainRecord] = []
     matched = prefix_match_lengths(mdp, mdp.target)
-    p_pi = pi.prob_table(mdp)
+    p_pi = policy_prob_table(pi, mdp)
     for step in range(steps):
         if step % rollout_refresh == 0:
             p_mu = p_pi
@@ -126,7 +126,7 @@ def train(
             raise TrainingDivergedError(f"objective became {value} at step {step}")
         gradient = _logit_gradient(group, pi, pi_rows, coeffs)
         pi.apply_gradient(gradient, learning_rate)
-        p_pi = pi.prob_table(mdp)
+        p_pi = policy_prob_table(pi, mdp)
         records.append(
             TrainRecord(
                 step=step,

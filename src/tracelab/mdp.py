@@ -184,6 +184,15 @@ def extend_rows(mdp: TokenMdp, key: str, ids: np.ndarray, tokens: np.ndarray) ->
     return _extend_match(ids, tokens, np.asarray(mdp.target, dtype=np.int64))
 
 
+def n_rows(mdp: TokenMdp, key: str) -> int:
+    """Number of row ids under ``key`` (see :func:`extend_rows`); a prefix-keyed
+    count is every state id, and is refused beyond the cap like every state table."""
+    if key == "prefix":
+        check_enumeration_cap(mdp, mdp.n_prefixes)
+        return mdp.n_prefixes
+    return len(mdp.target) + 1
+
+
 def prefix_row_ids(mdp: TokenMdp, tokens: np.ndarray, key: str) -> np.ndarray:
     """Row id under ``key`` (see :func:`extend_rows`) of every prefix y_{<t}
     in a [m, T] token block."""

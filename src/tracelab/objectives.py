@@ -279,9 +279,9 @@ def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> Objecti
     return ObjectiveValue(value=value, kind=spec.kind, params=spec.params())
 
 
-def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> dict:
-    """Analytic gradient w.r.t. the tabular logits, keyed by state; states
-    no kept token touches are absent.  Masks and clipped traces are frozen
+def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> np.ndarray:
+    """Analytic gradient w.r.t. the tabular logits, ``[R, vocab]`` like ``pi.logits``;
+    rows no kept token touches are zero.  Masks and clipped traces are frozen
     at the evaluation point, so gradient flows only through the token ratio."""
     if not isinstance(pi, TabularSoftmaxPolicy):
         raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
@@ -292,9 +292,8 @@ def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> dict
 
 def _logit_gradient(
     group: GroupRollout, pi: TabularSoftmaxPolicy, pi_rows: PolicyRows, coeffs: np.ndarray
-) -> dict:
-    """Scatter the frozen coefficients of :func:`_token_terms` into pi's
-    logit rows, keyed by state."""
+) -> np.ndarray:
+    """Scatter the frozen coefficients of :func:`_token_terms` into pi's logit rows."""
     hit = coeffs != 0.0
     c = coeffs[hit]
     contrib = -c[:, None] * group.dists(pi_rows)[hit]
@@ -303,13 +302,11 @@ def _logit_gradient(
         rows = prefix_match_lengths(group.mdp, pi.mdp.target)[group.row_ids("prefix")[hit]]
     else:
         rows = group.row_ids(pi.state_key)[hit]
-    grad = np.zeros((len(pi.logits), group.mdp.vocab_size))
+    grad = np.zeros(pi.logits.shape)
     np.add.at(grad, rows, contrib)
-    keys = list(pi.logits)
-    return {keys[r]: grad[r] for r in np.flatnonzero(np.bincount(rows, minlength=len(grad)))}
+    return grad
 
 
-def gradient_norm(gradient: dict) -> float:
-    if not gradient:
-        return 0.0
-    return float(np.sqrt(sum(float(np.square(g).sum()) for g in gradient.values())))
+def gradient_norm(gradient: np.ndarray) -> float:
+    """Euclidean norm of a logit gradient, summing the row sums in row order."""
+    return float(np.sqrt(sum(np.square(gradient).sum(axis=1).tolist())))

@@ -8,21 +8,12 @@ by the matched-target length.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import UnknownStateError
-from .mdp import (
-    TokenMdp,
-    check_enumeration_cap,
-    enumerate_prefixes,
-    match_length,
-    prefix_match_lengths,
-)
-
-StateKey = Hashable
+from .mdp import TokenMdp, enumerate_prefixes, match_length, n_rows, prefix_match_lengths
 
 
 class PolicyRows(NamedTuple):
@@ -62,10 +53,6 @@ class TargetFollowingPolicy:
         """The |target|+1 distributions, one per matched length."""
         return PolicyRows(self._table, "match_length")
 
-    def prob_table(self, mdp: TokenMdp) -> np.ndarray:
-        """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
-        return self._table[prefix_match_lengths(mdp, self.mdp.target)]
-
     def __repr__(self) -> str:
         return f"TargetFollowingPolicy(alpha={self.alpha})"
 
@@ -82,101 +69,70 @@ class TabularSoftmaxPolicy:
     ``state_key`` selects the state representation: ``"prefix"`` keeps the
     exact generated prefix (faithful but larger), ``"match_length"``
     collapses it to the matched-target length (a sufficient statistic for
-    the target-following family, much cheaper to train).  The logits live in
-    one ``[n_rows, vocab]`` array; ``logits`` is a read-only mapping from each
-    state key to a view of its row, so every edit of a row is in place.
+    the target-following family, much cheaper to train).  ``logits`` is one
+    ``[R, vocab]`` array whose row r is the state with row id r under
+    ``state_key`` (see :func:`tracelab.mdp.extend_rows`); the policy keeps
+    the array it is given, and every update edits it in place.
     """
 
     STATE_KEYS = ("prefix", "match_length")
 
-    def __init__(
-        self,
-        mdp: TokenMdp,
-        logits: dict[StateKey, np.ndarray],
-        state_key: str = "prefix",
-    ):
-        keys = list(self._all_keys(mdp, state_key))
-        if logits.keys() != set(keys):
-            raise ValueError(f"logits must cover exactly the {len(keys)} states of the MDP")
-        rows = [np.asarray(logits[k], dtype=float) for k in keys]
-        for k, row in zip(keys, rows):
-            if row.shape != (mdp.vocab_size,):
-                raise ValueError(f"logit row for state {k!r} has shape {row.shape}")
-        self.mdp = mdp
-        self.state_key = state_key
-        self._table = np.array(rows)
-        self.logits = MappingProxyType(dict(zip(keys, self._table)))
-
-    @classmethod
-    def _all_keys(cls, mdp: TokenMdp, state_key: str) -> Iterable[StateKey]:
-        if state_key not in cls.STATE_KEYS:
-            raise ValueError(f"state_key must be one of {cls.STATE_KEYS}")
-        if state_key == "match_length":
-            return range(len(mdp.target) + 1)
-        return enumerate_prefixes(mdp)
+    def __init__(self, mdp: TokenMdp, logits: np.ndarray, state_key: str = "prefix"):
+        if state_key not in self.STATE_KEYS:
+            raise ValueError(f"state_key must be one of {self.STATE_KEYS}")
+        shape = (n_rows(mdp, state_key), mdp.vocab_size)
+        self.mdp, self.state_key, self.logits = mdp, state_key, np.asarray(logits, dtype=float)
+        if self.logits.shape != shape:
+            raise ValueError(f"logits must be {shape} under {state_key!r}, got {self.logits.shape}")
 
     @classmethod
     def zeros(cls, mdp: TokenMdp, state_key: str = "prefix") -> "TabularSoftmaxPolicy":
         """Uniform policy: zero logits at every state."""
-        zero = np.zeros(mdp.vocab_size)
-        return cls(mdp, dict.fromkeys(cls._all_keys(mdp, state_key), zero), state_key)
+        return cls(mdp, np.zeros((n_rows(mdp, state_key), mdp.vocab_size)), state_key)
 
     @classmethod
     def from_policy(
         cls, mdp: TokenMdp, policy, state_key: str = "prefix"
     ) -> "TabularSoftmaxPolicy":
         """Copy another policy's distributions into logits (log-probabilities)."""
-        if state_key == "match_length":
+        if state_key == "prefix":
+            probs = policy_prob_table(policy, mdp)
+        else:
             # A representative prefix per matched length a state can reach: the
             # target's own head.  Longer matches are never reached; they stay uniform.
-            reach = min(len(mdp.target), mdp.horizon - 1) + 1
-            probs = [policy.probs(mdp.target[:k]) for k in range(reach)]
-            probs += [np.full(mdp.vocab_size, 1.0 / mdp.vocab_size)] * (len(mdp.target) + 1 - reach)
-        else:
-            probs = policy_prob_table(policy, mdp)
+            probs = np.full((n_rows(mdp, state_key), mdp.vocab_size), 1.0 / mdp.vocab_size)
+            for k in range(min(len(mdp.target), mdp.horizon - 1) + 1):
+                probs[k] = policy.probs(mdp.target[:k])
         with np.errstate(divide="ignore"):
-            logits = np.log(np.asarray(probs, dtype=float))
-        return cls(mdp, dict(zip(cls._all_keys(mdp, state_key), logits)), state_key)
+            return cls(mdp, np.log(probs), state_key)
 
-    def key(self, prefix: Sequence[int]) -> StateKey:
+    def row(self, prefix: Sequence[int]) -> int:
+        """The row id of ``prefix`` under ``state_key``."""
         if self.state_key == "match_length":
             return match_length(prefix, self.mdp.target)
-        return tuple(prefix)
-
-    def _row(self, prefix: Sequence[int]) -> np.ndarray:
-        key = self.key(prefix)
-        try:
-            return self.logits[key]
-        except KeyError:
-            raise UnknownStateError(
-                f"no logits for state {key!r}; policy/MDP mismatch?"
-            ) from None
+        v = self.mdp.vocab_size
+        if len(prefix) >= self.mdp.horizon or not all(0 <= token < v for token in prefix):
+            raise UnknownStateError(f"no logits for state {tuple(prefix)!r}; policy/MDP mismatch?")
+        state = 0
+        for token in prefix:
+            state = v * state + 1 + token
+        return state
 
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
-        return _softmax(self._row(prefix))
+        return _softmax(self.logits[self.row(prefix)])
 
     def rows(self) -> PolicyRows:
         """The softmax of every logit row, keyed by ``state_key``."""
-        return PolicyRows(_softmax(self._table), self.state_key)
+        return PolicyRows(_softmax(self.logits), self.state_key)
 
-    def prob_table(self, mdp: TokenMdp) -> np.ndarray:
-        """[n_prefixes, vocab] probabilities, one row per state id of ``mdp``."""
-        if self.state_key == "match_length":
-            return _softmax(self._table)[prefix_match_lengths(mdp, self.mdp.target)]
-        check_enumeration_cap(mdp, mdp.n_prefixes)
-        if mdp.vocab_size != self.mdp.vocab_size or mdp.n_prefixes > len(self._table):
-            raise UnknownStateError("prefix-keyed logits do not cover this MDP's states")
-        return _softmax(self._table[: mdp.n_prefixes])
-
-    def apply_gradient(self, gradient: dict[StateKey, np.ndarray], learning_rate: float) -> None:
-        """Ascent step: logits[state] += learning_rate * gradient[state]."""
-        for key, g in gradient.items():
-            if key not in self.logits:
-                raise UnknownStateError(f"gradient for unknown state {key!r}")
-            self.logits[key][:] += learning_rate * np.asarray(g, dtype=float)
+    def apply_gradient(self, gradient: np.ndarray, learning_rate: float) -> None:
+        """Ascent step: logits += learning_rate * gradient, for an ``[R, vocab]`` gradient."""
+        if np.shape(gradient) != self.logits.shape:
+            raise ValueError(f"gradient shape {np.shape(gradient)} is not {self.logits.shape}")
+        self.logits += learning_rate * np.asarray(gradient, dtype=float)
 
     def copy(self) -> "TabularSoftmaxPolicy":
-        return TabularSoftmaxPolicy(self.mdp, self.logits, self.state_key)
+        return TabularSoftmaxPolicy(self.mdp, self.logits.copy(), self.state_key)
 
     def __repr__(self) -> str:
         return f"TabularSoftmaxPolicy(states={len(self.logits)}, state_key={self.state_key!r})"
@@ -217,17 +173,21 @@ def table_ratio_deviation(p_pi: np.ndarray, p_mu: np.ndarray) -> float:
 def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
     """[n_prefixes, vocab] probabilities in state-id order.
 
-    Row order matches the state ids produced by ``mdp.trajectory_chunks``.
-    Policies without a ``prob_table`` method, which only answer
-    ``probs(prefix)``, are asked once per state.
+    Row order matches the state ids produced by ``mdp.trajectory_chunks``.  Match-length
+    rows are gathered at each state's matched length and prefix rows cut to this MDP's
+    states; policies that only answer ``probs(prefix)`` are asked once per state.
     """
-    if hasattr(policy, "prob_table"):
-        return policy.prob_table(mdp)
-    prefixes = enumerate_prefixes(mdp)
-    rows = np.empty((mdp.n_prefixes, mdp.vocab_size))
-    for i, prefix in enumerate(prefixes):
-        rows[i] = np.asarray(policy.probs(prefix), dtype=float)
-    return rows
+    if not hasattr(policy, "rows"):
+        table = np.empty((n_rows(mdp, "prefix"), mdp.vocab_size))
+        for i, prefix in enumerate(enumerate_prefixes(mdp)):
+            table[i] = policy.probs(prefix)
+        return table
+    probs, key = policy.rows()
+    if key == "match_length":
+        return probs[prefix_match_lengths(mdp, policy.mdp.target)]
+    if mdp.vocab_size != policy.mdp.vocab_size or n_rows(mdp, key) > len(probs):
+        raise UnknownStateError("prefix-keyed rows do not cover this MDP's states")
+    return probs[: mdp.n_prefixes]
 
 
 def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ZeroSupportError
-from .mdp import TokenMdp, Trajectory, check_window, extend_rows, prefix_row_ids, reward_vector
+from .mdp import TokenMdp, Trajectory, check_window, extend_rows, n_rows, prefix_row_ids, reward_vector
 from .policies import PolicyRows, kl_divergence, total_variation
 
 
@@ -229,10 +229,9 @@ def sample_from_table(
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     probs, key = np.asarray(mu_rows.probs, dtype=float), mu_rows.key
-    v = mdp.vocab_size
-    n_rows = mdp.n_prefixes if key == "prefix" else len(mdp.target) + 1
-    if probs.shape != (n_rows, v):
-        raise ValueError(f"rollout rows must be [{n_rows}, {v}], got {probs.shape}")
+    v, count = mdp.vocab_size, n_rows(mdp, key)
+    if probs.shape != (count, v):
+        raise ValueError(f"rollout rows must be [{count}, {v}], got {probs.shape}")
     u = rng.random((group_size, mdp.horizon))
     tokens = np.empty(u.shape, dtype=np.int64)
     ids = np.zeros(u.shape, dtype=np.int64)

@@ -43,10 +43,7 @@ def random_small_mdp(rng: np.random.Generator) -> TokenMdp:
 
 
 def random_tabular(mdp: TokenMdp, rng: np.random.Generator, scale: float = 0.8):
-    logits = {
-        key: rng.normal(0.0, scale, mdp.vocab_size)
-        for key in TabularSoftmaxPolicy.zeros(mdp).logits
-    }
+    logits = rng.normal(0.0, scale, (mdp.n_prefixes, mdp.vocab_size))
     return TabularSoftmaxPolicy(mdp, logits, "prefix")
 
 
@@ -91,25 +88,20 @@ def frozen_objective(group, pi, mu, coeffs, minus_one: bool = False) -> float:
 
 def finite_difference_gradient(group, pi, mu, coeffs, step=1e-6, minus_one=False):
     """Central differences of the frozen-coefficient objective over all logits."""
-    grads = {}
-    for key in pi.logits:
-        row = np.zeros(pi.mdp.vocab_size)
-        for b in range(pi.mdp.vocab_size):
-            pi.logits[key][b] += step
-            up = frozen_objective(group, pi, mu, coeffs, minus_one)
-            pi.logits[key][b] -= 2 * step
-            down = frozen_objective(group, pi, mu, coeffs, minus_one)
-            pi.logits[key][b] += step
-            row[b] = (up - down) / (2 * step)
-        grads[key] = row
+    grads = np.zeros(pi.logits.shape)
+    for index in np.ndindex(*pi.logits.shape):
+        pi.logits[index] += step
+        up = frozen_objective(group, pi, mu, coeffs, minus_one)
+        pi.logits[index] -= 2 * step
+        down = frozen_objective(group, pi, mu, coeffs, minus_one)
+        pi.logits[index] += step
+        grads[index] = (up - down) / (2 * step)
     return grads
 
 
-def gradient_gap(analytic: dict, numeric: dict, keys, vocab_size: int) -> float:
-    """Vector-norm relative error between two sparse gradients."""
-    zero = np.zeros(vocab_size)
-    a = np.concatenate([np.asarray(analytic.get(k, zero), dtype=float) for k in keys])
-    f = np.concatenate([np.asarray(numeric.get(k, zero), dtype=float) for k in keys])
+def gradient_gap(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Vector-norm relative error between two logit gradients."""
+    a, f = np.ravel(analytic), np.ravel(numeric)
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(f)))
     return float(np.linalg.norm(a - f)) / scale
 

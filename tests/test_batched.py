@@ -61,7 +61,7 @@ def sampled_setups(draw):
     mdp, pi, mu = random_setups(2, seed)[draw(st.integers(0, 1))]
     rng = np.random.default_rng(seed)
     if draw(st.sampled_from(TabularSoftmaxPolicy.STATE_KEYS)) == "match_length":
-        logits = {k: rng.normal(0.0, 0.8, mdp.vocab_size) for k in range(len(mdp.target) + 1)}
+        logits = rng.normal(0.0, 0.8, (len(mdp.target) + 1, mdp.vocab_size))
         pi = TabularSoftmaxPolicy(mdp, logits, "match_length")
     elif not isinstance(pi, TabularSoftmaxPolicy):
         pi = TabularSoftmaxPolicy.from_policy(mdp, pi)
@@ -76,7 +76,7 @@ def _oracle(group, pi, mu, spec):
     coeffs = frozen_nfpo_coefficients(
         group, pi, mu, n_step, spec.beta, spec.eps_low, spec.eps_high, spec.mask
     )
-    value, grad = 0.0, {}
+    value, grad = 0.0, np.zeros(pi.logits.shape)
     for w, adv, coeff, y in zip(group.weights, group.advantages, coeffs, group.trajectories):
         rho = ratios(pi, mu, y).ratios
         if spec.kind == "ppo":
@@ -88,7 +88,7 @@ def _oracle(group, pi, mu, spec):
         for t, tok in enumerate(y):
             c = float(coeff[t] * rho[t])
             if c != 0.0:
-                row = grad.setdefault(pi.key(y[:t]), np.zeros(pi.mdp.vocab_size))
+                row = grad[pi.row(y[:t])]
                 row -= c * pi.probs(y[:t])
                 row[tok] += c
     return value, grad
@@ -104,10 +104,7 @@ def test_kernel_matches_per_trajectory_oracle(kind, mask_kind, setup):
     spec = ObjectiveSpec(kind, n_step=n_step, eps_low=0.2, eps_high=0.28, mask=mask)
     value, grad = _oracle(group, pi, mu, spec)
     assert objective_value(group, pi, mu, spec).value == pytest.approx(value, abs=1e-12)
-    batched = objective_gradient(group, pi, mu, spec)
-    assert batched.keys() == grad.keys()
-    for key, row in grad.items():
-        np.testing.assert_allclose(batched[key], row, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(objective_gradient(group, pi, mu, spec), grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["nfpo", "mpg", "ppo"])
@@ -116,7 +113,7 @@ def test_kernel_matches_per_trajectory_oracle(kind, mask_kind, setup):
 def test_gradient_rows_sum_to_zero(kind, setup, mask_kind):
     pi, mu, group, n_step, delta = setup
     spec = ObjectiveSpec(kind, n_step=n_step, mask=_mask(mask_kind, delta))
-    for row in objective_gradient(group, pi, mu, spec).values():
+    for row in objective_gradient(group, pi, mu, spec):
         assert abs(row.sum()) < 1e-12
 
 
@@ -159,7 +156,7 @@ def rollout_policies(draw):
     choice = draw(st.sampled_from(["pi", "mu", "match_length"]))
     if choice == "match_length":
         rng = np.random.default_rng(seed)
-        logits = {k: rng.normal(0.0, 0.8, mdp.vocab_size) for k in range(len(mdp.target) + 1)}
+        logits = rng.normal(0.0, 0.8, (len(mdp.target) + 1, mdp.vocab_size))
         return mdp, TabularSoftmaxPolicy(mdp, logits, "match_length")
     return mdp, pi if choice == "pi" else mu
 
@@ -285,7 +282,7 @@ def mixed_setups(draw):
             return TargetFollowingPolicy(mdp, rng.uniform(0.05, 0.95))
         if kind == "prefix":
             return random_tabular(mdp, rng)
-        logits = {k: rng.normal(0.0, 0.8, mdp.vocab_size) for k in range(len(mdp.target) + 1)}
+        logits = rng.normal(0.0, 0.8, (len(mdp.target) + 1, mdp.vocab_size))
         return TabularSoftmaxPolicy(mdp, logits, "match_length")
 
     kinds = st.sampled_from(["target_following", "prefix", "match_length"])

@@ -122,6 +122,13 @@ class TestTheoremLowerBound:
         with pytest.raises(ValueError, match="ratio-deviation bound"):
             theorem_lower_bound(group, pi08, mu05, 4, 0.05, eps=0.3)
 
+    def test_understated_dtv_max_rejected(self, toy_mdp, mu05, pi08):
+        group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="exact max state TV"):
+            theorem_lower_bound(group, pi08, mu05, 4, 0.05, dtv_max=0.0)
+        report = theorem_lower_bound(group, pi08, mu05, 4, 0.05, dtv_max=0.5)
+        assert report.dtv_max == 0.5
+
     def test_generous_eps_accepted(self, toy_mdp, mu05, pi08):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(3))
         report = theorem_lower_bound(group, pi08, mu05, 4, 0.05, eps=0.9)

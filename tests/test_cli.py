@@ -78,6 +78,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             parse_config(raw)
 
+    def test_integer_range_named_as_integer(self):
+        raw = apply_overrides(default_config(), ["experiment.G=0"])
+        with pytest.raises(ConfigError, match=r"'experiment.G': expected an integer in \[1, inf\], got 0"):
+            parse_config(raw)
+
     def test_window_must_fit_horizon(self):
         raw = apply_overrides(default_config(), ["objective.N=9"])
         with pytest.raises(ConfigError, match="objective.N"):
@@ -268,6 +273,14 @@ class TestAnalyzeCommand:
         }
         assert payload["smoothing"]["switch_freq_rho"] == 1.0
         assert payload["smoothing"]["switch_freq_traced"] < 1.0
+
+    def test_single_token_horizon_named(self, tmp_path, capsys):
+        args = ["analyze", "--out", str(tmp_path)]
+        for item in ("mdp.horizon=1", "objective.N=1", "experiment.N_list=[1]"):
+            args += ["--set", item]
+        assert run(args) == 1
+        assert "config key 'mdp.horizon'" in capsys.readouterr().err
+        assert not (tmp_path / "analyze.json").exists()
 
     def test_long_horizon_needs_no_state_ids(self, tmp_path):
         """At T=45 state ids overflow int64 and raise; target-following rows

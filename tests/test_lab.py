@@ -166,17 +166,19 @@ class TestTableTraining:
 
         steps = 7
         with pytest.MonkeyPatch.context() as patch:
-            original = TabularSoftmaxPolicy.prob_table
-            patch.setattr(TabularSoftmaxPolicy, "prob_table", counted("prob_table", original))
-            for name in ("_token_terms", "trajectory_chunks"):
-                inner = getattr(objectives if name == "_token_terms" else mdp_module, name)
+            for home, name in (
+                (policies, "policy_prob_table"),
+                (objectives, "_token_terms"),
+                (mdp_module, "trajectory_chunks"),
+            ):
+                inner = getattr(home, name)
                 for module in (mdp_module, policies, weights, objectives, bounds, lab):
                     if getattr(module, name, None) is inner:
                         patch.setattr(module, name, counted(name, inner))
             pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
             calls.clear()
             train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
-        assert dict(calls) == {"prob_table": steps + 1, "_token_terms": steps}
+        assert dict(calls) == {"policy_prob_table": steps + 1, "_token_terms": steps}
 
     @pytest.mark.parametrize("state_key,per_run", [("prefix", 0), ("match_length", 1)])
     def test_match_lengths_built_once_per_step(self, toy_mdp, mu05, state_key, per_run):

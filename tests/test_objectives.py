@@ -60,8 +60,8 @@ def _mpg(mask: MaskSpec) -> ObjectiveSpec:
 def _single_token_setup():
     """Horizon-1 MDP with a token ratio of exactly 2 on token 0."""
     mdp = TokenMdp.from_symbols("ab", 1, "a")
-    mu = TabularSoftmaxPolicy(mdp, {(): np.log([0.4, 0.6])})
-    pi = TabularSoftmaxPolicy(mdp, {(): np.log([0.8, 0.2])})
+    mu = TabularSoftmaxPolicy(mdp, np.log([[0.4, 0.6]]))
+    pi = TabularSoftmaxPolicy(mdp, np.log([[0.8, 0.2]]))
     return mdp, pi, mu
 
 
@@ -342,7 +342,7 @@ class TestNfpoGradient:
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
         group = _manual_group(toy_mdp, [TOY_TRAJECTORY, (1,) * 7], [0.0, 0.0])
         grad = objective_gradient(group, pi, mu05, _nfpo(4, MASK_NONE))
-        assert grad == {}
+        assert not grad.any()
 
     def test_single_state_score_identity(self):
         """One unmasked token: d/dlogit_b = c*rho*(1{b=tok} - pi(b))."""
@@ -352,7 +352,7 @@ class TestNfpoGradient:
         probs = pi.probs(())
         rho = probs[0] / mu.probs(())[0]
         np.testing.assert_allclose(
-            grad[()], [rho * (1 - probs[0]), -rho * probs[1]], atol=1e-12
+            grad[pi.row(())], [rho * (1 - probs[0]), -rho * probs[1]], atol=1e-12
         )
 
     def test_state_rows_sum_to_zero(self, toy_mdp, mu05):
@@ -360,8 +360,8 @@ class TestNfpoGradient:
         pi = random_tabular(toy_mdp, rng)
         group = sample_group(toy_mdp, mu05, 8, rng)
         grad = objective_gradient(group, pi, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))
-        assert grad
-        for row in grad.values():
+        assert grad.any()
+        for row in grad:
             assert abs(row.sum()) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -379,7 +379,7 @@ class TestNfpoGradient:
             )
             for minus_one in (False, True):
                 numeric = finite_difference_gradient(group, pi, mu, coeffs, minus_one=minus_one)
-                gap = gradient_gap(grad, numeric, list(pi.logits), mdp.vocab_size)
+                gap = gradient_gap(grad, numeric)
                 assert gap < 1e-5
 
     def test_requires_tabular_policy(self, toy_mdp, mu05, pi08):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from tracelab import (
     enumerate_prefixes,
     ratio_deviation_bound,
 )
+from tracelab.policies import policy_prob_table
 from helpers import random_tabular, ratios, sample_trajectory, state_kl, state_tv, token_prob
 
 
@@ -62,13 +64,16 @@ class TestTabularSoftmax:
 
     def test_unknown_state_rejected(self, toy_mdp):
         pi = TabularSoftmaxPolicy.zeros(toy_mdp)
-        with pytest.raises(UnknownStateError):
-            pi.probs((0,) * 7)  # length-7 prefix is past the last decision point
+        # A length-7 prefix is past the last decision point; (3,) would alias the
+        # state id of (0, 0), and (-1,) that of the root.
+        for prefix in [(0,) * 7, (3,), (-1,)]:
+            with pytest.raises(UnknownStateError):
+                pi.probs(prefix)
 
     def test_match_length_key_collapses(self, toy_mdp):
         pi = TabularSoftmaxPolicy.zeros(toy_mdp, state_key="match_length")
         assert len(pi.logits) == 7
-        assert pi.key((0, 1, 2)) == 3
+        assert pi.row((0, 1, 2)) == 3
 
     @pytest.mark.parametrize("target", ["aba", "abab", "ab"])
     def test_match_length_copy_of_prefix_keyed_source(self, target):
@@ -85,7 +90,9 @@ class TestTabularSoftmax:
     def test_copy_is_independent(self, toy_mdp):
         pi = TabularSoftmaxPolicy.zeros(toy_mdp)
         snapshot = pi.copy()
-        pi.apply_gradient({(): np.array([1.0, -1.0, 0.0])}, 0.5)
+        gradient = np.zeros(pi.logits.shape)
+        gradient[pi.row(())] = [1.0, -1.0, 0.0]
+        pi.apply_gradient(gradient, 0.5)
         np.testing.assert_allclose(snapshot.probs(()), [1 / 3] * 3, atol=1e-15)
         assert pi.probs(())[0] > 1 / 3
 
@@ -96,13 +103,33 @@ class TestTabularSoftmax:
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
         for policy in (pi, mu05):
             with pytest.raises(EnumerationCapError, match="needs 1093 items"):
-                policy.prob_table(small)
+                policy_prob_table(policy, small)
         with pytest.raises(EnumerationCapError):
             TabularSoftmaxPolicy.from_policy(small, mu05)
         np.testing.assert_array_equal(
-            pi.prob_table(replace(small, enumeration_cap=toy_mdp.n_prefixes)),
-            pi.prob_table(toy_mdp),
+            policy_prob_table(pi, replace(small, enumeration_cap=toy_mdp.n_prefixes)),
+            policy_prob_table(pi, toy_mdp),
         )
+
+    @pytest.mark.parametrize("build", ["zeros", "from_policy"])
+    def test_prefix_build_holds_one_logit_table(self, build):
+        """At T=11 a prefix-keyed policy keeps one [n_prefixes, V] logit table
+        and allocates at most three while it is built."""
+        mdp = TokenMdp.from_symbols("abc", 11, "abcabc")
+        mu = TargetFollowingPolicy(mdp, 0.5)
+        tracemalloc.start()
+        try:
+            if build == "zeros":
+                pi = TabularSoftmaxPolicy.zeros(mdp)
+            else:
+                pi = TabularSoftmaxPolicy.from_policy(mdp, mu)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = mdp.n_prefixes * mdp.vocab_size * 8
+        assert pi.logits.nbytes == table
+        assert kept <= 1.1 * table
+        assert peak <= 3.0 * table
 
 
 class TestDivergences:

@@ -64,8 +64,8 @@ def _assert_matches_oracle(mdp, pi, mu, n_list, require_full_support=True):
 def _with_zero_tokens(policy: TabularSoftmaxPolicy, rng, share: float) -> TabularSoftmaxPolicy:
     """A copy with one token per chosen state set to probability zero; the
     root state is always chosen."""
-    logits = {k: np.array(row) for k, row in policy.logits.items()}
-    for i, row in enumerate(logits.values()):
+    logits = policy.logits.copy()
+    for i, row in enumerate(logits):
         if i == 0 or rng.random() < share:
             row[rng.integers(len(row))] = -np.inf
     return TabularSoftmaxPolicy(policy.mdp, logits, policy.state_key)
