@@ -244,7 +244,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except (ConfigError, TracelabError, ValueError) as exc:
+    except (ConfigError, TracelabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -260,14 +260,11 @@ def parse_config(data: dict) -> RunConfig:
         raise _fail("mdp.vocab", "a list of >= 2 distinct single-character strings", vocab)
     horizon = _integer(mdp_section, "mdp", "horizon", lo=1)
     target = mdp_section["target"]
-    if not isinstance(target, str) or not target:
+    if not isinstance(target, str) or not target or not set(target) <= set(vocab):
         raise _fail("mdp.target", "a non-empty string over the vocab", target)
     reward_bound = _number(mdp_section, "mdp", "reward_bound", 0.0, open_lo=True, default=1.0)
     cap = _integer(data, "", "enumeration_cap", lo=1, default=DEFAULT_ENUMERATION_CAP)
-    try:
-        mdp = TokenMdp.from_symbols(vocab, horizon, target, reward_bound, cap)
-    except ValueError as exc:
-        raise ConfigError(f"config key 'mdp': {exc}") from exc
+    mdp = TokenMdp.from_symbols(vocab, horizon, target, reward_bound, cap)
 
     policies = data["policies"]
     _require_keys(policies, "policies", ["mu", "pi"], ["mu", "pi"])

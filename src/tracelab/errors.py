@@ -23,10 +23,10 @@ class ZeroSupportError(TracelabError):
 
 
 class UnknownStateError(TracelabError):
-    """A tabular policy was queried at a state it has no entry for.
+    """A policy was queried at a state it has no entry for.
 
-    Usually signals a policy built for a different MDP (wrong horizon,
-    vocabulary, or state-key mode).
+    Signals a prefix outside a tabular policy's table, or a policy asked
+    about the states of an MDP with another vocab, horizon or target.
     """
 
 

@@ -47,12 +47,13 @@ def bias_variance_sweep(
     group_size: int,
     alpha_conf: float,
 ) -> list[SweepRow]:
-    """Exact surrogate, bias, variance, and bound terms for each window size,
-    all from one enumeration pass; eps and dtv_max come from one build of
-    each policy's table."""
+    """Exact surrogate, bias, variance, and bound terms for each window size:
+    the surrogates from one enumeration pass, and the improvement (by backward
+    induction), eps and dtv_max from one build of each policy's table."""
     moments = population_moments(mdp, pi, mu, n_list)
-    improvement = moments.return_pi - moments.return_mu
-    gap = _policy_gap(policy_prob_table(pi, mdp), policy_prob_table(mu, mdp))
+    p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
+    improvement = _return_from_table(mdp, p_pi) - _return_from_table(mdp, p_mu)
+    gap = _policy_gap(p_pi, p_mu)
     rows = []
     for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
         report = _bound_report(

@@ -1,9 +1,8 @@
 """Scalar objectives and their gradients.
 
-Population quantities (exact return, performance differences, windowed
-surrogates and their variance) are computed by exhaustive enumeration, or
-for the return by backward induction over every state, so they are exact up
-to float rounding.  Sampled groups feed the empirical
+Population quantities are exact up to float rounding: the return by
+backward induction over every state, and the windowed surrogates and their
+variance by exhaustive enumeration.  Sampled groups feed the empirical
 estimators and the practical clipped/masked objectives.
 """
 
@@ -140,12 +139,10 @@ def _windowed_statistics(rewards, log_r: np.ndarray, n_list: Sequence[int]) -> I
 
 
 class PopulationMoments(NamedTuple):
-    """Per-window mean and variance of Z under mu, and both exact returns."""
+    """Per-window mean and variance of Z under mu."""
 
     mean: np.ndarray
     variance: np.ndarray
-    return_pi: float
-    return_mu: float
 
 
 def population_moments(
@@ -155,11 +152,11 @@ def population_moments(
     n_list: Sequence[int],
     require_full_support: bool = True,
 ) -> PopulationMoments:
-    """Mean and variance of Z for each window in ``n_list``, and both returns, in one pass.
+    """Mean and variance of Z for each window in ``n_list``, in one pass.
 
-    Z and the return terms p(y) R(y) vanish where R(y) = 0, so each chunk
-    keeps only its rewarded trajectories, and the moments only those mu can
-    generate.  Every window comes from one suffix sum of the log ratios.
+    Z vanishes where R(y) = 0, so each chunk keeps only the rewarded
+    trajectories mu can generate.  Every window comes from one suffix sum of
+    the log ratios.
     """
     check_enumeration_cap(mdp, mdp.n_trajectories)
     for n_step in n_list:
@@ -168,23 +165,22 @@ def population_moments(
     log_mu = policy_log_matrix(mu, mdp)
     if require_full_support and np.isneginf(log_mu).any():
         raise ZeroSupportError("rollout policy must have full support for exact identities")
-    totals = np.zeros((len(n_list) + 1, 2))
+    totals = np.zeros((len(n_list), 2))
     for chunk in trajectory_chunks(mdp):
         totals += _chunk_moments(mdp, log_pi, log_mu, *chunk, n_list)
         del chunk  # free this chunk before the next one is built
-    mean, second = totals[1:].T
-    return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0), *totals[0].tolist())
+    mean, second = totals.T
+    return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0))
 
 
 def _chunk_moments(mdp: TokenMdp, log_pi, log_mu, tokens, rewards, n_list) -> np.ndarray:
-    """One chunk's sums: row 0 is (J(pi), J(mu)), then (E[Z], E[Z^2]) per window."""
+    """One chunk's sums (E[Z], E[Z^2]), one row per window."""
     hit = np.flatnonzero(rewards)
     tokens = tokens[hit]
     at = (prefix_state_ids(mdp, tokens), tokens)
     rewards, log_r, token_log_mu = rewards[hit], log_pi[at], log_mu[at]
     del at, tokens
     log_weight = token_log_mu.sum(axis=1)
-    returns = np.exp([log_r.sum(axis=1), log_weight]) @ rewards
     keep = ~np.isneginf(log_weight)
     if not keep.all():
         rewards, log_r, token_log_mu = rewards[keep], log_r[keep], token_log_mu[keep]
@@ -192,7 +188,7 @@ def _chunk_moments(mdp: TokenMdp, log_pi, log_mu, tokens, rewards, n_list) -> np
     del token_log_mu
     weights = np.exp(log_weight[keep])
     stats = [(weights @ z, weights @ (z * z)) for z in _windowed_statistics(rewards, log_r, n_list)]
-    return np.vstack([returns, np.reshape(stats, (-1, 2))])
+    return np.reshape(stats, (-1, 2))
 
 
 def n_step_surrogate_population(mdp: TokenMdp, pi, mu, n_step: int) -> float:
@@ -298,12 +294,8 @@ def _logit_gradient(
     c = coeffs[hit]
     contrib = -c[:, None] * group.dists(pi_rows)[hit]
     contrib[np.arange(len(c)), group.tokens[hit]] += c
-    if pi.state_key == "match_length" and pi.mdp.target != group.mdp.target:
-        rows = prefix_match_lengths(group.mdp, pi.mdp.target)[group.row_ids("prefix")[hit]]
-    else:
-        rows = group.row_ids(pi.state_key)[hit]
     grad = np.zeros(pi.logits.shape)
-    np.add.at(grad, rows, contrib)
+    np.add.at(grad, group.row_ids(pi.state_key)[hit], contrib)
     return grad
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import UnknownStateError
-from .mdp import TokenMdp, enumerate_prefixes, match_length, n_rows, prefix_match_lengths
+from .mdp import TokenMdp, check_enumeration_cap, match_length, n_rows, prefix_match_lengths
 
 
 class PolicyRows(NamedTuple):
@@ -58,9 +58,11 @@ class TargetFollowingPolicy:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis."""
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, computed in one new array."""
+    out = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 class TabularSoftmaxPolicy:
@@ -174,31 +176,20 @@ def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
     """[n_prefixes, vocab] probabilities in state-id order.
 
     Row order matches the state ids produced by ``mdp.trajectory_chunks``.  Match-length
-    rows are gathered at each state's matched length and prefix rows cut to this MDP's
-    states; policies that only answer ``probs(prefix)`` are asked once per state.
+    rows are gathered at each state's matched length; prefix rows are the table itself.
     """
-    if not hasattr(policy, "rows"):
-        table = np.empty((n_rows(mdp, "prefix"), mdp.vocab_size))
-        for i, prefix in enumerate(enumerate_prefixes(mdp)):
-            table[i] = policy.probs(prefix)
-        return table
-    probs, key = policy.rows()
-    if key == "match_length":
-        return probs[prefix_match_lengths(mdp, policy.mdp.target)]
-    if mdp.vocab_size != policy.mdp.vocab_size or n_rows(mdp, key) > len(probs):
-        raise UnknownStateError("prefix-keyed rows do not cover this MDP's states")
-    return probs[: mdp.n_prefixes]
+    check_enumeration_cap(mdp, mdp.n_prefixes)
+    probs, key = policy_rows(policy, mdp)
+    return probs[prefix_match_lengths(mdp, mdp.target)] if key == "match_length" else probs
 
 
 def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:
-    """The rows that a sampled group of ``mdp`` reads for ``policy``: its own
-    rows when it was built for the same tokens, horizon and target, and its
-    state-indexed table otherwise."""
-    if hasattr(policy, "rows"):
-        own = policy.mdp
-        if (own.vocab, own.horizon, own.target) == (mdp.vocab, mdp.horizon, mdp.target):
-            return policy.rows()
-    return PolicyRows(policy_prob_table(policy, mdp))
+    """The policy's rows, which are only defined for the tokens, horizon and
+    target of the MDP it was built for."""
+    own = policy.mdp
+    if (own.vocab, own.horizon, own.target) != (mdp.vocab, mdp.horizon, mdp.target):
+        raise UnknownStateError("the policy was built for another vocab, horizon or target")
+    return policy.rows()
 
 
 def policy_log_matrix(policy, mdp: TokenMdp) -> np.ndarray:

@@ -36,19 +36,21 @@ def iter_window_products(log_ratios: np.ndarray, n_steps: Iterable[int]) -> Iter
 
     Each window is one ``exp`` of the difference of two columns of a shared
     suffix sum, computed in place in a new array the caller may overwrite.
+    A zero ratio adds 0 to that sum and 1 to a suffix count of zeros, and a
+    window whose count changes is 0.
     """
     t_len = log_ratios.shape[-1]
-    ends = [np.minimum(np.arange(t_len) + n_step, t_len) for n_step in n_steps]
-    if not np.isfinite(log_ratios).all():
-        rho = np.exp(log_ratios)
-        for end in ends:
-            yield np.stack([np.prod(rho[..., i + 1 : e], axis=-1) for i, e in enumerate(end)], -1)
-        return
-    suffix = _suffix_sums(log_ratios)
-    for end in ends:
+    zero = np.isneginf(log_ratios)
+    suffix = _suffix_sums(np.where(zero, 0.0, log_ratios))
+    zeros = _suffix_sums(zero) if zero.any() else None
+    for n_step in n_steps:
+        end = np.minimum(np.arange(t_len) + n_step, t_len)
         out = suffix[..., end]
         np.subtract(suffix[..., 1:], out, out=out)
-        yield np.exp(out, out=out)
+        np.exp(out, out=out)
+        if zeros is not None:
+            out[zeros[..., 1:] != zeros[..., end]] = 0.0
+        yield out
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:

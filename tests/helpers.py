@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from tracelab import GroupRollout, MaskSpec, TabularSoftmaxPolicy, TargetFollowingPolicy, TokenMdp
+from tracelab import GroupRollout, MaskSpec, PolicyRows, TabularSoftmaxPolicy, TargetFollowingPolicy, TokenMdp
 from tracelab import ZeroSupportError, match_length, reward
 from tracelab.mdp import Trajectory, check_enumeration_cap, check_window, prefix_state_ids
 from tracelab.mdp import trajectory_chunks
@@ -30,6 +30,11 @@ class OneHotPolicy:
         k = match_length(prefix, self.mdp.target)
         p[self.mdp.target[min(k, len(self.mdp.target) - 1)]] = 1.0
         return p
+
+    def rows(self) -> PolicyRows:
+        """One row per matched length, as ``probs`` gives it."""
+        heads = [self.mdp.target[:k] for k in range(len(self.mdp.target) + 1)]
+        return PolicyRows(np.array([self.probs(head) for head in heads]), "match_length")
 
 
 def random_small_mdp(rng: np.random.Generator) -> TokenMdp:

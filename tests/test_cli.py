@@ -25,7 +25,7 @@ from tracelab.config import (
     parse_config,
 )
 from tracelab.errors import ConfigError
-from helpers import OneHotPolicy, sample_group
+from helpers import sample_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COPY_OF_MU = 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu"}'
@@ -71,6 +71,7 @@ class TestConfigParsing:
             ("objective.beta", "NaN"),
             ("mdp.reward_bound", "Infinity"),
             ("enumeration_cap", "0"),
+            ("mdp.target", '"abx"'),
         ],
     )
     def test_domain_violation_named(self, key, value):
@@ -151,14 +152,10 @@ class TestEnumerationCap:
         cfg = parse_config(raw)
         mu, pi = cfg.build_mu(), TargetFollowingPolicy(cfg.mdp, 0.8)
         group = sample_group(cfg.mdp, mu, 8, np.random.default_rng(0))
-        # Target-following rows need no table; a policy that only answers
-        # probs(prefix) is read from its state-indexed table, which the cap refuses.
+        # Target-following rows need no table; a bound reads state tables,
+        # which the cap refuses.
         assert np.isfinite(objective_value(group, pi, mu, cfg.objective).value)
-        calls = [
-            cfg.build_pi,
-            lambda: theorem_lower_bound(group, pi, mu, 4, 0.05),
-            lambda: objective_value(group, pi, OneHotPolicy(cfg.mdp), cfg.objective),
-        ]
+        calls = [cfg.build_pi, lambda: theorem_lower_bound(group, pi, mu, 4, 0.05)]
         for call in calls:
             tracemalloc.start()
             try:
@@ -231,6 +228,12 @@ class TestSweepCommand:
         code = run(["sweep", "--out", str(tmp_path), "--set", "policies.mu.alpha=1.5"])
         assert code == 1
         assert "policies.mu.alpha" in capsys.readouterr().err
+
+    def test_output_path_naming_a_file_exits_one(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(["sweep", "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_config_file_loaded(self, tmp_path):
         config_path = tmp_path / "cfg.json"

@@ -57,6 +57,12 @@ class TestSweep:
         assert abs(rows[-1].population_surrogate - improvement) < 1e-10
         assert all(r.exact_improvement == pytest.approx(improvement) for r in rows)
 
+    def test_exact_improvement_is_the_direct_return_gap(self, rows, toy_mdp, mu05, pi08):
+        """The improvement comes from backward induction, not from the
+        enumeration pass that gives the N = T surrogate."""
+        improvement = performance_difference_direct(toy_mdp, pi08, mu05)
+        assert [r.exact_improvement for r in rows] == [improvement] * len(rows)
+
     def test_population_inequality_every_window(self, rows):
         """Improvement >= surrogate - truncation term, deterministically."""
         for row in rows:

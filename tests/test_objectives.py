@@ -13,6 +13,7 @@ from tracelab import (
     GroupRollout,
     MaskSpec,
     ObjectiveSpec,
+    PolicyRows,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     TokenMdp,
@@ -248,10 +249,15 @@ class TestVariance:
 
     def test_deterministic_rollout(self, toy_mdp, pi08):
         class OneHot:
+            mdp = toy_mdp
+
             def probs(self, prefix):
                 p = np.zeros(3)
                 p[0] = 1.0
                 return p
+
+            def rows(self):
+                return PolicyRows(np.tile(self.probs(()), (len(self.mdp.target) + 1, 1)), "match_length")
 
         report = variance_of_statistic(toy_mdp, pi08, OneHot(), 3)
         assert report.per_sample == pytest.approx(0.0, abs=1e-15)

@@ -12,6 +12,7 @@ from tracelab import (
     UnknownStateError,
     d_tv_max,
     enumerate_prefixes,
+    exact_return,
     ratio_deviation_bound,
 )
 from tracelab.policies import policy_prob_table
@@ -131,6 +132,20 @@ class TestTabularSoftmax:
         assert kept <= 1.1 * table
         assert peak <= 3.0 * table
 
+    def test_rows_allocate_one_probability_table(self):
+        """At T=11 the softmax of a prefix-keyed policy's logits is built in
+        the one [n_prefixes, V] array it returns."""
+        mdp = TokenMdp.from_symbols("abc", 11, "abcabc")
+        pi = random_tabular(mdp, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            rows = pi.rows()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.probs.nbytes == pi.logits.nbytes
+        assert peak <= 1.5 * pi.logits.nbytes
+
 
 class TestDivergences:
     def test_identical_policies(self, toy_mdp, mu05):
@@ -154,16 +169,29 @@ class TestDivergences:
         assert d_tv_max(mu05, pi08, toy_mdp) == pytest.approx(0.3)
 
     def test_d_tv_max_matches_manual_scan(self):
-        """Same-alpha policies on different targets, checked against an
-        independent prefix scan."""
+        """A target-following policy against a random prefix-keyed one,
+        checked against an independent prefix scan."""
         mdp_a = TokenMdp.from_symbols("abc", 4, "abca")
         pi = TargetFollowingPolicy(mdp_a, 0.5)
-        mu = TargetFollowingPolicy(TokenMdp.from_symbols("abc", 4, "bcab"), 0.5)
+        mu = random_tabular(mdp_a, np.random.default_rng(4))
         manual = 0.0
         for prefix in enumerate_prefixes(mdp_a):
             gap = 0.5 * np.abs(mu.probs(prefix) - pi.probs(prefix)).sum()
             manual = max(manual, float(gap))
         assert d_tv_max(mu, pi, mdp_a) == pytest.approx(manual, abs=1e-15)
+
+    def test_policy_of_another_mdp_rejected(self):
+        """Same-alpha policies on different targets have no common states."""
+        mdp_a = TokenMdp.from_symbols("abc", 4, "abca")
+        pi = TargetFollowingPolicy(mdp_a, 0.5)
+        mu = TargetFollowingPolicy(TokenMdp.from_symbols("abc", 4, "bcab"), 0.5)
+        for call in (
+            lambda: policy_prob_table(mu, mdp_a),
+            lambda: exact_return(mdp_a, mu),
+            lambda: d_tv_max(mu, pi, mdp_a),
+        ):
+            with pytest.raises(UnknownStateError):
+                call()
 
     def test_tv_equals_expected_ratio_deviation(self, toy_mdp, mu05, pi08):
         """E_mu |pi/mu - 1| = 2 TV at every state."""

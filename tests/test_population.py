@@ -8,6 +8,7 @@ the window kernel itself on ``[G, T]`` blocks.
 """
 
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 
@@ -58,7 +59,8 @@ def _assert_matches_oracle(mdp, pi, mu, n_list, require_full_support=True):
     np.testing.assert_allclose(moments.mean, mean, rtol=0, atol=tol)
     variance = np.maximum(second - mean * mean, 0.0)
     np.testing.assert_allclose(moments.variance, variance, rtol=0, atol=tol)
-    np.testing.assert_allclose([moments.return_pi, moments.return_mu], returns, rtol=0, atol=1e-12)
+    exact = [exact_return(mdp, pi), exact_return(mdp, mu)]
+    np.testing.assert_allclose(exact, returns, rtol=0, atol=1e-12)
 
 
 def _with_zero_tokens(policy: TabularSoftmaxPolicy, rng, share: float) -> TabularSoftmaxPolicy:
@@ -91,7 +93,7 @@ def test_moments_match_per_trajectory_oracle(setup):
 @given(setup=moment_setups())
 def test_zero_probability_target_tokens(setup):
     """pi gives some sampled tokens probability zero: log ratios of -inf
-    take the zero-ratio fallback of the window kernel."""
+    go through the window kernel's count of zero ratios."""
     mdp, pi, mu, n_list, rng = setup
     pi = _with_zero_tokens(TabularSoftmaxPolicy.from_policy(mdp, pi), rng, 0.3)
     _assert_matches_oracle(mdp, pi, mu, n_list)
@@ -172,7 +174,9 @@ def test_exact_return_memory_is_bounded_by_the_table():
     finally:
         tracemalloc.stop()
     assert peak < 3 * table < 8 * mdp.n_trajectories * mdp.horizon / 2
-    assert value == pytest.approx(population_moments(mdp, mu, mu, [1]).return_mu, rel=1e-12)
+    # Each token advances the match with probability 0.5: P(Bin(12, 0.5) >= 6).
+    closed_form = sum(math.comb(12, k) for k in range(6, 13)) / 2**12
+    assert value == pytest.approx(closed_form, rel=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
