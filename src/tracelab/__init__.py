@@ -45,7 +45,6 @@ from .mdp import (
 )
 from .objectives import (
     ObjectiveSpec,
-    ObjectiveValue,
     VarianceReport,
     exact_return,
     gradient_norm,

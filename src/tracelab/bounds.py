@@ -10,7 +10,7 @@ assembled inequality empirically against enumerated truth.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,38 +86,21 @@ class BoundReport:
     hoeffding: float
     lower_bound: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def _policy_gap(
-    p_pi, p_mu, eps: float | None = None, dtv_max: float | None = None
-) -> tuple[float, float]:
-    """eps and dtv_max for a policy pair, read from its two state-indexed tables.
-
-    Each defaults to its exact value.  A supplied ``eps`` or ``dtv_max``
-    smaller than its exact value would void the hypothesis the bound rests
-    on, so it is rejected.
-    """
-    exact_eps = table_ratio_deviation(p_pi, p_mu)
-    if eps is None:
-        eps = exact_eps
-    elif eps < exact_eps - 1e-12:
-        raise ValueError(f"supplied eps {eps} is below the exact ratio-deviation bound {exact_eps}")
-    exact_dtv = float(total_variation(p_mu, p_pi).max())
-    if dtv_max is None:
-        dtv_max = exact_dtv
-    elif dtv_max < exact_dtv - 1e-12:
-        raise ValueError(f"supplied dtv_max {dtv_max} is below the exact max state TV {exact_dtv}")
+def _policy_gap(p_pi, p_mu) -> tuple[float, float]:
+    """The exact eps and dtv_max of a policy pair, read from its two state-indexed tables."""
+    eps = table_ratio_deviation(p_pi, p_mu)
     # Identical policies deviate by zero; keep the formulas well-defined.
-    return max(eps, 1e-12), dtv_max
+    return max(eps, 1e-12), float(total_variation(p_mu, p_pi).max())
 
 
 def _bound_report(
-    horizon: int, n_step: int, alpha_conf: float, group_size: int, surrogate: float,
-    xi: float, eps: float, dtv_max: float,
+    mdp: TokenMdp, n_step: int, alpha_conf: float, group_size: int, surrogate: float,
+    eps: float, dtv_max: float,
 ) -> BoundReport:
-    """The bound terms around a surrogate, for eps and dtv_max from :func:`_policy_gap`."""
+    """The bound terms around a surrogate, for xi = ``mdp.reward_bound`` and eps
+    and dtv_max from :func:`_policy_gap`."""
+    xi, horizon = mdp.reward_bound, mdp.horizon
     truncation = truncation_bias_bound(xi, horizon, n_step, dtv_max)
     b_val = b_n(xi, eps, horizon, n_step)
     penalty = hoeffding_penalty(b_val, alpha_conf, group_size)
@@ -139,34 +122,22 @@ def _bound_report(
 
 
 def theorem_lower_bound(
-    group: GroupRollout,
-    pi,
-    mu,
-    n_step: int,
-    alpha_conf: float,
-    xi: float | None = None,
-    eps: float | None = None,
-    dtv_max: float | None = None,
+    group: GroupRollout, pi, mu, n_step: int, alpha_conf: float
 ) -> BoundReport:
     """Assemble the full lower bound for one sampled group.
 
-    ``eps`` and ``dtv_max`` default to their exact values for the policy
-    pair; both, and the surrogate, come from one build of each policy's
-    state-indexed table.  A supplied ``eps`` or ``dtv_max`` smaller than its
-    exact value is rejected (see :func:`_policy_gap`).
+    The hypotheses are the exact ones: xi is ``mdp.reward_bound``, and eps
+    and dtv_max are exact for the policy pair; both, and the surrogate, come
+    from one build of each policy's state-indexed table.
     """
     mdp = group.mdp
     check_window(mdp.horizon, n_step)
-    if xi is None:
-        xi = mdp.reward_bound
-    if float(np.abs(group.rewards).max(initial=0.0)) > xi + 1e-12:
-        raise ValueError("group contains rewards exceeding the bound xi")
+    if float(np.abs(group.rewards).max(initial=0.0)) > mdp.reward_bound + 1e-12:
+        raise ValueError(f"group contains rewards exceeding the bound xi = {mdp.reward_bound}")
     p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
     surrogate = _empirical_surrogate(group, PolicyRows(p_pi), PolicyRows(p_mu), n_step)
-    eps, dtv_max = _policy_gap(p_pi, p_mu, eps, dtv_max)
-    return _bound_report(
-        mdp.horizon, n_step, alpha_conf, group.group_size, surrogate, xi, eps, dtv_max
-    )
+    gap = _policy_gap(p_pi, p_mu)
+    return _bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
 
 
 def verify_coverage(
@@ -189,9 +160,7 @@ def verify_coverage(
         raise ValueError("trials must be >= 1")
     p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
     truth = _return_from_table(mdp, p_pi) - _return_from_table(mdp, p_mu)
-    report = _bound_report(
-        mdp.horizon, n_step, alpha_conf, group_size, 0.0, mdp.reward_bound, *_policy_gap(p_pi, p_mu)
-    )
+    report = _bound_report(mdp, n_step, alpha_conf, group_size, 0.0, *_policy_gap(p_pi, p_mu))
     rng = np.random.default_rng(seed)
     pi_rows, mu_rows = PolicyRows(p_pi), PolicyRows(p_mu)
     hits = 0

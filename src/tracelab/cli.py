@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -182,7 +182,7 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     payload = {
         "config_hash": config_hash(cfg.to_dict()),
         "seed": cfg.seed,
-        "dynamics": report.to_dict(),
+        "dynamics": asdict(report),
         "smoothing": {
             "amplitude": 0.2,
             "length": 50,
@@ -218,7 +218,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     payload = {
         "config_hash": config_hash(cfg.to_dict()),
         "seed": cfg.seed,
-        "bound_report": report.to_dict(),
+        "bound_report": asdict(report),
         "coverage": coverage,
         "trials": cfg.trials,
         "threshold": threshold,

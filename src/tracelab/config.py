@@ -12,7 +12,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .errors import ConfigError
@@ -80,12 +80,17 @@ def _require_keys(section: dict, path: str, known: Sequence[str], required: Sequ
             raise ConfigError(f"missing config key '{_join(path, key)}'")
 
 
-def _number(section: dict, path: str, key: str, lo=None, hi=None, *, open_lo=False, open_hi=False, default=None):
+def _present(section: dict, path: str, key: str, default):
+    """The value at ``key``; a missing key gets ``default`` written in, or fails without one."""
     if key not in section:
         if default is None:
             raise ConfigError(f"missing config key '{_join(path, key)}'")
-        return default
-    value = section[key]
+        section[key] = default
+    return section[key]
+
+
+def _number(section: dict, path: str, key: str, lo=None, hi=None, *, open_lo=False, open_hi=False, default=None):
+    value = _present(section, path, key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(_join(path, key), "a number", value)
     value = float(value)
@@ -95,15 +100,12 @@ def _number(section: dict, path: str, key: str, lo=None, hi=None, *, open_lo=Fal
         raise _fail(_join(path, key), _domain(lo, hi, open_lo, open_hi), value)
     if hi is not None and (value >= hi if open_hi else value > hi):
         raise _fail(_join(path, key), _domain(lo, hi, open_lo, open_hi), value)
+    section[key] = value
     return value
 
 
 def _integer(section: dict, path: str, key: str, lo=None, hi=None, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing config key '{_join(path, key)}'")
-        return default
-    value = section[key]
+    value = _present(section, path, key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(_join(path, key), "an integer", value)
     if (lo is not None and value < lo) or (hi is not None and value > hi):
@@ -118,11 +120,7 @@ def _domain(lo, hi, open_lo, open_hi, kind: str = "a number") -> str:
 
 
 def _choice(section: dict, path: str, key: str, options: Sequence[str], default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing config key '{_join(path, key)}'")
-        return default
-    value = section[key]
+    value = _present(section, path, key, default)
     if value not in options:
         raise _fail(_join(path, key), f"one of {list(options)}", value)
     return value
@@ -134,11 +132,6 @@ class PolicyConfig:
     alpha: float | None = None
     init: str | None = None
     state_key: str | None = None
-
-    def to_dict(self) -> dict:
-        if self.family == "target_following":
-            return {"family": self.family, "alpha": self.alpha}
-        return {"family": self.family, "init": self.init, "state_key": self.state_key}
 
 
 def _parse_policy(section: dict, path: str, *, allow_copy: bool) -> PolicyConfig:
@@ -193,6 +186,7 @@ class RunConfig:
     n_list: tuple[int, ...]
     rollout_refresh: int
     seed: int
+    echo: str = field(repr=False)
 
     def build_mu(self):
         return _build_policy(self.mu, self.mdp, mu=None)
@@ -201,35 +195,9 @@ class RunConfig:
         return _build_policy(self.pi, self.mdp, mu=self.build_mu())
 
     def to_dict(self) -> dict:
-        """Canonical echo; parsing it again reproduces this config exactly."""
-        return {
-            "mdp": {
-                "vocab": list(self.mdp.vocab),
-                "horizon": self.mdp.horizon,
-                "target": self.mdp.format_tokens(self.mdp.target),
-                "reward_bound": self.mdp.reward_bound,
-            },
-            "policies": {"mu": self.mu.to_dict(), "pi": self.pi.to_dict()},
-            "objective": {
-                "kind": self.objective.kind,
-                "N": self.objective.n_step,
-                "beta": self.objective.beta,
-                "eps_low": self.objective.eps_low,
-                "eps_high": self.objective.eps_high,
-                "mask": self.objective.params()["mask"],
-            },
-            "experiment": {
-                "G": self.group_size,
-                "steps": self.steps,
-                "learning_rate": self.learning_rate,
-                "trials": self.trials,
-                "alpha_conf": self.alpha_conf,
-                "N_list": list(self.n_list),
-                "rollout_refresh": self.rollout_refresh,
-            },
-            "seed": self.seed,
-            "enumeration_cap": self.mdp.enumeration_cap,
-        }
+        """Canonical echo: the parsed document, with every default filled in and
+        every number-valued key a float; parsing it again reproduces this config."""
+        return json.loads(self.echo)
 
 
 def _build_policy(cfg: PolicyConfig, mdp: TokenMdp, mu):
@@ -241,6 +209,9 @@ def _build_policy(cfg: PolicyConfig, mdp: TokenMdp, mu):
 
 
 def parse_config(data: dict) -> RunConfig:
+    """Validate a config document.  Parsing works on a copy of ``data``; each
+    validated value is written back into the copy, which becomes the echo."""
+    data = copy.deepcopy(data)
     _require_keys(
         data,
         "",
@@ -262,7 +233,8 @@ def parse_config(data: dict) -> RunConfig:
     target = mdp_section["target"]
     if not isinstance(target, str) or not target or not set(target) <= set(vocab):
         raise _fail("mdp.target", "a non-empty string over the vocab", target)
-    reward_bound = _number(mdp_section, "mdp", "reward_bound", 0.0, open_lo=True, default=1.0)
+    # The subsequence reward reaches 1, so a smaller bound voids the bound's hypothesis.
+    reward_bound = _number(mdp_section, "mdp", "reward_bound", 1.0, default=1.0)
     cap = _integer(data, "", "enumeration_cap", lo=1, default=DEFAULT_ENUMERATION_CAP)
     mdp = TokenMdp.from_symbols(vocab, horizon, target, reward_bound, cap)
 
@@ -283,7 +255,7 @@ def parse_config(data: dict) -> RunConfig:
     beta = _number(objective, "objective", "beta", 1.0, open_lo=True, default=3.0)
     eps_low = _number(objective, "objective", "eps_low", 0.0, 1.0, open_lo=True, open_hi=True, default=0.2)
     eps_high = _number(objective, "objective", "eps_high", 0.0, open_lo=True, default=0.4)
-    mask = _parse_mask(objective.get("mask", {"kind": "none"}), "objective.mask")
+    mask = _parse_mask(objective.setdefault("mask", {"kind": "none"}), "objective.mask")
     spec = ObjectiveSpec(
         kind=kind, n_step=n_step, beta=beta, eps_low=eps_low, eps_high=eps_high, mask=mask
     )
@@ -302,7 +274,7 @@ def parse_config(data: dict) -> RunConfig:
     alpha_conf = _number(
         experiment, "experiment", "alpha_conf", 0.0, 1.0, open_lo=True, open_hi=True, default=0.05
     )
-    n_list_raw = experiment.get("N_list", list(range(1, mdp.horizon + 1)))
+    n_list_raw = experiment.setdefault("N_list", list(range(1, mdp.horizon + 1)))
     if (
         not isinstance(n_list_raw, list)
         or not n_list_raw
@@ -327,6 +299,7 @@ def parse_config(data: dict) -> RunConfig:
         n_list=tuple(n_list_raw),
         rollout_refresh=rollout_refresh,
         seed=seed,
+        echo=json.dumps(data, sort_keys=True),
     )
 
 

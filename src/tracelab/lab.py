@@ -4,7 +4,7 @@ full-batch tabular training, and learning-dynamics metrics."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,9 +56,7 @@ def bias_variance_sweep(
     gap = _policy_gap(p_pi, p_mu)
     rows = []
     for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
-        report = _bound_report(
-            mdp.horizon, n_step, alpha_conf, group_size, surrogate, mdp.reward_bound, *gap
-        )
+        report = _bound_report(mdp, n_step, alpha_conf, group_size, surrogate, *gap)
         rows.append(
             SweepRow(
                 n_step=n_step,
@@ -113,7 +111,7 @@ def train(
         raise ValueError("rollout_refresh must be >= 1")
     rng = np.random.default_rng(seed)
     records: list[TrainRecord] = []
-    matched = prefix_match_lengths(mdp, mdp.target)
+    matched = prefix_match_lengths(mdp)
     p_pi = policy_prob_table(pi, mdp)
     for step in range(steps):
         if step % rollout_refresh == 0:
@@ -155,9 +153,6 @@ class DynamicsReport:
     switch_freq_rho: float
     switch_freq_trace: float
     trace_variance: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def switch_count(signal: np.ndarray) -> int:

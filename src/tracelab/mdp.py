@@ -29,8 +29,8 @@ class TokenMdp:
     """Deterministic prefix-append MDP over a finite vocabulary.
 
     ``target`` is stored as vocabulary indices.  ``reward_bound`` is the
-    declared bound on |reward|; it is 1 for the binary subsequence reward
-    but kept as a field so the concentration formulas generalize.
+    declared bound xi on |reward| that the concentration formulas use; the
+    binary subsequence reward reaches 1, so it must be at least 1.
     ``enumeration_cap`` bounds every enumeration and every state-indexed
     table built for this MDP; each is checked before it is built.
     """
@@ -52,8 +52,8 @@ class TokenMdp:
             raise ValueError("target must be non-empty")
         if any(not (0 <= s < len(self.vocab)) for s in self.target):
             raise ValueError("target contains out-of-vocab indices")
-        if not (self.reward_bound > 0):
-            raise ValueError("reward_bound must be positive")
+        if not self.reward_bound >= 1.0:
+            raise ValueError("reward_bound must be >= 1, the largest reward")
         if not self.enumeration_cap >= 1:
             raise ValueError("enumeration_cap must be >= 1")
 
@@ -89,9 +89,6 @@ class TokenMdp:
         """Number of states: prefixes of length 0 .. horizon-1."""
         v = self.vocab_size
         return (v**self.horizon - 1) // (v - 1)
-
-    def format_tokens(self, tokens: Sequence[int]) -> str:
-        return "".join(self.vocab[i] for i in tokens)
 
     def check_trajectory(self, y: Sequence[int]) -> Trajectory:
         y = tuple(int(t) for t in y)
@@ -215,14 +212,14 @@ def _extend_match(k: np.ndarray, tokens: np.ndarray, target: np.ndarray) -> np.n
     return k + ((tokens == target[np.minimum(k, n - 1)]) & (k < n))
 
 
-def prefix_match_lengths(mdp: TokenMdp, target: Sequence[int]) -> np.ndarray:
-    """match_length(prefix, target) for every state id, built level by level.
+def prefix_match_lengths(mdp: TokenMdp) -> np.ndarray:
+    """match_length(prefix, mdp.target) for every state id, built level by level.
 
     The length-t prefix with code c extends the length-(t-1) prefix with
     code c // |vocab| by the token c % |vocab|.
     """
     check_enumeration_cap(mdp, mdp.n_prefixes)
-    target = np.asarray(target, dtype=np.int64)
+    target = np.asarray(mdp.target, dtype=np.int64)
     v = mdp.vocab_size
     levels = [np.zeros(1, dtype=np.int64)]
     for _ in range(1, mdp.horizon):

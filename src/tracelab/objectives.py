@@ -8,7 +8,7 @@ estimators and the practical clipped/masked objectives.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -71,22 +71,6 @@ class ObjectiveSpec:
         if not self.eps_high > 0.0:
             raise ValueError("eps_high must be positive")
 
-    def params(self) -> dict:
-        return {
-            "n_step": self.n_step,
-            "beta": self.beta,
-            "eps_low": self.eps_low,
-            "eps_high": self.eps_high,
-            "mask": {k: v for k, v in asdict(self.mask).items() if v is not None},
-        }
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    value: float
-    kind: str
-    params: dict = field(default_factory=dict)
-
 
 class VarianceReport(NamedTuple):
     per_sample: float
@@ -108,11 +92,11 @@ def _return_from_table(mdp: TokenMdp, probs: np.ndarray, matched=None) -> float:
     rewarded next tokens.  Every shorter state is worth the probability-
     weighted value of its |vocab| children, which are consecutive states one
     level down, so each level is one row-wise dot.  ``matched`` is
-    ``prefix_match_lengths(mdp, mdp.target)`` when the caller has it.
+    ``prefix_match_lengths(mdp)`` when the caller has it.
     """
     check_enumeration_cap(mdp, mdp.n_trajectories)
     if matched is None:
-        matched = prefix_match_lengths(mdp, mdp.target)
+        matched = prefix_match_lengths(mdp)
     v, n = mdp.vocab_size, len(mdp.target)
     first = mdp.n_prefixes - v ** (mdp.horizon - 1)
     matched, last = matched[first:], probs[first:]
@@ -265,14 +249,13 @@ def _token_terms(
     return terms, group.weights[:, None] * adv * keep * trace * rho
 
 
-def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> ObjectiveValue:
+def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> float:
     """The practical objective ``spec`` of a group: nfpo (the masked surrogate
     reweighted by the clipped forward trace), mpg (masked tokens contribute
     nothing) or ppo (the clipped-ratio surrogate with the pessimistic min)."""
     pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
     terms, _ = _token_terms(group, pi_rows, mu_rows, spec)
-    value = float(group.weights @ terms.sum(axis=-1))
-    return ObjectiveValue(value=value, kind=spec.kind, params=spec.params())
+    return float(group.weights @ terms.sum(axis=-1))
 
 
 def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> np.ndarray:

@@ -142,7 +142,9 @@ class TabularSoftmaxPolicy:
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Total variation distance between distributions along the last axis."""
-    return 0.5 * np.abs(p - q).sum(axis=-1)
+    gap = p - q
+    np.abs(gap, out=gap)
+    return 0.5 * gap.sum(axis=-1)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -180,7 +182,7 @@ def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
     """
     check_enumeration_cap(mdp, mdp.n_prefixes)
     probs, key = policy_rows(policy, mdp)
-    return probs[prefix_match_lengths(mdp, mdp.target)] if key == "match_length" else probs
+    return probs[prefix_match_lengths(mdp)] if key == "match_length" else probs
 
 
 def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:

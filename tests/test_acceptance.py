@@ -219,8 +219,8 @@ def test_c11_trivial_window_equivalence(toy_mdp, mu05, pi08):
             group = sample_group(toy_mdp, mu05, 8, rng)
             mask = masks[trial % len(masks)]
             nfpo = ObjectiveSpec("nfpo", 1, 3.0, 0.2, 0.4, mask)
-            a = objective_value(group, pi08, mu05, nfpo).value
-            b = objective_value(group, pi08, mu05, ObjectiveSpec("mpg", mask=mask)).value
+            a = objective_value(group, pi08, mu05, nfpo)
+            b = objective_value(group, pi08, mu05, ObjectiveSpec("mpg", mask=mask))
             assert abs(a - b) < 1e-14
 
 

@@ -103,7 +103,7 @@ def test_kernel_matches_per_trajectory_oracle(kind, mask_kind, setup):
     mask = _mask(mask_kind, delta)
     spec = ObjectiveSpec(kind, n_step=n_step, eps_low=0.2, eps_high=0.28, mask=mask)
     value, grad = _oracle(group, pi, mu, spec)
-    assert objective_value(group, pi, mu, spec).value == pytest.approx(value, abs=1e-12)
+    assert objective_value(group, pi, mu, spec) == pytest.approx(value, abs=1e-12)
     np.testing.assert_allclose(objective_gradient(group, pi, mu, spec), grad, rtol=0, atol=1e-12)
 
 

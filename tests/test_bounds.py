@@ -117,22 +117,19 @@ class TestTheoremLowerBound:
             report.empirical_surrogate - report.truncation_bias - report.hoeffding
         )
 
-    def test_understated_eps_rejected(self, toy_mdp, mu05, pi08):
-        group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="ratio-deviation bound"):
-            theorem_lower_bound(group, pi08, mu05, 4, 0.05, eps=0.3)
 
-    def test_understated_dtv_max_rejected(self, toy_mdp, mu05, pi08):
-        group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="exact max state TV"):
-            theorem_lower_bound(group, pi08, mu05, 4, 0.05, dtv_max=0.0)
-        report = theorem_lower_bound(group, pi08, mu05, 4, 0.05, dtv_max=0.5)
-        assert report.dtv_max == 0.5
-
-    def test_generous_eps_accepted(self, toy_mdp, mu05, pi08):
-        group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(3))
-        report = theorem_lower_bound(group, pi08, mu05, 4, 0.05, eps=0.9)
-        assert report.eps == 0.9
+    def test_reward_above_xi_rejected(self, toy_mdp, mu05, pi08):
+        """xi is mdp.reward_bound; a group whose reward exceeds it breaks the
+        bound's hypothesis, so the bound refuses the group."""
+        group = weights.GroupRollout(
+            mdp=toy_mdp,
+            tokens=np.zeros((2, toy_mdp.horizon), dtype=np.int64),
+            rewards=np.array([2.0, 0.0]),
+            advantages=np.array([1.0, -1.0]),
+            weights=np.full(2, 0.5),
+        )
+        with pytest.raises(ValueError, match="exceeding the bound xi = 1.0"):
+            theorem_lower_bound(group, pi08, mu05, 4, 0.05)
 
 
 class TestCoverage:

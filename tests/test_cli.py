@@ -72,6 +72,7 @@ class TestConfigParsing:
             ("mdp.reward_bound", "Infinity"),
             ("enumeration_cap", "0"),
             ("mdp.target", '"abx"'),
+            ("mdp.reward_bound", "0.5"),
         ],
     )
     def test_domain_violation_named(self, key, value):
@@ -154,7 +155,7 @@ class TestEnumerationCap:
         group = sample_group(cfg.mdp, mu, 8, np.random.default_rng(0))
         # Target-following rows need no table; a bound reads state tables,
         # which the cap refuses.
-        assert np.isfinite(objective_value(group, pi, mu, cfg.objective).value)
+        assert np.isfinite(objective_value(group, pi, mu, cfg.objective))
         calls = [cfg.build_pi, lambda: theorem_lower_bound(group, pi, mu, 4, 0.05)]
         for call in calls:
             tracemalloc.start()
@@ -188,6 +189,27 @@ class TestEnumerationCap:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        ("sweep", []),
+        ("train", ["experiment.steps=5", COPY_OF_MU]),
+        ("analyze", []),
+        ("verify", ["experiment.trials=50"]),
+    ],
+    ids=["sweep", "train", "analyze", "verify"],
+)
+def test_every_command_reruns_byte_identically(tmp_path, command, overrides):
+    """Every file a run writes, the manifest included, repeats byte for byte."""
+    sets = [arg for s in overrides for arg in ("--set", s)]
+    for name in ("a", "b"):
+        assert run([command, "--out", str(tmp_path / name), *sets]) == 0
+    written = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(written) == 2 and "run_manifest.json" in written
+    for name in written:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestSweepCommand:
     def test_default_run_produces_seven_rows(self, tmp_path):
         assert run(["sweep", "--out", str(tmp_path)]) == 0
@@ -195,12 +217,6 @@ class TestSweepCommand:
         assert header[0] == "N"
         assert len(rows) == 7
         assert [r[0] for r in rows] == [str(n) for n in range(1, 8)]
-
-    def test_byte_identical_reruns_and_worker_invariance(self, tmp_path):
-        run(["sweep", "--out", str(tmp_path / "a")])
-        run(["sweep", "--out", str(tmp_path / "b")])
-        for name in ("sweep.csv", "run_manifest.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_manifest_round_trip(self, tmp_path):
         run(["sweep", "--out", str(tmp_path)])
@@ -234,6 +250,53 @@ class TestSweepCommand:
         taken.write_text("")
         assert run(["sweep", "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_partial_config_echo_fills_every_default(self, tmp_path):
+        """The manifest echoes a partial config file with every default filled
+        in and every number-valued key as a float; the echo re-parses to the
+        same config."""
+        partial = {
+            "mdp": {"vocab": ["a", "b"], "horizon": 5, "target": "ab"},
+            "policies": {
+                "mu": {"family": "target_following", "alpha": 0.5},
+                "pi": {"family": "tabular_softmax"},
+            },
+            "objective": {"kind": "ppo", "beta": 2},
+            "experiment": {"learning_rate": 1},
+        }
+        expected = {
+            "mdp": {"vocab": ["a", "b"], "horizon": 5, "target": "ab", "reward_bound": 1.0},
+            "policies": {
+                "mu": {"family": "target_following", "alpha": 0.5},
+                "pi": {"family": "tabular_softmax", "init": "zeros", "state_key": "prefix"},
+            },
+            "objective": {
+                "kind": "ppo",
+                "N": 4,
+                "beta": 2.0,
+                "eps_low": 0.2,
+                "eps_high": 0.4,
+                "mask": {"kind": "none"},
+            },
+            "experiment": {
+                "G": 8,
+                "steps": 500,
+                "learning_rate": 1.0,
+                "trials": 2000,
+                "alpha_conf": 0.05,
+                "N_list": [1, 2, 3, 4, 5],
+                "rollout_refresh": 1,
+            },
+            "seed": 0,
+            "enumeration_cap": DEFAULT_ENUMERATION_CAP,
+        }
+        config_path = tmp_path / "partial.json"
+        config_path.write_text(json.dumps(partial))
+        assert run(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        echo = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["config"]
+        # json.dumps tells 2 from 2.0, which == does not.
+        assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert parse_config(expected) == parse_config(partial)
 
     def test_config_file_loaded(self, tmp_path):
         config_path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def _reference_train(mdp, pi, spec, steps, learning_rate, group_size, seed, roll
         if step > 0 and step % rollout_refresh == 0:
             mu = pi.copy()
             group = sample_group(mdp, mu, group_size, rng)
-        value = objective_value(group, pi, mu, spec).value
+        value = objective_value(group, pi, mu, spec)
         gradient = objective_gradient(group, pi, mu, spec)
         pi.apply_gradient(gradient, learning_rate)
         records.append(
@@ -240,9 +241,9 @@ class TestDynamics:
         trajectories = [(0, 1, 2, 0, 1, 2, 0), (1,) * 7, (2, 0, 1, 2, 0, 1, 2)]
         forward = dynamics_report(_ratio_rows(trajectories, pi08, mu05), 4, 3.0, 0.2, 0.4)
         shuffled = dynamics_report(_ratio_rows(trajectories[::-1], pi08, mu05), 4, 3.0, 0.2, 0.4)
-        for field in forward.to_dict():
-            assert forward.to_dict()[field] == pytest.approx(
-                shuffled.to_dict()[field], abs=1e-12
+        for field in asdict(forward):
+            assert asdict(forward)[field] == pytest.approx(
+                asdict(shuffled)[field], abs=1e-12
             )
 
     def test_rejects_empty_input(self, toy_mdp, mu05):

@@ -80,6 +80,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TokenMdp.from_symbols("ab", 0, "a")
 
+    @pytest.mark.parametrize("bound", [0.5, 0.0, float("nan")])
+    def test_reward_bound_covers_the_reward(self, bound):
+        """The reward reaches 1, so a smaller declared bound is refused."""
+        with pytest.raises(ValueError, match="reward_bound"):
+            TokenMdp.from_symbols("ab", 3, "a", reward_bound=bound)
+        assert TokenMdp.from_symbols("ab", 3, "a", reward_bound=2.0).reward_bound == 2.0
+
 
 class TestEnumeration:
     def test_toy_count(self, toy_mdp):

@@ -15,7 +15,7 @@ from tracelab import (
     exact_return,
     ratio_deviation_bound,
 )
-from tracelab.policies import policy_prob_table
+from tracelab.policies import policy_prob_table, total_variation
 from helpers import random_tabular, ratios, sample_trajectory, state_kl, state_tv, token_prob
 
 
@@ -179,6 +179,21 @@ class TestDivergences:
             gap = 0.5 * np.abs(mu.probs(prefix) - pi.probs(prefix)).sum()
             manual = max(manual, float(gap))
         assert d_tv_max(mu, pi, mdp_a) == pytest.approx(manual, abs=1e-15)
+
+    def test_total_variation_allocates_one_table(self):
+        """The state TV of two [n_prefixes, V] tables at T=11 takes the
+        absolute value of their difference in place."""
+        mdp = TokenMdp.from_symbols("abc", 11, "abcabc")
+        rng = np.random.default_rng(0)
+        p, q = (random_tabular(mdp, rng).rows().probs for _ in range(2))
+        tracemalloc.start()
+        try:
+            tv = total_variation(p, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tv, 0.5 * np.abs(p - q).sum(axis=-1))
+        assert peak <= 1.5 * p.nbytes
 
     def test_policy_of_another_mdp_rejected(self):
         """Same-alpha policies on different targets have no common states."""
