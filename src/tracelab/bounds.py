@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import TokenMdp, check_window
-from .objectives import _empirical_surrogate, _return_from_table
-from .policies import PolicyRows, policy_prob_table, table_ratio_deviation, total_variation
+from .objectives import _empirical_surrogate, _exact_return
+from .policies import PolicyRows, policy_rows, state_table, table_ratio_deviation, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import GroupRollout, sample_from_table
 
@@ -87,8 +87,19 @@ class BoundReport:
     lower_bound: float
 
 
-def _policy_gap(p_pi, p_mu) -> tuple[float, float]:
-    """The exact eps and dtv_max of a policy pair, read from its two state-indexed tables."""
+def _policy_gap(mdp: TokenMdp, pi_rows: PolicyRows, mu_rows: PolicyRows) -> tuple[float, float]:
+    """The exact eps and dtv_max of a policy pair: maxima over every state.
+
+    When both policies have the same key they are read from the rows some
+    state reaches: every prefix row, or the match lengths k <= min(|target|,
+    T - 1).  Otherwise both are lifted to state tables first.
+    """
+    (p_pi, key), (p_mu, mu_key) = pi_rows, mu_rows
+    if key != mu_key:
+        p_pi, p_mu = state_table(pi_rows, mdp), state_table(mu_rows, mdp)
+    elif key == "match_length":
+        reached = min(len(mdp.target), mdp.horizon - 1) + 1
+        p_pi, p_mu = p_pi[:reached], p_mu[:reached]
     eps = table_ratio_deviation(p_pi, p_mu)
     # Identical policies deviate by zero; keep the formulas well-defined.
     return max(eps, 1e-12), float(total_variation(p_mu, p_pi).max())
@@ -127,16 +138,16 @@ def theorem_lower_bound(
     """Assemble the full lower bound for one sampled group.
 
     The hypotheses are the exact ones: xi is ``mdp.reward_bound``, and eps
-    and dtv_max are exact for the policy pair; both, and the surrogate, come
-    from one build of each policy's state-indexed table.
+    and dtv_max are exact for the policy pair; both, and the surrogate, are
+    read from each policy's own rows.
     """
     mdp = group.mdp
     check_window(mdp.horizon, n_step)
     if float(np.abs(group.rewards).max(initial=0.0)) > mdp.reward_bound + 1e-12:
         raise ValueError(f"group contains rewards exceeding the bound xi = {mdp.reward_bound}")
-    p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
-    surrogate = _empirical_surrogate(group, PolicyRows(p_pi), PolicyRows(p_mu), n_step)
-    gap = _policy_gap(p_pi, p_mu)
+    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    surrogate = _empirical_surrogate(group, pi_rows, mu_rows, n_step)
+    gap = _policy_gap(mdp, pi_rows, mu_rows)
     return _bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
 
 
@@ -152,17 +163,17 @@ def verify_coverage(
 ) -> float:
     """Fraction of independent groups whose bound the true improvement beats.
 
-    The two policy tables are built once; the truth, eps and dtv_max all
-    come from them, so each trial only samples a fresh group from mu's
-    table and evaluates its empirical surrogate.
+    The truth, eps and dtv_max all come from each policy's own rows, so
+    each trial only samples a fresh group from mu's rows and evaluates its
+    empirical surrogate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
-    truth = _return_from_table(mdp, p_pi) - _return_from_table(mdp, p_mu)
-    report = _bound_report(mdp, n_step, alpha_conf, group_size, 0.0, *_policy_gap(p_pi, p_mu))
+    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    truth = _exact_return(mdp, pi_rows) - _exact_return(mdp, mu_rows)
+    gap = _policy_gap(mdp, pi_rows, mu_rows)
+    report = _bound_report(mdp, n_step, alpha_conf, group_size, 0.0, *gap)
     rng = np.random.default_rng(seed)
-    pi_rows, mu_rows = PolicyRows(p_pi), PolicyRows(p_mu)
     hits = 0
     for _ in range(trials):
         group = sample_from_table(mdp, mu_rows, group_size, rng)

@@ -14,13 +14,13 @@ from .errors import TrainingDivergedError
 from .mdp import TokenMdp, prefix_match_lengths
 from .objectives import (
     ObjectiveSpec,
+    _exact_return,
     _logit_gradient,
-    _return_from_table,
     _token_terms,
     gradient_norm,
     population_moments,
 )
-from .policies import PolicyRows, TabularSoftmaxPolicy, policy_prob_table, total_variation
+from .policies import PolicyRows, TabularSoftmaxPolicy, policy_prob_table, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import clipped_trace, sample_from_table
 
@@ -49,11 +49,11 @@ def bias_variance_sweep(
 ) -> list[SweepRow]:
     """Exact surrogate, bias, variance, and bound terms for each window size:
     the surrogates from one enumeration pass, and the improvement (by backward
-    induction), eps and dtv_max from one build of each policy's table."""
+    induction), eps and dtv_max from each policy's own rows."""
     moments = population_moments(mdp, pi, mu, n_list)
-    p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
-    improvement = _return_from_table(mdp, p_pi) - _return_from_table(mdp, p_mu)
-    gap = _policy_gap(p_pi, p_mu)
+    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    improvement = _exact_return(mdp, pi_rows) - _exact_return(mdp, mu_rows)
+    gap = _policy_gap(mdp, pi_rows, mu_rows)
     rows = []
     for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
         report = _bound_report(mdp, n_step, alpha_conf, group_size, surrogate, *gap)
@@ -130,7 +130,7 @@ def train(
             TrainRecord(
                 step=step,
                 objective=value,
-                exact_return=_return_from_table(mdp, p_pi, matched),
+                exact_return=_exact_return(mdp, PolicyRows(p_pi), matched),
                 dtv_max=float(total_variation(p_mu, p_pi).max()),
                 grad_norm=gradient_norm(gradient),
             )

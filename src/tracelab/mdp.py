@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EnumerationCapError
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 Prefix = tuple[int, ...]
 Trajectory = tuple[int, ...]

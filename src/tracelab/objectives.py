@@ -18,6 +18,7 @@ from .mdp import (
     TokenMdp,
     check_enumeration_cap,
     check_window,
+    extend_rows,
     prefix_match_lengths,
     prefix_state_ids,
     trajectory_chunks,
@@ -26,7 +27,6 @@ from .policies import (
     PolicyRows,
     TabularSoftmaxPolicy,
     policy_log_matrix,
-    policy_prob_table,
     policy_rows,
 )
 from .weights import (
@@ -81,31 +81,49 @@ class VarianceReport(NamedTuple):
 
 
 def exact_return(mdp: TokenMdp, policy) -> float:
-    """Expected reward under the policy, by backward induction over every state."""
-    return _return_from_table(mdp, policy_prob_table(policy, mdp))
+    """Expected reward under the policy, by backward induction over its own rows."""
+    return _exact_return(mdp, policy_rows(policy, mdp))
 
 
-def _return_from_table(mdp: TokenMdp, probs: np.ndarray, matched=None) -> float:
-    """:func:`exact_return` from a state-indexed probability table.
+def _exact_return(mdp: TokenMdp, rows: PolicyRows, matched=None) -> float:
+    """:func:`exact_return` from a policy's rows.
 
     A state one token short of the horizon is worth the probability of its
-    rewarded next tokens.  Every shorter state is worth the probability-
-    weighted value of its |vocab| children, which are consecutive states one
-    level down, so each level is one row-wise dot.  ``matched`` is
-    ``prefix_match_lengths(mdp)`` when the caller has it.
+    rewarded next tokens; every shorter state is worth the probability-
+    weighted value of its |vocab| children, so each level is one row-wise
+    dot.  Prefix rows walk the prefix tree, whose children are consecutive
+    states one level down; ``matched`` is ``prefix_match_lengths(mdp)`` when
+    the caller has it.  Match-length rows walk the (t, k) chain: a state's
+    value depends only on its level t and matched length k <= min(|target|, t),
+    and the children of k are k and k + 1.
     """
-    check_enumeration_cap(mdp, mdp.n_trajectories)
+    probs, key = rows
+    v, n = mdp.vocab_size, len(mdp.target)
+    if key == "match_length":
+        child = extend_rows(mdp, key, np.arange(n + 1)[:, None], np.arange(v))
+        m = min(n, mdp.horizon - 1) + 1
+        value = _leaf_values(mdp, probs[:m], np.arange(m))
+        for t in range(mdp.horizon - 2, -1, -1):
+            m = min(n, t) + 1
+            value = np.einsum("ij,ij->i", probs[:m], value[child[:m]])
+        return float(value[0])
     if matched is None:
         matched = prefix_match_lengths(mdp)
-    v, n = mdp.vocab_size, len(mdp.target)
     first = mdp.n_prefixes - v ** (mdp.horizon - 1)
-    matched, last = matched[first:], probs[first:]
-    value = np.where(matched == n, last.sum(axis=1), 0.0)
-    value += np.where(matched == n - 1, last[:, mdp.target[-1]], 0.0)
+    value = _leaf_values(mdp, probs[first:], matched[first:])
     for t in range(mdp.horizon - 2, -1, -1):
         first -= v**t
         value = np.einsum("ij,ij->i", probs[first : first + v**t], value.reshape(-1, v))
     return float(value[0])
+
+
+def _leaf_values(mdp: TokenMdp, last: np.ndarray, matched: np.ndarray) -> np.ndarray:
+    """Value of the states one token short of the horizon: the row sum where the
+    target is matched, the target's last token where it is one short."""
+    n = len(mdp.target)
+    value = np.where(matched == n, last.sum(axis=1), 0.0)
+    value += np.where(matched == n - 1, last[:, mdp.target[-1]], 0.0)
+    return value
 
 
 def performance_difference_direct(mdp: TokenMdp, pi, mu) -> float:
@@ -119,7 +137,9 @@ def _windowed_statistics(rewards, log_r: np.ndarray, n_list: Sequence[int]) -> I
     deviation = np.exp(log_r) - 1.0
     for gamma in iter_window_products(log_r, n_list):
         gamma *= deviation
-        yield rewards * gamma.sum(axis=-1)
+        z = rewards * gamma.sum(axis=-1)
+        del gamma  # free this window before the next one is built
+        yield z
 
 
 class PopulationMoments(NamedTuple):

@@ -175,13 +175,18 @@ def table_ratio_deviation(p_pi: np.ndarray, p_mu: np.ndarray) -> float:
 
 
 def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
-    """[n_prefixes, vocab] probabilities in state-id order.
+    """[n_prefixes, vocab] probabilities in state-id order (see :func:`state_table`)."""
+    return state_table(policy_rows(policy, mdp), mdp)
+
+
+def state_table(rows: PolicyRows, mdp: TokenMdp) -> np.ndarray:
+    """A policy's rows lifted to [n_prefixes, vocab] in state-id order.
 
     Row order matches the state ids produced by ``mdp.trajectory_chunks``.  Match-length
     rows are gathered at each state's matched length; prefix rows are the table itself.
     """
     check_enumeration_cap(mdp, mdp.n_prefixes)
-    probs, key = policy_rows(policy, mdp)
+    probs, key = rows
     return probs[prefix_match_lengths(mdp)] if key == "match_length" else probs
 
 
@@ -196,6 +201,10 @@ def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:
 
 def policy_log_matrix(policy, mdp: TokenMdp) -> np.ndarray:
     """[n_prefixes, vocab] log-probabilities in state-id order; zero
-    probabilities map to -inf."""
+    probabilities map to -inf.  The log is taken of the policy's own rows,
+    before they are lifted to states."""
+    check_enumeration_cap(mdp, mdp.n_prefixes)
+    probs, key = policy_rows(policy, mdp)
     with np.errstate(divide="ignore"):
-        return np.log(policy_prob_table(policy, mdp))
+        logs = np.log(probs)
+    return logs[prefix_match_lengths(mdp)] if key == "match_length" else logs

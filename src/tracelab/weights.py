@@ -51,12 +51,13 @@ def iter_window_products(log_ratios: np.ndarray, n_steps: Iterable[int]) -> Iter
         if zeros is not None:
             out[zeros[..., 1:] != zeros[..., end]] = 0.0
         yield out
+        del out  # a consumer that drops its window keeps one window alive, not two
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
     """suffix[..., i] = sum(values[..., i:]); suffix[..., T] = 0."""
     out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
-    out[..., :-1] = np.cumsum(values[..., ::-1], axis=-1)[..., ::-1]
+    np.cumsum(values[..., ::-1], axis=-1, out=out[..., -2::-1])  # written in place, no temporary
     return out
 
 

@@ -147,26 +147,48 @@ class TestCoverage:
         assert coverage >= 0.5 - 3 * sigma
 
 
-class TestTableBuilds:
-    @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_each_policy_table_built_twice_per_run(self, tmp_path, command):
-        """verify builds pi's and mu's tables once for the bound report and
-        once for the coverage check; sweep once for its enumeration pass and
-        once for eps and dtv_max."""
-        calls = Counter()
-        inner = policies.policy_prob_table
+PREFIX_PI = 'policies.pi={"family":"tabular_softmax","init":"zeros","state_key":"prefix"}'
 
-        def counted(*args, **kwargs):
-            calls["policy_prob_table"] += 1
-            return inner(*args, **kwargs)
+
+class TestTableBuilds:
+    @pytest.mark.parametrize(
+        "command,overrides,builds",
+        [
+            pytest.param("verify", [], {}, id="verify"),
+            pytest.param("sweep", [], {"policy_log_matrix": 2}, id="sweep"),
+            pytest.param("verify", [PREFIX_PI], {"state_table": 4}, id="verify-prefix-pi"),
+            pytest.param(
+                "sweep", [PREFIX_PI], {"policy_log_matrix": 2, "state_table": 2}, id="sweep-prefix-pi"
+            ),
+        ],
+    )
+    def test_state_tables_built_per_run(self, tmp_path, command, overrides, builds):
+        """Both builders of [n_states, V] tables are counted: policy_log_matrix,
+        the enumeration pass's two log tables, and state_table, which lifts a
+        policy's rows to states (policy_prob_table goes through it).  The
+        default target-following pair is read from its own rows, so verify
+        builds no table and sweep only its pass's two.  A prefix-keyed pi
+        beside the match-length mu lifts both policies for eps and dtv_max:
+        in verify once for the bound report and once for the coverage check,
+        in sweep once."""
+        calls = Counter()
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
 
         with pytest.MonkeyPatch.context() as patch:
-            for module in (policies, weights, objectives, bounds, lab, config, cli):
-                if getattr(module, "policy_prob_table", None) is inner:
-                    patch.setattr(module, "policy_prob_table", counted)
-            args = [command, "--out", str(tmp_path), "--set", "experiment.trials=20"]
-            assert cli.run(args) == 0
-        assert calls == {"policy_prob_table": 4}
+            for name in ("policy_log_matrix", "state_table"):
+                inner = getattr(policies, name)
+                for module in (policies, weights, objectives, bounds, lab, config, cli):
+                    if getattr(module, name, None) is inner:
+                        patch.setattr(module, name, counted(name, inner))
+            sets = [arg for s in ["experiment.trials=20", *overrides] for arg in ("--set", s)]
+            assert cli.run([command, "--out", str(tmp_path), *sets]) == 0
+        assert calls == builds
 
 
 class TestResidualCheck:

@@ -121,14 +121,16 @@ class TestEnumerationCap:
     @pytest.mark.parametrize(
         "command,horizon,overrides",
         [
-            ("verify", 13, ["experiment.trials=10"]),
+            ("verify", 13, ["experiment.trials=10", COPY_OF_MU]),
             ("train", 12, ["experiment.steps=2", COPY_OF_MU]),
         ],
     )
     def test_cap_bounds_child_memory(self, tmp_path, command, horizon, overrides):
         """A capped run fails before it builds any table: its peak RSS stays
         within a few MB of the interpreter with numpy loaded, less than one
-        [n_states, V] table (19 MB at T=13, 6 MB at T=12) would add."""
+        [n_states, V] table (19 MB at T=13, 6 MB at T=12) would add.  Both
+        runs need a prefix-keyed pi, since target-following rows need no
+        table."""
         sets = [f"mdp.horizon={horizon}", "enumeration_cap=100", *overrides]
         argv = ["-m", "tracelab.cli", command, "--out", str(tmp_path)]
         argv += [arg for s in sets for arg in ("--set", s)]
@@ -153,19 +155,23 @@ class TestEnumerationCap:
         cfg = parse_config(raw)
         mu, pi = cfg.build_mu(), TargetFollowingPolicy(cfg.mdp, 0.8)
         group = sample_group(cfg.mdp, mu, 8, np.random.default_rng(0))
-        # Target-following rows need no table; a bound reads state tables,
-        # which the cap refuses.
+        # Target-following rows need no table, so the objective and the bound
+        # both run under the cap; a prefix-keyed pi is refused before its
+        # logits are allocated.
         assert np.isfinite(objective_value(group, pi, mu, cfg.objective))
-        calls = [cfg.build_pi, lambda: theorem_lower_bound(group, pi, mu, 4, 0.05)]
-        for call in calls:
-            tracemalloc.start()
-            try:
-                with pytest.raises(EnumerationCapError, match="cap is 100"):
-                    call()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="cap is 100"):
+                cfg.build_pi()
+            _, refused_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = theorem_lower_bound(group, pi, mu, 4, 0.05)
+            _, bound_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refused_peak < 1 << 20
+        assert bound_peak < 1 << 20
+        assert report.horizon == 12 and np.isfinite(report.lower_bound)
 
 
     def test_sweep_refuses_before_any_table(self, tmp_path, capsys):
@@ -369,6 +375,16 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["coverage"] == 1.0
+        assert payload["passed"] is True
+
+    def test_target_following_pair_runs_past_the_table_cap(self, tmp_path):
+        """The bound and the coverage check read match-length rows, so verify
+        runs at T=20, where a state table ((3^20 - 1)/2 states) is far over
+        the default cap."""
+        args = ["--set", "mdp.horizon=20", "--set", "experiment.trials=50"]
+        assert run(["verify", "--out", str(tmp_path), *args]) == 0
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        assert payload["bound_report"]["horizon"] == 20
         assert payload["passed"] is True
 
     def test_toy_pair_passes_quickly(self, tmp_path):

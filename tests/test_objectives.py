@@ -18,6 +18,7 @@ from tracelab import (
     TargetFollowingPolicy,
     TokenMdp,
     b_n,
+    d_tv_max,
     exact_return,
     n_step_surrogate_empirical,
     n_step_surrogate_population,
@@ -31,6 +32,10 @@ from tracelab import (
     sample_from_table,
     variance_of_statistic,
 )
+from tracelab.bounds import _policy_gap
+from tracelab.mdp import n_rows
+from tracelab.objectives import _exact_return
+from tracelab.policies import policy_prob_table
 from helpers import (
     OneHotPolicy,
     brute_force_local_surrogate,
@@ -127,10 +132,56 @@ class TestExactReturn:
             assert exact_return(mdp, policy) == pytest.approx(value, abs=1e-12)
 
     def test_enumeration_cap(self, toy_mdp, mu05):
-        with pytest.raises(EnumerationCapError):
-            exact_return(replace(toy_mdp, enumeration_cap=toy_mdp.n_trajectories - 1), mu05)
-        capped = exact_return(replace(toy_mdp, enumeration_cap=toy_mdp.n_trajectories), mu05)
+        """Backward induction walks states, never trajectories: prefix rows
+        are refused only past the 1093 states, and match-length rows need no
+        state table at all."""
+        prefix = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, "prefix")
+        with pytest.raises(EnumerationCapError, match="needs 1093 items"):
+            exact_return(replace(toy_mdp, enumeration_cap=toy_mdp.n_prefixes - 1), prefix)
+        capped = exact_return(replace(toy_mdp, enumeration_cap=toy_mdp.n_prefixes), prefix)
         assert capped == pytest.approx(0.0625, abs=1e-12)
+        capped = exact_return(replace(toy_mdp, enumeration_cap=toy_mdp.n_trajectories - 1), mu05)
+        assert capped == pytest.approx(0.0625, abs=1e-12)
+
+
+def _random_rows_policy(mdp, key, rng):
+    """A tabular policy under ``key`` with random logits, about a quarter of
+    its tokens at zero probability; every row keeps at least one token."""
+    logits = rng.normal(0.0, 1.0, (n_rows(mdp, key), mdp.vocab_size))
+    zero = rng.random(logits.shape) < 0.25
+    zero[np.arange(len(logits)), rng.integers(0, mdp.vocab_size, len(logits))] = False
+    logits[zero] = -np.inf
+    return TabularSoftmaxPolicy(mdp, logits, key)
+
+
+# Horizons whose V**T trajectories the plain-Python oracle enumerates quickly.
+_ORACLE_HORIZON = {2: 9, 3: 7, 4: 6}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_rows_match_the_state_table_paths(data, seed):
+    """The return and the bound's eps and dtv_max read from each policy's
+    own rows agree with the paths through [n_states, V] tables: the return
+    with the enumerated oracle to 1e-12 and bit for bit with the return from
+    the state table (prefix rows), eps and dtv_max bit for bit with
+    ratio_deviation_bound and d_tv_max, under either key, mixed keys, and
+    zero-probability tokens under pi and mu."""
+    v = data.draw(st.integers(2, 4), label="vocab")
+    horizon = data.draw(st.integers(1, _ORACLE_HORIZON[v]), label="horizon")
+    target = data.draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=horizon + 1), label="target")
+    keys = data.draw(st.tuples(*[st.sampled_from(TabularSoftmaxPolicy.STATE_KEYS)] * 2), label="keys")
+    mdp = TokenMdp("abcd"[:v], horizon, tuple(target))
+    rng = np.random.default_rng(seed)
+    pi, mu = (_random_rows_policy(mdp, key, rng) for key in keys)
+    for policy in (pi, mu):
+        value = _exact_return(mdp, policy_rows(policy, mdp))
+        oracle = _enumerated_return(mdp, policy)
+        assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        assert value == _exact_return(mdp, PolicyRows(policy_prob_table(policy, mdp)))
+    eps, dtv_max = _policy_gap(mdp, policy_rows(pi, mdp), policy_rows(mu, mdp))
+    assert eps == max(ratio_deviation_bound(pi, mu, mdp), 1e-12)
+    assert dtv_max == d_tv_max(mu, pi, mdp)
 
 
 class TestPerformanceDifference:

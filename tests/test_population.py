@@ -160,6 +160,26 @@ def test_one_pass_memory_is_bounded_by_the_chunk(horizon):
         assert 5 * block < 8 * mdp.n_trajectories * horizon
 
 
+def test_sweep_holds_nothing_outside_its_pass():
+    """A target-following pair's return, eps and dtv_max are read from its
+    |target|+1 rows, so a sweep at T=12 peaks within its pass's two log
+    tables and a few chunk-sized blocks, with no probability table beside
+    them."""
+    horizon = 12
+    mdp = TokenMdp.from_symbols("abc", horizon, "abcabc")
+    pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
+    block = 8 * (1 << 14) * horizon  # one [2^14, T] float64 array, at most one chunk
+    table = 8 * mdp.n_prefixes * mdp.vocab_size  # one [n_states, V] float64 table
+    tracemalloc.start()
+    try:
+        rows = bias_variance_sweep(mdp, pi, mu, range(1, horizon + 1), 8, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == horizon
+    assert peak < 2 * table + 5 * block
+
+
 def test_exact_return_memory_is_bounded_by_the_table():
     """Backward induction holds the policy table and a few per-state vectors,
     never the V**T trajectories: at T=12 its tracemalloc peak, table build
