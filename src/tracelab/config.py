@@ -37,7 +37,6 @@ DEFAULT_CONFIG: dict = {
     },
     "objective": {
         "kind": "nfpo",
-        "N": 4,
         "beta": 3.0,
         "eps_low": 0.2,
         "eps_high": 0.4,
@@ -49,7 +48,6 @@ DEFAULT_CONFIG: dict = {
         "learning_rate": 0.1,
         "trials": 2000,
         "alpha_conf": 0.05,
-        "N_list": [1, 2, 3, 4, 5, 6, 7],
         "rollout_refresh": 1,
     },
     "seed": 0,
@@ -164,10 +162,7 @@ def _parse_mask(section: dict, path: str) -> MaskSpec:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"config key '{path}.{key}' does not apply to mask kind {kind!r}")
-    try:
-        return MaskSpec(kind, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config key '{path}': {exc}") from exc
+    return MaskSpec(kind, **kwargs)
 
 
 @dataclass(frozen=True)

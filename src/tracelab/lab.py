@@ -20,7 +20,7 @@ from .objectives import (
     gradient_norm,
     population_moments,
 )
-from .policies import PolicyRows, TabularSoftmaxPolicy, policy_prob_table, policy_rows, total_variation
+from .policies import TabularSoftmaxPolicy, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import clipped_trace, sample_from_table
 
@@ -101,9 +101,11 @@ def train(
     is what makes the forward traces non-trivial.  The whole run is a pure
     function of its arguments: one seed, one record stream.
 
-    The step works on state-indexed tables: pi's table is built once per
-    step and serves the update, the records and the next step; the rollout
-    snapshot is that table, frozen at the refresh.
+    The step works on pi's own rows, read once per step: they serve the
+    update, the records and the next step, and the rollout snapshot is those
+    rows, frozen at the refresh.  A prefix-keyed pi's return walks the prefix
+    tree with match lengths built once per run.  Match-length rows no state
+    reaches are never updated, so their TV is 0 and leaves ``dtv_max`` as is.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -111,27 +113,25 @@ def train(
         raise ValueError("rollout_refresh must be >= 1")
     rng = np.random.default_rng(seed)
     records: list[TrainRecord] = []
-    matched = prefix_match_lengths(mdp)
-    p_pi = policy_prob_table(pi, mdp)
+    pi_rows = policy_rows(pi, mdp)
+    matched = prefix_match_lengths(mdp) if pi_rows.key == "prefix" else None
     for step in range(steps):
         if step % rollout_refresh == 0:
-            p_mu = p_pi
-            p_mu.flags.writeable = False
-            group = sample_from_table(mdp, PolicyRows(p_mu), group_size, rng)
-        pi_rows = PolicyRows(p_pi)
-        terms, coeffs = _token_terms(group, pi_rows, PolicyRows(p_mu), objective_spec)
-        value = float(group.weights @ terms.sum(axis=-1))
+            mu_rows = pi_rows
+            mu_rows.probs.flags.writeable = False
+            group = sample_from_table(mdp, mu_rows, group_size, rng)
+        value, coeffs = _token_terms(group, pi_rows, mu_rows, objective_spec)
         if not math.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} at step {step}")
-        gradient = _logit_gradient(group, pi, pi_rows, coeffs)
+        gradient = _logit_gradient(group, pi_rows, coeffs)
         pi.apply_gradient(gradient, learning_rate)
-        p_pi = policy_prob_table(pi, mdp)
+        pi_rows = pi.rows()
         records.append(
             TrainRecord(
                 step=step,
                 objective=value,
-                exact_return=_exact_return(mdp, PolicyRows(p_pi), matched),
-                dtv_max=float(total_variation(p_mu, p_pi).max()),
+                exact_return=_exact_return(mdp, pi_rows, matched),
+                dtv_max=float(total_variation(mu_rows.probs, pi_rows.probs).max()),
                 grad_norm=gradient_norm(gradient),
             )
         )

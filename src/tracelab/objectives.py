@@ -245,8 +245,8 @@ def _empirical_surrogate(group: GroupRollout, pi_rows, mu_rows, n_step: int) -> 
 
 def _token_terms(
     group: GroupRollout, pi_rows: PolicyRows, mu_rows: PolicyRows, spec: ObjectiveSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token objective terms and frozen gradient coefficients, both [G, T].
+) -> tuple[float, np.ndarray]:
+    """The group's objective value and the frozen gradient coefficients, [G, T].
 
     nfpo and mpg weigh each token by A * keep * trace * rho (trace = 1 for
     mpg); ppo takes the pessimistic min of the raw and clipped ratio.  The
@@ -266,7 +266,8 @@ def _token_terms(
         if spec.kind == "nfpo":
             trace = clipped_trace(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
         terms = keep * adv * rho * trace
-    return terms, group.weights[:, None] * adv * keep * trace * rho
+    value = float(group.weights @ terms.sum(axis=-1))
+    return value, group.weights[:, None] * adv * keep * trace * rho
 
 
 def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> float:
@@ -274,8 +275,7 @@ def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> float:
     reweighted by the clipped forward trace), mpg (masked tokens contribute
     nothing) or ppo (the clipped-ratio surrogate with the pessimistic min)."""
     pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
-    terms, _ = _token_terms(group, pi_rows, mu_rows, spec)
-    return float(group.weights @ terms.sum(axis=-1))
+    return _token_terms(group, pi_rows, mu_rows, spec)[0]
 
 
 def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> np.ndarray:
@@ -286,19 +286,19 @@ def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> np.n
         raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
     pi_rows = policy_rows(pi, group.mdp)
     _, coeffs = _token_terms(group, pi_rows, policy_rows(mu, group.mdp), spec)
-    return _logit_gradient(group, pi, pi_rows, coeffs)
+    return _logit_gradient(group, pi_rows, coeffs)
 
 
-def _logit_gradient(
-    group: GroupRollout, pi: TabularSoftmaxPolicy, pi_rows: PolicyRows, coeffs: np.ndarray
-) -> np.ndarray:
-    """Scatter the frozen coefficients of :func:`_token_terms` into pi's logit rows."""
+def _logit_gradient(group: GroupRollout, pi_rows: PolicyRows, coeffs: np.ndarray) -> np.ndarray:
+    """Scatter the frozen coefficients of :func:`_token_terms` into a gradient
+    with the shape and key of pi's rows, reading only the rows of hit tokens."""
     hit = coeffs != 0.0
     c = coeffs[hit]
-    contrib = -c[:, None] * group.dists(pi_rows)[hit]
+    ids = group.row_ids(pi_rows.key)[hit]
+    contrib = -c[:, None] * pi_rows.probs[ids]
     contrib[np.arange(len(c)), group.tokens[hit]] += c
-    grad = np.zeros(pi.logits.shape)
-    np.add.at(grad, group.row_ids(pi.state_key)[hit], contrib)
+    grad = np.zeros(pi_rows.probs.shape)
+    np.add.at(grad, ids, contrib)
     return grad
 
 

@@ -97,8 +97,9 @@ class TabularSoftmaxPolicy:
         cls, mdp: TokenMdp, policy, state_key: str = "prefix"
     ) -> "TabularSoftmaxPolicy":
         """Copy another policy's distributions into logits (log-probabilities)."""
+        rows = policy_rows(policy, mdp)
         if state_key == "prefix":
-            probs = policy_prob_table(policy, mdp)
+            probs = state_table(rows, mdp)
         else:
             # A representative prefix per matched length a state can reach: the
             # target's own head.  Longer matches are never reached; they stay uniform.

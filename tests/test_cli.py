@@ -224,6 +224,12 @@ class TestSweepCommand:
         assert len(rows) == 7
         assert [r[0] for r in rows] == [str(n) for n in range(1, 8)]
 
+    def test_short_horizon_defaults_to_every_window(self, tmp_path):
+        """The window defaults follow the horizon: N = min(4, T), N_list = 1..T."""
+        assert run(["sweep", "--out", str(tmp_path), "--set", "mdp.horizon=5"]) == 0
+        _, _, rows = _read_csv(tmp_path / "sweep.csv")
+        assert [r[0] for r in rows] == [str(n) for n in range(1, 6)]
+
     def test_manifest_round_trip(self, tmp_path):
         run(["sweep", "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -330,6 +336,21 @@ class TestTrainCommand:
         assert header == ["step", "objective", "exact_return", "dtv_max", "grad_norm"]
         assert len(rows) == 5
         assert float(rows[0][2]) == pytest.approx(0.0625, abs=1e-9)
+
+
+    def test_match_length_pi_runs_past_the_table_cap(self, tmp_path):
+        """A match-length pi is trained on its own |target| + 1 rows, so train
+        runs at T=20, where a state table ((3^20 - 1)/2 states) is far over
+        the default cap."""
+        overrides = [
+            "--set", 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu","state_key":"match_length"}',
+            "--set", "mdp.horizon=20",
+            "--set", "experiment.steps=5",
+        ]
+        assert run(["train", "--out", str(tmp_path), *overrides]) == 0
+        _, _, rows = _read_csv(tmp_path / "train.csv")
+        assert len(rows) == 5
+        assert all(np.isfinite(float(value)) for row in rows for value in row)
 
 
 class TestAnalyzeCommand:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
@@ -9,6 +10,8 @@ from tracelab import (
     MaskSpec,
     ObjectiveSpec,
     TabularSoftmaxPolicy,
+    TargetFollowingPolicy,
+    TokenMdp,
     TrainRecord,
     alternating_profile,
     bias_variance_sweep,
@@ -120,7 +123,7 @@ class TestTrain:
 
 
 def _reference_train(mdp, pi, spec, steps, learning_rate, group_size, seed, rollout_refresh):
-    """The policy-object training loop that ``train`` runs on tables: a
+    """The policy-object training loop that ``train`` runs on pi's rows: a
     copied rollout policy, token-by-token sampling, and fresh tables inside
     every objective, gradient, return and TV call."""
     rng = np.random.default_rng(seed)
@@ -147,18 +150,21 @@ class TestTableTraining:
     @pytest.mark.parametrize("kind", ["nfpo", "mpg", "ppo"])
     @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
     def test_matches_policy_object_loop(self, toy_mdp, mu05, state_key, kind, rollout_refresh):
+        """Also at T = 4 with target "abca", which has a match length no state reaches."""
+        short = TokenMdp.from_symbols("abc", 4, "abca")
         spec = ObjectiveSpec(kind, eps_low=0.2, eps_high=0.28, mask=MaskSpec("tv", delta=0.2))
-        runs = []
-        for loop in (train, _reference_train):
-            pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
-            runs.append(loop(toy_mdp, pi, spec, 20, 0.3, 8, 3, rollout_refresh=rollout_refresh))
-        for fast, slow in zip(*runs):
-            assert (fast.step, fast.objective, fast.dtv_max, fast.grad_norm) == (
-                slow.step, slow.objective, slow.dtv_max, slow.grad_norm
-            )
-            assert abs(fast.exact_return - slow.exact_return) <= 1e-12
-        assert len(runs[0]) == len(runs[1]) == 20
-        assert max(r.dtv_max for r in runs[0]) > 0.0
+        for mdp, mu in ((toy_mdp, mu05), (short, TargetFollowingPolicy(short, 0.5))):
+            runs = []
+            for loop in (train, _reference_train):
+                pi = TabularSoftmaxPolicy.from_policy(mdp, mu, state_key)
+                runs.append(loop(mdp, pi, spec, 20, 0.3, 8, 3, rollout_refresh=rollout_refresh))
+            for fast, slow in zip(*runs):
+                assert (fast.step, fast.objective, fast.dtv_max, fast.grad_norm) == (
+                    slow.step, slow.objective, slow.dtv_max, slow.grad_norm
+                )
+                assert abs(fast.exact_return - slow.exact_return) <= 1e-12
+            assert len(runs[0]) == len(runs[1]) == 20
+            assert max(r.dtv_max for r in runs[0]) > 0.0
 
     @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
     def test_one_table_and_one_kernel_pass_per_step(self, toy_mdp, mu05, state_key):
@@ -182,16 +188,18 @@ class TestTableTraining:
                 for module in (mdp_module, policies, weights, objectives, bounds, lab):
                     if getattr(module, name, None) is inner:
                         patch.setattr(module, name, counted(name, inner))
+            patch.setattr(
+                TabularSoftmaxPolicy, "rows", counted("rows", TabularSoftmaxPolicy.rows)
+            )
             pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
             calls.clear()
             train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
-        assert dict(calls) == {"policy_prob_table": steps + 1, "_token_terms": steps}
+        assert dict(calls) == {"rows": steps + 1, "_token_terms": steps}
 
-    @pytest.mark.parametrize("state_key,per_run", [("prefix", 0), ("match_length", 1)])
-    def test_match_lengths_built_once_per_step(self, toy_mdp, mu05, state_key, per_run):
-        """The return's match lengths are built once per run; a match-length
-        pi builds its own once per table, and its gradient reads the group's
-        row ids."""
+    @pytest.mark.parametrize("state_key,expected", [("prefix", 1), ("match_length", 0)])
+    def test_match_lengths_built_once_per_step(self, toy_mdp, mu05, state_key, expected):
+        """A prefix-keyed pi's return builds its match lengths once per run; a
+        match-length pi needs none, since every quantity reads its own rows."""
         calls = Counter()
         inner = mdp_module.prefix_match_lengths
 
@@ -207,7 +215,23 @@ class TestTableTraining:
             pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
             calls.clear()
             train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
-        assert calls["prefix_match_lengths"] == 1 + per_run * (steps + 1)
+        assert calls["prefix_match_lengths"] == expected
+
+
+def test_match_length_training_allocates_no_state_table():
+    """A warm match-length run at T=13 reads only its |target| + 1 rows; one
+    [n_states, V] table there would take 19 MB."""
+    mdp = TokenMdp.from_symbols("abc", 13, "abcabc")
+    mu = TargetFollowingPolicy(mdp, 0.5)
+    runs = [TabularSoftmaxPolicy.from_policy(mdp, mu, "match_length") for _ in range(2)]
+    train(mdp, runs[0], NFPO_TOY, 5, 0.1, 8, 0, rollout_refresh=3)
+    tracemalloc.start()
+    try:
+        train(mdp, runs[1], NFPO_TOY, 5, 0.1, 8, 0, rollout_refresh=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _ratio_rows(trajectories, pi, mu) -> np.ndarray:

@@ -204,6 +204,7 @@ class TestDivergences:
             lambda: policy_prob_table(mu, mdp_a),
             lambda: exact_return(mdp_a, mu),
             lambda: d_tv_max(mu, pi, mdp_a),
+            lambda: TabularSoftmaxPolicy.from_policy(mdp_a, mu, "match_length"),
         ):
             with pytest.raises(UnknownStateError):
                 call()
