@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TokenMdp, check_window
+from .mdp import TokenMdp, check_window, reached_rows
 from .objectives import _empirical_surrogate, _exact_return
 from .policies import PolicyRows, policy_rows, state_table, table_ratio_deviation, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
@@ -97,8 +97,8 @@ def _policy_gap(mdp: TokenMdp, pi_rows: PolicyRows, mu_rows: PolicyRows) -> tupl
     (p_pi, key), (p_mu, mu_key) = pi_rows, mu_rows
     if key != mu_key:
         p_pi, p_mu = state_table(pi_rows, mdp), state_table(mu_rows, mdp)
-    elif key == "match_length":
-        reached = min(len(mdp.target), mdp.horizon - 1) + 1
+    else:
+        reached = reached_rows(mdp, key)
         p_pi, p_mu = p_pi[:reached], p_mu[:reached]
     eps = table_ratio_deviation(p_pi, p_mu)
     # Identical policies deviate by zero; keep the formulas well-defined.

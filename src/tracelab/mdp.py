@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -90,6 +91,16 @@ class TokenMdp:
         v = self.vocab_size
         return (v**self.horizon - 1) // (v - 1)
 
+    @cached_property
+    def step_table(self) -> np.ndarray:
+        """[|target| + 1, V] read-only: the matched length once each token
+        extends a prefix matched up to each length k (see :func:`match_length`)."""
+        n = len(self.target)
+        k = np.arange(n + 1)[:, None]
+        step = k + ((np.array(self.target)[np.minimum(k, n - 1)] == np.arange(self.vocab_size)) & (k < n))
+        step.flags.writeable = False
+        return step
+
     def check_trajectory(self, y: Sequence[int]) -> Trajectory:
         y = tuple(int(t) for t in y)
         if len(y) != self.horizon:
@@ -157,20 +168,29 @@ def enumerate_prefixes(mdp: TokenMdp) -> Iterator[Prefix]:
 def trajectory_chunks(
     mdp: TokenMdp, chunk_size: int = _CHUNK
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (tokens [m, T], rewards [m]) over all trajectories.
+    """Yield (tokens [m, T], rewards [m]) over all trajectories, in code order.
 
-    Consumers that need state ids build them with :func:`prefix_state_ids`
-    for the rows they keep.
+    Each chunk is built time-major, as a [T, m] array whose transpose is
+    yielded, so every token column is contiguous.  Column t of consecutive
+    codes is made of runs of V^(T-1-t) equal digits, so it is one repeat of
+    the digits of its runs, with no division over the chunk.
     """
     total = mdp.n_trajectories
     check_enumeration_cap(mdp, total)
     v, t_len = mdp.vocab_size, mdp.horizon
-    place = np.array([v ** (t_len - 1 - t) for t in range(t_len)], dtype=np.int64)
     for lo in range(0, total, chunk_size):
-        tokens = np.arange(lo, min(lo + chunk_size, total), dtype=np.int64)[:, None] // place
-        tokens %= v
+        hi = min(lo + chunk_size, total)
+        block = np.empty((t_len, hi - lo), dtype=np.int64)
+        for t in range(t_len):
+            run = v ** (t_len - 1 - t)
+            first, last = lo // run, (hi - 1) // run
+            counts = np.full(last - first + 1, run)
+            counts[0] -= lo - first * run  # the chunk's first and last runs may be cut
+            counts[-1] -= (last + 1) * run - hi
+            block[t] = np.repeat(np.arange(first, last + 1) % v, counts)
+        tokens = block.T
         yield tokens, reward_vector(mdp, tokens)
-        del tokens  # a consumer that drops its chunk keeps one chunk alive, not two
+        del tokens, block  # a consumer that drops its chunk keeps one chunk alive, not two
 
 
 def extend_rows(mdp: TokenMdp, key: str, ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -178,7 +198,7 @@ def extend_rows(mdp: TokenMdp, key: str, ids: np.ndarray, tokens: np.ndarray) ->
     state ids under key ``"prefix"``, matched target lengths under ``"match_length"``."""
     if key == "prefix":
         return ids * mdp.vocab_size + 1 + tokens
-    return _extend_match(ids, tokens, np.asarray(mdp.target, dtype=np.int64))
+    return np.take(mdp.step_table, ids * mdp.vocab_size + tokens)
 
 
 def n_rows(mdp: TokenMdp, key: str) -> int:
@@ -190,48 +210,41 @@ def n_rows(mdp: TokenMdp, key: str) -> int:
     return len(mdp.target) + 1
 
 
+def reached_rows(mdp: TokenMdp, key: str) -> int:
+    """Number of leading row ids under ``key`` that some state reaches: every
+    state id, or the match lengths k <= min(|target|, T - 1)."""
+    if key == "prefix":
+        return n_rows(mdp, key)
+    return min(len(mdp.target), mdp.horizon - 1) + 1
+
+
 def prefix_row_ids(mdp: TokenMdp, tokens: np.ndarray, key: str) -> np.ndarray:
     """Row id under ``key`` (see :func:`extend_rows`) of every prefix y_{<t}
-    in a [m, T] token block."""
+    in a [m, T] token block, laid out in memory like the block."""
     if key == "prefix" and mdp.n_prefixes - 1 > np.iinfo(np.int64).max:
         raise ValueError(f"state ids at horizon {mdp.horizon} overflow int64")
-    ids = np.zeros(tokens.shape, dtype=np.int64)
+    ids = np.zeros_like(tokens, dtype=np.int64)
     for t in range(1, tokens.shape[1]):
         ids[:, t] = extend_rows(mdp, key, ids[:, t - 1], tokens[:, t - 1])
     return ids
 
 
-def prefix_state_ids(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
-    """State id of every prefix y_{<t} in a [m, T] token block."""
-    return prefix_row_ids(mdp, tokens, "prefix")
-
-
-def _extend_match(k: np.ndarray, tokens: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Match lengths of ``target`` once ``tokens`` extend prefixes matched up to ``k``."""
-    n = len(target)
-    return k + ((tokens == target[np.minimum(k, n - 1)]) & (k < n))
-
-
 def prefix_match_lengths(mdp: TokenMdp) -> np.ndarray:
     """match_length(prefix, mdp.target) for every state id, built level by level.
 
-    The length-t prefix with code c extends the length-(t-1) prefix with
-    code c // |vocab| by the token c % |vocab|.
+    The children of a length-(t-1) prefix are consecutive length-t states, so
+    a level is the step-table rows of its parent level, in order.
     """
     check_enumeration_cap(mdp, mdp.n_prefixes)
-    target = np.asarray(mdp.target, dtype=np.int64)
-    v = mdp.vocab_size
     levels = [np.zeros(1, dtype=np.int64)]
     for _ in range(1, mdp.horizon):
-        parent = np.repeat(levels[-1], v)
-        levels.append(_extend_match(parent, np.tile(np.arange(v), len(levels[-1])), target))
+        levels.append(mdp.step_table[levels[-1]].ravel())
     return np.concatenate(levels)
 
 
 def reward_vector(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
     """Vectorized subsequence reward for a [m, T] block of trajectories."""
-    target = np.asarray(mdp.target, dtype=np.int64)
     k = np.zeros(tokens.shape[0], dtype=np.int64)
     for t in range(tokens.shape[1]):
-        k = _extend_match(k, tokens[:, t], target)
-    return (k == len(target)).astype(np.float64)
+        k = extend_rows(mdp, "match_length", k, tokens[:, t])
+    return (k == len(mdp.target)).astype(np.float64)

@@ -18,9 +18,9 @@ from .mdp import (
     TokenMdp,
     check_enumeration_cap,
     check_window,
-    extend_rows,
     prefix_match_lengths,
-    prefix_state_ids,
+    prefix_row_ids,
+    reached_rows,
     trajectory_chunks,
 )
 from .policies import (
@@ -100,12 +100,11 @@ def _exact_return(mdp: TokenMdp, rows: PolicyRows, matched=None) -> float:
     probs, key = rows
     v, n = mdp.vocab_size, len(mdp.target)
     if key == "match_length":
-        child = extend_rows(mdp, key, np.arange(n + 1)[:, None], np.arange(v))
-        m = min(n, mdp.horizon - 1) + 1
+        m = reached_rows(mdp, key)
         value = _leaf_values(mdp, probs[:m], np.arange(m))
         for t in range(mdp.horizon - 2, -1, -1):
             m = min(n, t) + 1
-            value = np.einsum("ij,ij->i", probs[:m], value[child[:m]])
+            value = np.einsum("ij,ij->i", probs[:m], value[mdp.step_table[:m]])
         return float(value[0])
     if matched is None:
         matched = prefix_match_lengths(mdp)
@@ -159,39 +158,42 @@ def population_moments(
     """Mean and variance of Z for each window in ``n_list``, in one pass.
 
     Z vanishes where R(y) = 0, so each chunk keeps only the rewarded
-    trajectories mu can generate.  Every window comes from one suffix sum of
-    the log ratios.
+    trajectories mu can generate.  Log ratios are gathered from each
+    policy's own rows, and every window comes from one suffix sum of them.
     """
     check_enumeration_cap(mdp, mdp.n_trajectories)
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
-    log_pi = policy_log_matrix(pi, mdp)
-    log_mu = policy_log_matrix(mu, mdp)
-    if require_full_support and np.isneginf(log_mu).any():
+    logs = [(policy_log_matrix(rows), rows.key) for rows in (policy_rows(pi, mdp), policy_rows(mu, mdp))]
+    log_mu, mu_key = logs[1]
+    if require_full_support and np.isneginf(log_mu[: reached_rows(mdp, mu_key)]).any():
         raise ZeroSupportError("rollout policy must have full support for exact identities")
     totals = np.zeros((len(n_list), 2))
     for chunk in trajectory_chunks(mdp):
-        totals += _chunk_moments(mdp, log_pi, log_mu, *chunk, n_list)
+        totals += _chunk_moments(mdp, logs, *chunk, n_list)
         del chunk  # free this chunk before the next one is built
     mean, second = totals.T
     return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0))
 
 
-def _chunk_moments(mdp: TokenMdp, log_pi, log_mu, tokens, rewards, n_list) -> np.ndarray:
-    """One chunk's sums (E[Z], E[Z^2]), one row per window."""
+def _chunk_moments(mdp: TokenMdp, logs, tokens, rewards, n_list) -> np.ndarray:
+    """One chunk's sums (E[Z], E[Z^2]), one row per window, from the log rows
+    and key of pi and of mu.  The hit rows stay time-major, and their row ids
+    are built once for each distinct key."""
     hit = np.flatnonzero(rewards)
-    tokens = tokens[hit]
-    at = (prefix_state_ids(mdp, tokens), tokens)
-    rewards, log_r, token_log_mu = rewards[hit], log_pi[at], log_mu[at]
-    del at, tokens
-    log_weight = token_log_mu.sum(axis=1)
+    tokens = np.take(tokens.T, hit, axis=1).T
+    ids = {key: prefix_row_ids(mdp, tokens, key) for key in {key for _, key in logs}}
+    log_r, token_log_mu = (log[ids[key], tokens] for log, key in logs)
+    del ids, tokens
+    # Summed along contiguous rows, which numpy adds pairwise, not as a strided running sum.
+    log_weight = np.ascontiguousarray(token_log_mu).sum(axis=1)
     keep = ~np.isneginf(log_weight)
     if not keep.all():
-        rewards, log_r, token_log_mu = rewards[keep], log_r[keep], token_log_mu[keep]
+        hit, log_r, token_log_mu = hit[keep], log_r[keep], token_log_mu[keep]
     log_r -= token_log_mu
     del token_log_mu
     weights = np.exp(log_weight[keep])
-    stats = [(weights @ z, weights @ (z * z)) for z in _windowed_statistics(rewards, log_r, n_list)]
+    stats = [(weights @ z, weights @ (z * z)) for z in _windowed_statistics(rewards[hit], log_r, n_list)]
     return np.reshape(stats, (-1, 2))
 
 

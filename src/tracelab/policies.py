@@ -110,12 +110,13 @@ class TabularSoftmaxPolicy:
             return cls(mdp, np.log(probs), state_key)
 
     def row(self, prefix: Sequence[int]) -> int:
-        """The row id of ``prefix`` under ``state_key``."""
-        if self.state_key == "match_length":
-            return match_length(prefix, self.mdp.target)
+        """The row id of ``prefix`` under ``state_key``; only a state of the MDP,
+        a prefix of vocab tokens shorter than the horizon, has one."""
         v = self.mdp.vocab_size
         if len(prefix) >= self.mdp.horizon or not all(0 <= token < v for token in prefix):
             raise UnknownStateError(f"no logits for state {tuple(prefix)!r}; policy/MDP mismatch?")
+        if self.state_key == "match_length":
+            return match_length(prefix, self.mdp.target)
         state = 0
         for token in prefix:
             state = v * state + 1 + token
@@ -200,12 +201,8 @@ def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:
     return policy.rows()
 
 
-def policy_log_matrix(policy, mdp: TokenMdp) -> np.ndarray:
-    """[n_prefixes, vocab] log-probabilities in state-id order; zero
-    probabilities map to -inf.  The log is taken of the policy's own rows,
-    before they are lifted to states."""
-    check_enumeration_cap(mdp, mdp.n_prefixes)
-    probs, key = policy_rows(policy, mdp)
+def policy_log_matrix(rows: PolicyRows) -> np.ndarray:
+    """The log of a policy's [R, vocab] rows (see :func:`policy_rows`); zero
+    probabilities map to -inf."""
     with np.errstate(divide="ignore"):
-        logs = np.log(probs)
-    return logs[prefix_match_lengths(mdp)] if key == "match_length" else logs
+        return np.log(rows.probs)

@@ -34,30 +34,32 @@ def window_products(log_ratios: np.ndarray, n_step: int) -> np.ndarray:
 def iter_window_products(log_ratios: np.ndarray, n_steps: Iterable[int]) -> Iterator[np.ndarray]:
     """:func:`window_products` for each window in ``n_steps``, in order.
 
-    Each window is one ``exp`` of the difference of two columns of a shared
-    suffix sum, computed in place in a new array the caller may overwrite.
-    A zero ratio adds 0 to that sum and 1 to a suffix count of zeros, and a
-    window whose count changes is 0.
+    The kernel runs time-major, on ``log_ratios.T``: one suffix sum along
+    axis 0, and each window is one ``exp`` of the difference of two blocks of
+    its rows, computed in place in a new array whose transpose is yielded and
+    which the caller may overwrite.  A zero ratio adds 0 to that sum and 1 to
+    a suffix count of zeros, and a window whose count changes is 0.
     """
-    t_len = log_ratios.shape[-1]
-    zero = np.isneginf(log_ratios)
-    suffix = _suffix_sums(np.where(zero, 0.0, log_ratios))
+    log_t = log_ratios.T
+    t_len = log_t.shape[0]
+    zero = np.isneginf(log_t)
+    suffix = _suffix_sums(np.where(zero, 0.0, log_t))
     zeros = _suffix_sums(zero) if zero.any() else None
     for n_step in n_steps:
         end = np.minimum(np.arange(t_len) + n_step, t_len)
-        out = suffix[..., end]
-        np.subtract(suffix[..., 1:], out, out=out)
+        out = suffix[end]
+        np.subtract(suffix[1:], out, out=out)
         np.exp(out, out=out)
         if zeros is not None:
-            out[zeros[..., 1:] != zeros[..., end]] = 0.0
-        yield out
+            out[zeros[1:] != zeros[end]] = 0.0
+        yield out.T
         del out  # a consumer that drops its window keeps one window alive, not two
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
-    """suffix[..., i] = sum(values[..., i:]); suffix[..., T] = 0."""
-    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
-    np.cumsum(values[..., ::-1], axis=-1, out=out[..., -2::-1])  # written in place, no temporary
+    """suffix[i] = sum(values[i:]) along axis 0; suffix[T] = 0."""
+    out = np.zeros((values.shape[0] + 1,) + values.shape[1:])
+    np.cumsum(values[::-1], axis=0, out=out[-2::-1])  # written in place, no temporary
     return out
 
 

@@ -12,10 +12,10 @@ import numpy as np
 
 from tracelab import GroupRollout, MaskSpec, PolicyRows, TabularSoftmaxPolicy, TargetFollowingPolicy, TokenMdp
 from tracelab import ZeroSupportError, match_length, reward
-from tracelab.mdp import Trajectory, check_enumeration_cap, check_window, prefix_state_ids
+from tracelab.mdp import Trajectory, check_enumeration_cap, check_window, prefix_row_ids
 from tracelab.mdp import trajectory_chunks
 from tracelab.objectives import _windowed_statistics
-from tracelab.policies import kl_divergence, policy_log_matrix, total_variation
+from tracelab.policies import kl_divergence, policy_prob_table, total_variation
 from tracelab.weights import _keep, _sampled_group, _suffix_sums, clipped_trace, window_products
 
 
@@ -132,6 +132,19 @@ def brute_force_local_surrogate(mdp: TokenMdp, pi, mu, n_step: int) -> float:
             inner += (rho[t] - 1.0) * window
         total += prob_mu * reward(mdp, y) * inner
     return total
+
+
+def prefix_state_ids(mdp: TokenMdp, tokens: np.ndarray) -> np.ndarray:
+    """State id of every prefix y_{<t} in a [m, T] token block."""
+    return prefix_row_ids(mdp, tokens, "prefix")
+
+
+def decoded_trajectories(mdp: TokenMdp, lo: int, hi: int) -> np.ndarray:
+    """Tokens [hi - lo, T] of the trajectories with codes lo .. hi-1, by
+    dividing each code by every place value: the slow path of the chunks."""
+    v, t_len = mdp.vocab_size, mdp.horizon
+    place = np.array([v ** (t_len - 1 - t) for t in range(t_len)], dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // place % v
 
 
 # --- per-prefix oracles ------------------------------------------------------
@@ -308,7 +321,8 @@ def population_group(mdp: TokenMdp, mu) -> GroupRollout:
     Batch means over this pseudo-group are population expectations under mu;
     zero-probability trajectories are dropped so ratios stay well-defined.
     """
-    log_mu = policy_log_matrix(mu, mdp)
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(policy_prob_table(mu, mdp))
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for tokens, rewards in trajectory_chunks(mdp):
         log_p = log_mu[prefix_state_ids(mdp, tokens), tokens].sum(axis=1)

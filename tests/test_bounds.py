@@ -163,14 +163,14 @@ class TestTableBuilds:
         ],
     )
     def test_state_tables_built_per_run(self, tmp_path, command, overrides, builds):
-        """Both builders of [n_states, V] tables are counted: policy_log_matrix,
-        the enumeration pass's two log tables, and state_table, which lifts a
-        policy's rows to states (policy_prob_table goes through it).  The
-        default target-following pair is read from its own rows, so verify
-        builds no table and sweep only its pass's two.  A prefix-keyed pi
-        beside the match-length mu lifts both policies for eps and dtv_max:
-        in verify once for the bound report and once for the coverage check,
-        in sweep once."""
+        """Both table builders are counted: policy_log_matrix, the log of a
+        policy's own rows that the enumeration pass reads, and state_table,
+        which lifts a policy's rows to [n_states, V] (policy_prob_table goes
+        through it).  The default target-following pair is read from its own
+        rows, so verify builds no table and sweep only its pass's two log
+        rows.  A prefix-keyed pi beside the match-length mu lifts both
+        policies for eps and dtv_max: in verify once for the bound report and
+        once for the coverage check, in sweep once."""
         calls = Counter()
 
         def counted(name, inner):

@@ -12,8 +12,9 @@ from tracelab import (
     reward,
     sample_from_table,
 )
-from tracelab.mdp import prefix_row_ids, prefix_state_ids, trajectory_chunks
-from helpers import OneHotPolicy, enumerate_trajectories, sample_trajectory, trajectory_log_prob
+from tracelab.mdp import prefix_row_ids, trajectory_chunks
+from helpers import OneHotPolicy, decoded_trajectories, enumerate_trajectories, prefix_state_ids
+from helpers import sample_trajectory, trajectory_log_prob
 
 
 class TestMatchLength:
@@ -145,6 +146,25 @@ class TestEnumeration:
         index = {prefix: i for i, prefix in enumerate(enumerate_prefixes(mdp))}
         expected = [[index[y[:t]] for t in range(mdp.horizon)] for y in trajectories]
         np.testing.assert_array_equal(prefix_state_ids(mdp, tokens), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(vocab_size=st.integers(2, 4), horizon=st.integers(1, 8), data=st.data())
+    def test_chunks_match_the_division_decode(self, vocab_size, horizon, data):
+        """Every time-major chunk holds the tokens that dividing its codes by
+        the place values gives, and the reward of each of them.  The chunk
+        size stays 1-100, and at least V**T / 1000 so a case has at most
+        1000 chunks."""
+        mdp = TokenMdp(tuple("abcd"[:vocab_size]), horizon, (0, 1))
+        low = -(-mdp.n_trajectories // 1000)
+        chunk_size = data.draw(st.integers(low, 100), label="chunk_size")
+        lo = 0
+        for tokens, rewards in trajectory_chunks(mdp, chunk_size):
+            hi = lo + len(tokens)
+            np.testing.assert_array_equal(tokens, decoded_trajectories(mdp, lo, hi))
+            assert tokens.T.flags.c_contiguous
+            assert rewards.tolist() == [reward(mdp, y) for y in tokens.tolist()]
+            lo = hi
+        assert lo == mdp.n_trajectories
 
     def test_probabilities_sum_to_one(self, toy_mdp, mu05):
         total = sum(

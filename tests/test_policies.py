@@ -64,12 +64,14 @@ class TestTabularSoftmax:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_state_rejected(self, toy_mdp):
-        pi = TabularSoftmaxPolicy.zeros(toy_mdp)
-        # A length-7 prefix is past the last decision point; (3,) would alias the
-        # state id of (0, 0), and (-1,) that of the root.
-        for prefix in [(0,) * 7, (3,), (-1,)]:
-            with pytest.raises(UnknownStateError):
-                pi.probs(prefix)
+        # A length-7 prefix is past the last decision point; under the prefix key
+        # (3,) would alias the state id of (0, 0), and (-1,) that of the root.
+        # Both keys refuse the same prefixes.
+        for state_key in TabularSoftmaxPolicy.STATE_KEYS:
+            pi = TabularSoftmaxPolicy.zeros(toy_mdp, state_key)
+            for prefix in [(0,) * 7, (0,) * 8, (3,), (-1,), (5, 9)]:
+                with pytest.raises(UnknownStateError):
+                    pi.probs(prefix)
 
     def test_match_length_key_collapses(self, toy_mdp):
         pi = TabularSoftmaxPolicy.zeros(toy_mdp, state_key="match_length")
@@ -84,9 +86,12 @@ class TestTabularSoftmax:
         src = random_tabular(mdp, np.random.default_rng(3))
         pi = TabularSoftmaxPolicy.from_policy(mdp, src, state_key="match_length")
         assert len(pi.logits) == len(target) + 1
+        rows = pi.rows().probs
         for k in range(len(target) + 1):
             expected = src.probs(mdp.target[:k]) if k < mdp.horizon else [0.5, 0.5]
-            np.testing.assert_allclose(pi.probs(mdp.target[:k]), expected, atol=1e-12)
+            # No state has a match length k >= T; its row is read directly.
+            got = pi.probs(mdp.target[:k]) if k < mdp.horizon else rows[k]
+            np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_copy_is_independent(self, toy_mdp):
         pi = TabularSoftmaxPolicy.zeros(toy_mdp)

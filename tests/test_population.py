@@ -26,8 +26,8 @@ from tracelab import (
     exact_return,
     reward,
 )
+from tracelab import bounds, lab, objectives, policies, weights
 from tracelab import mdp as mdp_module
-from tracelab import objectives
 from tracelab.objectives import population_moments
 from tracelab.weights import iter_window_products, window_products
 from helpers import RatioProfile, per_sample_statistic, random_setups, traces, trajectory_log_prob
@@ -139,37 +139,82 @@ def test_trace_factorization_on_blocks(seed, shape, zero_share, data):
             np.testing.assert_allclose(trace.residual, residual[k], rtol=1e-12, atol=0)
 
 
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**16),
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 12)),
+    zero_share=st.sampled_from([0.0, 0.1, 0.4]),
+    data=st.data(),
+)
+def test_window_kernel_is_bitwise_alike_in_every_layout(seed, shape, zero_share, data):
+    """A [m, T] block of log ratios, its Fortran-ordered copy and each of its
+    rows alone give bitwise the same windows, zero ratios (-inf) included."""
+    rng = np.random.default_rng(seed)
+    log_r = rng.normal(0.0, 0.7, shape)
+    log_r[rng.random(shape) < zero_share] = -np.inf
+    n_list = data.draw(st.lists(st.integers(1, shape[1]), min_size=1, max_size=4))
+    fortran = np.asfortranarray(log_r)
+    rows = [list(iter_window_products(row, n_list)) for row in log_r]
+    for i, (c_window, f_window) in enumerate(
+        zip(iter_window_products(log_r, n_list), iter_window_products(fortran, n_list))
+    ):
+        np.testing.assert_array_equal(f_window, c_window, strict=True)
+        np.testing.assert_array_equal(np.array([windows[i] for windows in rows]), c_window)
+
+
+def _match_length_mu(mdp: TokenMdp, zero_row: int) -> TabularSoftmaxPolicy:
+    """A uniform match-length policy that gives token 0 zero probability in one row."""
+    mu = TabularSoftmaxPolicy.zeros(mdp, "match_length")
+    mu.logits[zero_row, 0] = -np.inf
+    return mu
+
+
+def test_full_support_is_checked_on_reached_rows_only():
+    """At T=5 no state matches all of abcabc, so a zero in that row of mu is
+    never read: the pass runs and equals the one with a uniform mu."""
+    mdp = TokenMdp.from_symbols("abc", 5, "abcabc")
+    pi = TargetFollowingPolicy(mdp, 0.8)
+    moments = population_moments(mdp, pi, _match_length_mu(mdp, len(mdp.target)), [1, 3, 5])
+    uniform = population_moments(mdp, pi, TabularSoftmaxPolicy.zeros(mdp, "match_length"), [1, 3, 5])
+    np.testing.assert_array_equal(moments.mean, uniform.mean)
+    np.testing.assert_array_equal(moments.variance, uniform.variance)
+
+
+def test_full_support_is_required_on_a_reached_row():
+    mdp = TokenMdp.from_symbols("abc", 5, "abcabc")
+    pi = TargetFollowingPolicy(mdp, 0.8)
+    with pytest.raises(ZeroSupportError):
+        population_moments(mdp, pi, _match_length_mu(mdp, mdp.horizon - 1), [1, 3, 5])
+
+
 @pytest.mark.parametrize("horizon", [10, 12])
 def test_one_pass_memory_is_bounded_by_the_chunk(horizon):
-    """The tracemalloc peak of one pass over every window stays within the
-    per-state tables plus a few chunk-sized blocks.  At T=12 those blocks
-    together are smaller than the V**T trajectories held as one token array."""
+    """The tracemalloc peak of one pass over every window stays within a few
+    chunk-sized blocks, since it reads each policy's own rows.  At T=12 those
+    blocks together are smaller than the V**T trajectories held as one token
+    array."""
     mdp = TokenMdp.from_symbols("abc", horizon, "abcabc")
     pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
     block = 8 * mdp_module._CHUNK * horizon  # one [chunk, T] int64 or float64 array
-    table = 8 * mdp.n_prefixes * mdp.vocab_size  # one [n_states, V] float64 table
     tracemalloc.start()
     try:
         population_moments(mdp, pi, mu, range(1, horizon + 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Two log tables plus the probability table each is built from.
-    assert peak < 3 * table + 5 * block
+    assert peak < 5 * block
     if mdp.n_trajectories > 4 * mdp_module._CHUNK:
         assert 5 * block < 8 * mdp.n_trajectories * horizon
 
 
 def test_sweep_holds_nothing_outside_its_pass():
-    """A target-following pair's return, eps and dtv_max are read from its
-    |target|+1 rows, so a sweep at T=12 peaks within its pass's two log
-    tables and a few chunk-sized blocks, with no probability table beside
-    them."""
+    """A target-following pair's return, eps, dtv_max and log ratios are all
+    read from its |target|+1 rows, so a sweep at T=12 peaks within a few
+    chunk-sized blocks, with no [n_states, V] table beside them."""
     horizon = 12
     mdp = TokenMdp.from_symbols("abc", horizon, "abcabc")
     pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
     block = 8 * (1 << 14) * horizon  # one [2^14, T] float64 array, at most one chunk
-    table = 8 * mdp.n_prefixes * mdp.vocab_size  # one [n_states, V] float64 table
     tracemalloc.start()
     try:
         rows = bias_variance_sweep(mdp, pi, mu, range(1, horizon + 1), 8, 0.05)
@@ -177,7 +222,7 @@ def test_sweep_holds_nothing_outside_its_pass():
     finally:
         tracemalloc.stop()
     assert len(rows) == horizon
-    assert peak < 2 * table + 5 * block
+    assert peak < 5 * block
 
 
 def test_exact_return_memory_is_bounded_by_the_table():
@@ -219,3 +264,25 @@ def test_sweep_makes_one_pass_and_two_table_builds(toy_mdp, mu05, pi08, n_list):
         rows = bias_variance_sweep(toy_mdp, pi08, mu05, n_list, 8, 0.05)
     assert [row.n_step for row in rows] == n_list
     assert calls == {"trajectory_chunks": 1, "policy_log_matrix": 2}
+
+
+@pytest.mark.parametrize("tabular", [False, True], ids=["target_following", "tabular"])
+def test_match_length_pair_sweep_builds_no_state_quantity(toy_mdp, mu05, pi08, tabular):
+    """Every quantity of a sweep over two match-length policies comes from
+    their rows: no state table and no per-state match lengths."""
+    pi = TabularSoftmaxPolicy.from_policy(toy_mdp, pi08, "match_length") if tabular else pi08
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for home, name in ((policies, "state_table"), (mdp_module, "prefix_match_lengths")):
+            inner = getattr(home, name)
+
+            def wrapper(*args, name=name, inner=inner, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            for module in (mdp_module, policies, weights, objectives, bounds, lab):
+                if getattr(module, name, None) is inner:
+                    patch.setattr(module, name, wrapper)
+        rows = bias_variance_sweep(toy_mdp, pi, mu05, range(1, 8), 8, 0.05)
+    assert len(rows) == 7
+    assert calls == Counter()
