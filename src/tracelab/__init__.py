@@ -45,6 +45,7 @@ from .mdp import (
 )
 from .objectives import (
     ObjectiveSpec,
+    RowGradient,
     VarianceReport,
     exact_return,
     gradient_norm,

@@ -16,11 +16,11 @@ from .objectives import (
     ObjectiveSpec,
     _exact_return,
     _logit_gradient,
+    _population_moments,
     _token_terms,
     gradient_norm,
-    population_moments,
 )
-from .policies import TabularSoftmaxPolicy, policy_rows, total_variation
+from .policies import PolicyRows, TabularSoftmaxPolicy, _softmax, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import clipped_trace, sample_from_table
 
@@ -50,8 +50,8 @@ def bias_variance_sweep(
     """Exact surrogate, bias, variance, and bound terms for each window size:
     the surrogates from one enumeration pass, and the improvement (by backward
     induction), eps and dtv_max from each policy's own rows."""
-    moments = population_moments(mdp, pi, mu, n_list)
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    moments = _population_moments(mdp, pi_rows, mu_rows, n_list)
     improvement = _exact_return(mdp, pi_rows) - _exact_return(mdp, mu_rows)
     gap = _policy_gap(mdp, pi_rows, mu_rows)
     rows = []
@@ -101,11 +101,11 @@ def train(
     is what makes the forward traces non-trivial.  The whole run is a pure
     function of its arguments: one seed, one record stream.
 
-    The step works on pi's own rows, read once per step: they serve the
-    update, the records and the next step, and the rollout snapshot is those
-    rows, frozen at the refresh.  A prefix-keyed pi's return walks the prefix
-    tree with match lengths built once per run.  Match-length rows no state
-    reaches are never updated, so their TV is 0 and leaves ``dtv_max`` as is.
+    The run reads pi's own rows once; each step re-runs the softmax only on
+    the rows its gradient moved, and the rollout snapshot is a frozen copy of
+    the rows taken at the refresh.  ``dtv_max`` reads the rows moved since the
+    refresh, since every other row has a TV of exactly 0.  A prefix-keyed pi's
+    return walks the prefix tree with match lengths built once per run.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -117,24 +117,22 @@ def train(
     matched = prefix_match_lengths(mdp) if pi_rows.key == "prefix" else None
     for step in range(steps):
         if step % rollout_refresh == 0:
-            mu_rows = pi_rows
+            mu_rows = PolicyRows(pi_rows.probs.copy(), pi_rows.key)
             mu_rows.probs.flags.writeable = False
+            moved = np.zeros(len(pi_rows.probs), dtype=bool)
             group = sample_from_table(mdp, mu_rows, group_size, rng)
         value, coeffs = _token_terms(group, pi_rows, mu_rows, objective_spec)
         if not math.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} at step {step}")
         gradient = _logit_gradient(group, pi_rows, coeffs)
         pi.apply_gradient(gradient, learning_rate)
-        pi_rows = pi.rows()
-        records.append(
-            TrainRecord(
-                step=step,
-                objective=value,
-                exact_return=_exact_return(mdp, pi_rows, matched),
-                dtv_max=float(total_variation(mu_rows.probs, pi_rows.probs).max()),
-                grad_norm=gradient_norm(gradient),
-            )
-        )
+        pi_rows.probs[gradient.rows] = _softmax(pi.logits.take(gradient.rows, axis=0))
+        moved[gradient.rows] = True
+        ids = moved.nonzero()[0]
+        tv = total_variation(mu_rows.probs.take(ids, axis=0), pi_rows.probs.take(ids, axis=0))
+        dtv_max = float(tv.max(initial=0.0))
+        exact = _exact_return(mdp, pi_rows, matched)
+        records.append(TrainRecord(step, value, exact, dtv_max, gradient_norm(gradient)))
     return records
 
 

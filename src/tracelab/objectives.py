@@ -161,10 +161,16 @@ def population_moments(
     trajectories mu can generate.  Log ratios are gathered from each
     policy's own rows, and every window comes from one suffix sum of them.
     """
+    pair = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    return _population_moments(mdp, *pair, n_list, require_full_support)
+
+
+def _population_moments(mdp: TokenMdp, pi_rows, mu_rows, n_list, require_full_support=True):
+    """:func:`population_moments` from the two policies' rows."""
     check_enumeration_cap(mdp, mdp.n_trajectories)
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
-    logs = [(policy_log_matrix(rows), rows.key) for rows in (policy_rows(pi, mdp), policy_rows(mu, mdp))]
+    logs = [(policy_log_matrix(rows), rows.key) for rows in (pi_rows, mu_rows)]
     log_mu, mu_key = logs[1]
     if require_full_support and np.isneginf(log_mu[: reached_rows(mdp, mu_key)]).any():
         raise ZeroSupportError("rollout policy must have full support for exact identities")
@@ -280,10 +286,18 @@ def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> float:
     return _token_terms(group, pi_rows, mu_rows, spec)[0]
 
 
-def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> np.ndarray:
-    """Analytic gradient w.r.t. the tabular logits, ``[R, vocab]`` like ``pi.logits``;
-    rows no kept token touches are zero.  Masks and clipped traces are frozen
-    at the evaluation point, so gradient flows only through the token ratio."""
+class RowGradient(NamedTuple):
+    """A logit gradient on the rows it touches: ``values[i]`` is the gradient of
+    row ``rows[i]``, ``rows`` is sorted and unique, and every other row is zero."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> RowGradient:
+    """Analytic gradient w.r.t. the tabular logits, on the rows of pi's logits
+    that a kept token touches.  Masks and clipped traces are frozen at the
+    evaluation point, so gradient flows only through the token ratio."""
     if not isinstance(pi, TabularSoftmaxPolicy):
         raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
     pi_rows = policy_rows(pi, group.mdp)
@@ -291,19 +305,22 @@ def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> np.n
     return _logit_gradient(group, pi_rows, coeffs)
 
 
-def _logit_gradient(group: GroupRollout, pi_rows: PolicyRows, coeffs: np.ndarray) -> np.ndarray:
+def _logit_gradient(group: GroupRollout, pi_rows: PolicyRows, coeffs: np.ndarray) -> RowGradient:
     """Scatter the frozen coefficients of :func:`_token_terms` into a gradient
-    with the shape and key of pi's rows, reading only the rows of hit tokens."""
+    on the rows that hit tokens touch, each row summed in token order."""
     hit = coeffs != 0.0
     c = coeffs[hit]
     ids = group.row_ids(pi_rows.key)[hit]
-    contrib = -c[:, None] * pi_rows.probs[ids]
+    touched = np.zeros(len(pi_rows.probs), dtype=bool)
+    touched[ids] = True
+    rows = touched.nonzero()[0]
+    contrib = -c[:, None] * pi_rows.probs.take(ids, axis=0)
     contrib[np.arange(len(c)), group.tokens[hit]] += c
-    grad = np.zeros(pi_rows.probs.shape)
-    np.add.at(grad, ids, contrib)
-    return grad
+    values = np.zeros((len(rows), pi_rows.probs.shape[1]))
+    np.add.at(values, rows.searchsorted(ids), contrib)
+    return RowGradient(rows, values)
 
 
-def gradient_norm(gradient: np.ndarray) -> float:
+def gradient_norm(gradient: RowGradient) -> float:
     """Euclidean norm of a logit gradient, summing the row sums in row order."""
-    return float(np.sqrt(sum(np.square(gradient).sum(axis=1).tolist())))
+    return float(np.sqrt(sum(np.square(gradient.values).sum(axis=1).tolist())))

@@ -129,11 +129,15 @@ class TabularSoftmaxPolicy:
         """The softmax of every logit row, keyed by ``state_key``."""
         return PolicyRows(_softmax(self.logits), self.state_key)
 
-    def apply_gradient(self, gradient: np.ndarray, learning_rate: float) -> None:
-        """Ascent step: logits += learning_rate * gradient, for an ``[R, vocab]`` gradient."""
-        if np.shape(gradient) != self.logits.shape:
-            raise ValueError(f"gradient shape {np.shape(gradient)} is not {self.logits.shape}")
-        self.logits += learning_rate * np.asarray(gradient, dtype=float)
+    def apply_gradient(self, gradient, learning_rate: float) -> None:
+        """Ascent step on a ``RowGradient``: logits[rows] += learning_rate * values."""
+        rows, values = np.asarray(gradient.rows), np.asarray(gradient.values, dtype=float)
+        shape = (len(rows), self.logits.shape[1])
+        if rows.ndim != 1 or values.shape != shape:
+            raise ValueError(f"gradient values {values.shape} are not {shape}")
+        if len(rows) and (rows[0] < 0 or rows[-1] >= len(self.logits) or (rows[1:] <= rows[:-1]).any()):
+            raise ValueError(f"gradient rows must be sorted, unique ids below {len(self.logits)}")
+        np.add.at(self.logits, rows, learning_rate * values)
 
     def copy(self) -> "TabularSoftmaxPolicy":
         return TabularSoftmaxPolicy(self.mdp, self.logits.copy(), self.state_key)

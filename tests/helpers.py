@@ -104,6 +104,14 @@ def finite_difference_gradient(group, pi, mu, coeffs, step=1e-6, minus_one=False
     return grads
 
 
+def dense_gradient(gradient, shape) -> np.ndarray:
+    """A ``RowGradient`` scattered into a dense ``[R, V]`` array of ``shape``,
+    zero in every row it does not touch."""
+    dense = np.zeros(shape)
+    dense[gradient.rows] = gradient.values
+    return dense
+
+
 def gradient_gap(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Vector-norm relative error between two logit gradients."""
     a, f = np.ravel(analytic), np.ravel(numeric)

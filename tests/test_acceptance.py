@@ -33,6 +33,7 @@ from tracelab import (
 )
 from helpers import (
     brute_force_local_surrogate,
+    dense_gradient,
     finite_difference_gradient,
     frozen_nfpo_coefficients,
     gradient_gap,
@@ -185,7 +186,7 @@ def test_c09_gradient_vs_finite_differences():
             group = sample_group(mdp, mu, 6, rng)
             mask = masks[trial % len(masks)]
             spec = ObjectiveSpec("nfpo", 2, 3.0, 0.2, 0.4, mask)
-            analytic = objective_gradient(group, pi, mu, spec)
+            analytic = dense_gradient(objective_gradient(group, pi, mu, spec), pi.logits.shape)
             coeffs = frozen_nfpo_coefficients(group, pi, mu, 2, 3.0, 0.2, 0.4, mask)
             numeric = finite_difference_gradient(group, pi, mu, coeffs)
             assert gradient_gap(analytic, numeric) < 1e-5

@@ -28,9 +28,11 @@ from tracelab import (
     policy_rows,
 )
 from tracelab.lab import DynamicsReport, switch_count
+from tracelab.objectives import _token_terms
 from tracelab.policies import policy_prob_table
 from tracelab.weights import group_log_ratios, group_token_mask, sample_from_table
 from helpers import (
+    dense_gradient,
     frozen_nfpo_coefficients,
     random_setups,
     random_small_mdp,
@@ -104,7 +106,8 @@ def test_kernel_matches_per_trajectory_oracle(kind, mask_kind, setup):
     spec = ObjectiveSpec(kind, n_step=n_step, eps_low=0.2, eps_high=0.28, mask=mask)
     value, grad = _oracle(group, pi, mu, spec)
     assert objective_value(group, pi, mu, spec) == pytest.approx(value, abs=1e-12)
-    np.testing.assert_allclose(objective_gradient(group, pi, mu, spec), grad, rtol=0, atol=1e-12)
+    analytic = dense_gradient(objective_gradient(group, pi, mu, spec), pi.logits.shape)
+    np.testing.assert_allclose(analytic, grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["nfpo", "mpg", "ppo"])
@@ -113,8 +116,30 @@ def test_kernel_matches_per_trajectory_oracle(kind, mask_kind, setup):
 def test_gradient_rows_sum_to_zero(kind, setup, mask_kind):
     pi, mu, group, n_step, delta = setup
     spec = ObjectiveSpec(kind, n_step=n_step, mask=_mask(mask_kind, delta))
-    for row in objective_gradient(group, pi, mu, spec):
+    for row in dense_gradient(objective_gradient(group, pi, mu, spec), pi.logits.shape):
         assert abs(row.sum()) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["nfpo", "mpg", "ppo"])
+@PROPERTY
+@given(setup=sampled_setups(), mask_kind=st.sampled_from(MASK_KINDS))
+def test_row_gradient_is_the_dense_gradient_on_its_rows(kind, setup, mask_kind):
+    """The rows are the distinct row ids of the tokens with a non-zero
+    coefficient, and scattered back they are the dense ``np.add.at``
+    gradient, bit for bit."""
+    pi, mu, group, n_step, delta = setup
+    spec = ObjectiveSpec(kind, n_step=n_step, mask=_mask(mask_kind, delta))
+    pi_rows = policy_rows(pi, group.mdp)
+    _, coeffs = _token_terms(group, pi_rows, policy_rows(mu, group.mdp), spec)
+    gradient = objective_gradient(group, pi, mu, spec)
+    hit = coeffs != 0.0
+    ids = group.row_ids(pi_rows.key)[hit]
+    np.testing.assert_array_equal(gradient.rows, np.unique(ids))
+    contrib = -coeffs[hit][:, None] * pi_rows.probs[ids]
+    contrib[np.arange(len(ids)), group.tokens[hit]] += coeffs[hit]
+    dense = np.zeros(pi.logits.shape)
+    np.add.at(dense, ids, contrib)
+    assert dense_gradient(gradient, pi.logits.shape).tobytes() == dense.tobytes()
 
 
 @PROPERTY

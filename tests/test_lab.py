@@ -72,6 +72,24 @@ class TestSweep:
         for row in rows:
             assert row.exact_improvement >= row.population_surrogate - row.bound_truncation - 1e-10
 
+    def test_reads_a_tabular_pis_rows_once(self, toy_mdp, mu05, pi08):
+        """The pass, the return and the bound's hypotheses share one softmax."""
+        pi = TabularSoftmaxPolicy.from_policy(toy_mdp, pi08)
+        calls = Counter()
+        inner = TabularSoftmaxPolicy.rows
+
+        def counted(self):
+            calls["rows"] += 1
+            return inner(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TabularSoftmaxPolicy, "rows", counted)
+            swept = bias_variance_sweep(toy_mdp, pi, mu05, range(1, 8), 8, 0.05)
+        assert calls["rows"] == 1
+        expected = bias_variance_sweep(toy_mdp, pi08, mu05, range(1, 8), 8, 0.05)
+        for got, want in zip(swept, expected):
+            assert got.population_surrogate == pytest.approx(want.population_surrogate, abs=1e-12)
+
 
 class TestTrain:
     def test_zero_learning_rate_freezes_return(self, toy_mdp, mu05):
@@ -145,6 +163,33 @@ def _reference_train(mdp, pi, spec, steps, learning_rate, group_size, seed, roll
     return records
 
 
+# Tight enough that each mask drops some tokens of the runs below (up to about
+# half of a group's tokens at the last step before a refresh).
+MASKS = {
+    "none": MASK_NONE,
+    "tv": MaskSpec("tv", delta=0.02),
+    "kl": MaskSpec("kl", delta=0.002),
+    "grpo_ratio": MaskSpec("grpo_ratio", eps_low=0.05, eps_high=0.05),
+    "icepop": MaskSpec("icepop", beta=1.1),
+}
+
+
+def _assert_matches_reference(mdp, mu, state_key, spec, rollout_refresh):
+    """``train`` and ``_reference_train`` give the same records: bitwise, and
+    the return to 1e-12."""
+    runs = []
+    for loop in (train, _reference_train):
+        pi = TabularSoftmaxPolicy.from_policy(mdp, mu, state_key)
+        runs.append(loop(mdp, pi, spec, 20, 0.3, 8, 3, rollout_refresh=rollout_refresh))
+    for fast, slow in zip(*runs):
+        assert (fast.step, fast.objective, fast.dtv_max, fast.grad_norm) == (
+            slow.step, slow.objective, slow.dtv_max, slow.grad_norm
+        )
+        assert abs(fast.exact_return - slow.exact_return) <= 1e-12
+    assert len(runs[0]) == len(runs[1]) == 20
+    assert max(r.dtv_max for r in runs[0]) > 0.0
+
+
 class TestTableTraining:
     @pytest.mark.parametrize("rollout_refresh", [1, 4])
     @pytest.mark.parametrize("kind", ["nfpo", "mpg", "ppo"])
@@ -154,17 +199,27 @@ class TestTableTraining:
         short = TokenMdp.from_symbols("abc", 4, "abca")
         spec = ObjectiveSpec(kind, eps_low=0.2, eps_high=0.28, mask=MaskSpec("tv", delta=0.2))
         for mdp, mu in ((toy_mdp, mu05), (short, TargetFollowingPolicy(short, 0.5))):
-            runs = []
-            for loop in (train, _reference_train):
-                pi = TabularSoftmaxPolicy.from_policy(mdp, mu, state_key)
-                runs.append(loop(mdp, pi, spec, 20, 0.3, 8, 3, rollout_refresh=rollout_refresh))
-            for fast, slow in zip(*runs):
-                assert (fast.step, fast.objective, fast.dtv_max, fast.grad_norm) == (
-                    slow.step, slow.objective, slow.dtv_max, slow.grad_norm
-                )
-                assert abs(fast.exact_return - slow.exact_return) <= 1e-12
-            assert len(runs[0]) == len(runs[1]) == 20
-            assert max(r.dtv_max for r in runs[0]) > 0.0
+            _assert_matches_reference(mdp, mu, state_key, spec, rollout_refresh)
+
+    @pytest.mark.parametrize("rollout_refresh", [1, 4])
+    @pytest.mark.parametrize("mask_kind", list(MASKS))
+    @pytest.mark.parametrize("kind", ["nfpo", "mpg"])
+    @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
+    def test_every_mask_matches_policy_object_loop(
+        self, toy_mdp, mu05, state_key, kind, mask_kind, rollout_refresh
+    ):
+        """:meth:`test_matches_policy_object_loop` under every mask; ppo reads none."""
+        short = TokenMdp.from_symbols("abc", 4, "abca")
+        spec = ObjectiveSpec(kind, eps_low=0.2, eps_high=0.28, mask=MASKS[mask_kind])
+        for mdp, mu in ((toy_mdp, mu05), (short, TargetFollowingPolicy(short, 0.5))):
+            _assert_matches_reference(mdp, mu, state_key, spec, rollout_refresh)
+
+    @pytest.mark.parametrize("rollout_refresh", [1, 4])
+    def test_prefix_keyed_matches_policy_object_loop_at_t9(self, rollout_refresh):
+        """9,841 prefix rows, of which a step moves at most 72."""
+        mdp = TokenMdp.from_symbols("abc", 9, "abcabc")
+        mu = TargetFollowingPolicy(mdp, 0.5)
+        _assert_matches_reference(mdp, mu, "prefix", NFPO_TOY, rollout_refresh)
 
     @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
     def test_one_table_and_one_kernel_pass_per_step(self, toy_mdp, mu05, state_key):
@@ -194,7 +249,7 @@ class TestTableTraining:
             pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
             calls.clear()
             train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
-        assert dict(calls) == {"rows": steps + 1, "_token_terms": steps}
+        assert dict(calls) == {"rows": 1, "_token_terms": steps}
 
     @pytest.mark.parametrize("state_key,expected", [("prefix", 1), ("match_length", 0)])
     def test_match_lengths_built_once_per_step(self, toy_mdp, mu05, state_key, expected):
@@ -232,6 +287,23 @@ def test_match_length_training_allocates_no_state_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_prefix_keyed_training_peaks_below_three_and_a_half_logit_tables():
+    """A warm prefix-keyed run at T=11 holds pi's probabilities, the rollout
+    snapshot and the per-state match lengths; a step re-runs the softmax
+    only on the rows it moved, so no dense gradient or fresh table appears."""
+    mdp = TokenMdp.from_symbols("abc", 11, "abcabc")
+    mu = TargetFollowingPolicy(mdp, 0.5)
+    runs = [TabularSoftmaxPolicy.from_policy(mdp, mu, "prefix") for _ in range(2)]
+    train(mdp, runs[0], NFPO_TOY, 8, 0.1, 8, 0, rollout_refresh=4)
+    tracemalloc.start()
+    try:
+        train(mdp, runs[1], NFPO_TOY, 8, 0.1, 8, 0, rollout_refresh=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * runs[1].logits.nbytes
 
 
 def _ratio_rows(trajectories, pi, mu) -> np.ndarray:

@@ -39,6 +39,7 @@ from tracelab.policies import policy_prob_table
 from helpers import (
     OneHotPolicy,
     brute_force_local_surrogate,
+    dense_gradient,
     finite_difference_gradient,
     frozen_nfpo_coefficients,
     gradient_gap,
@@ -390,14 +391,14 @@ class TestNfpoGradient:
     def test_zero_advantages_give_zero_gradient(self, toy_mdp, mu05):
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
         group = _manual_group(toy_mdp, [TOY_TRAJECTORY, (1,) * 7], [0.0, 0.0])
-        grad = objective_gradient(group, pi, mu05, _nfpo(4, MASK_NONE))
+        grad = dense_gradient(objective_gradient(group, pi, mu05, _nfpo(4, MASK_NONE)), pi.logits.shape)
         assert not grad.any()
 
     def test_single_state_score_identity(self):
         """One unmasked token: d/dlogit_b = c*rho*(1{b=tok} - pi(b))."""
         mdp, pi, mu = _single_token_setup()
         group = _manual_group(mdp, [(0,)], [1.0])
-        grad = objective_gradient(group, pi, mu, _nfpo(1, MASK_NONE))
+        grad = dense_gradient(objective_gradient(group, pi, mu, _nfpo(1, MASK_NONE)), pi.logits.shape)
         probs = pi.probs(())
         rho = probs[0] / mu.probs(())[0]
         np.testing.assert_allclose(
@@ -409,6 +410,7 @@ class TestNfpoGradient:
         pi = random_tabular(toy_mdp, rng)
         group = sample_group(toy_mdp, mu05, 8, rng)
         grad = objective_gradient(group, pi, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))
+        grad = dense_gradient(grad, pi.logits.shape)
         assert grad.any()
         for row in grad:
             assert abs(row.sum()) < 1e-10
@@ -423,6 +425,7 @@ class TestNfpoGradient:
             pi = random_tabular(mdp, rng)
             group = sample_group(mdp, mu, 6, rng)
             grad = objective_gradient(group, pi, mu, _nfpo(2, MaskSpec("tv", delta=0.2)))
+            grad = dense_gradient(grad, pi.logits.shape)
             coeffs = frozen_nfpo_coefficients(
                 group, pi, mu, 2, 3.0, 0.2, 0.4, MaskSpec("tv", delta=0.2)
             )

@@ -6,6 +6,7 @@ import pytest
 
 from tracelab import (
     EnumerationCapError,
+    RowGradient,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     TokenMdp,
@@ -96,11 +97,35 @@ class TestTabularSoftmax:
     def test_copy_is_independent(self, toy_mdp):
         pi = TabularSoftmaxPolicy.zeros(toy_mdp)
         snapshot = pi.copy()
-        gradient = np.zeros(pi.logits.shape)
-        gradient[pi.row(())] = [1.0, -1.0, 0.0]
+        gradient = RowGradient(np.array([pi.row(())]), np.array([[1.0, -1.0, 0.0]]))
         pi.apply_gradient(gradient, 0.5)
         np.testing.assert_allclose(snapshot.probs(()), [1 / 3] * 3, atol=1e-15)
         assert pi.probs(())[0] > 1 / 3
+
+    def test_apply_gradient_moves_only_its_rows(self, toy_mdp):
+        pi = TabularSoftmaxPolicy.zeros(toy_mdp)
+        pi.apply_gradient(RowGradient(np.array([0, 5]), np.array([[1.0, 0, 0], [0, 2.0, 0]])), 0.5)
+        expected = np.zeros(pi.logits.shape)
+        expected[0, 0], expected[5, 1] = 0.5, 1.0
+        np.testing.assert_array_equal(pi.logits, expected)
+
+    @pytest.mark.parametrize(
+        "rows,values",
+        [
+            ([0, 1], np.zeros((2, 2))),  # too narrow
+            ([0, 1], np.zeros((3, 3))),  # a row count that is not len(rows)
+            ([[0, 1]], np.zeros((1, 3))),  # rows not one-dimensional
+            ([2, 1], np.zeros((2, 3))),  # unsorted
+            ([1, 1], np.zeros((2, 3))),  # duplicate
+            ([-1, 0], np.zeros((2, 3))),  # below range
+            ([0, 1093], np.zeros((2, 3))),  # past the last of 1093 rows
+        ],
+    )
+    def test_apply_gradient_rejects_bad_rows(self, toy_mdp, rows, values):
+        pi = TabularSoftmaxPolicy.zeros(toy_mdp)
+        with pytest.raises(ValueError, match="^gradient"):
+            pi.apply_gradient(RowGradient(np.array(rows), values), 0.1)
+        assert not pi.logits.any()
 
     @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
     def test_table_bounded_by_the_asking_mdps_cap(self, toy_mdp, mu05, state_key):
