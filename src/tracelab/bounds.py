@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import TokenMdp, check_window, reached_rows
-from .objectives import _empirical_surrogate, _exact_return
-from .policies import PolicyRows, policy_rows, state_table, table_ratio_deviation, total_variation
+from .objectives import exact_return, n_step_surrogate_empirical
+from .policies import PolicyRows, policy_prob_table, policy_rows, table_ratio_deviation, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import GroupRollout, sample_from_table
 
@@ -96,7 +96,7 @@ def _policy_gap(mdp: TokenMdp, pi_rows: PolicyRows, mu_rows: PolicyRows) -> tupl
     """
     (p_pi, key), (p_mu, mu_key) = pi_rows, mu_rows
     if key != mu_key:
-        p_pi, p_mu = state_table(pi_rows, mdp), state_table(mu_rows, mdp)
+        p_pi, p_mu = policy_prob_table(pi_rows, mdp), policy_prob_table(mu_rows, mdp)
     else:
         reached = reached_rows(mdp, key)
         p_pi, p_mu = p_pi[:reached], p_mu[:reached]
@@ -146,7 +146,7 @@ def theorem_lower_bound(
     if float(np.abs(group.rewards).max(initial=0.0)) > mdp.reward_bound + 1e-12:
         raise ValueError(f"group contains rewards exceeding the bound xi = {mdp.reward_bound}")
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
-    surrogate = _empirical_surrogate(group, pi_rows, mu_rows, n_step)
+    surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, n_step)
     gap = _policy_gap(mdp, pi_rows, mu_rows)
     return _bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
 
@@ -170,14 +170,14 @@ def verify_coverage(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
-    truth = _exact_return(mdp, pi_rows) - _exact_return(mdp, mu_rows)
+    truth = exact_return(mdp, pi_rows) - exact_return(mdp, mu_rows)
     gap = _policy_gap(mdp, pi_rows, mu_rows)
     report = _bound_report(mdp, n_step, alpha_conf, group_size, 0.0, *gap)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
         group = sample_from_table(mdp, mu_rows, group_size, rng)
-        surrogate = _empirical_surrogate(group, pi_rows, mu_rows, n_step)
+        surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, n_step)
         if truth >= surrogate - report.truncation_bias - report.hoeffding:
             hits += 1
     return hits / trials

@@ -197,15 +197,14 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    mu = cfg.build_mu()
-    pi = cfg.build_pi()
-    rng = np.random.default_rng(cfg.seed)
-    group = sample_from_table(cfg.mdp, policy_rows(mu, cfg.mdp), cfg.group_size, rng)
-    report = theorem_lower_bound(group, pi, mu, cfg.objective.n_step, cfg.alpha_conf)
+    mu_rows = policy_rows(cfg.build_mu(), cfg.mdp)
+    pi_rows = policy_rows(cfg.build_pi(), cfg.mdp)
+    group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
+    report = theorem_lower_bound(group, pi_rows, mu_rows, cfg.objective.n_step, cfg.alpha_conf)
     coverage = verify_coverage(
         cfg.mdp,
-        pi,
-        mu,
+        pi_rows,
+        mu_rows,
         cfg.objective.n_step,
         cfg.group_size,
         cfg.alpha_conf,

@@ -11,14 +11,14 @@ import numpy as np
 
 from .bounds import _bound_report, _policy_gap
 from .errors import TrainingDivergedError
-from .mdp import TokenMdp, prefix_match_lengths
+from .mdp import TokenMdp
 from .objectives import (
     ObjectiveSpec,
-    _exact_return,
     _logit_gradient,
-    _population_moments,
     _token_terms,
+    exact_return,
     gradient_norm,
+    population_moments,
 )
 from .policies import PolicyRows, TabularSoftmaxPolicy, _softmax, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
@@ -51,8 +51,8 @@ def bias_variance_sweep(
     the surrogates from one enumeration pass, and the improvement (by backward
     induction), eps and dtv_max from each policy's own rows."""
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
-    moments = _population_moments(mdp, pi_rows, mu_rows, n_list)
-    improvement = _exact_return(mdp, pi_rows) - _exact_return(mdp, mu_rows)
+    moments = population_moments(mdp, pi_rows, mu_rows, n_list)
+    improvement = exact_return(mdp, pi_rows) - exact_return(mdp, mu_rows)
     gap = _policy_gap(mdp, pi_rows, mu_rows)
     rows = []
     for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
@@ -104,8 +104,7 @@ def train(
     The run reads pi's own rows once; each step re-runs the softmax only on
     the rows its gradient moved, and the rollout snapshot is a frozen copy of
     the rows taken at the refresh.  ``dtv_max`` reads the rows moved since the
-    refresh, since every other row has a TV of exactly 0.  A prefix-keyed pi's
-    return walks the prefix tree with match lengths built once per run.
+    refresh, since every other row has a TV of exactly 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -114,7 +113,6 @@ def train(
     rng = np.random.default_rng(seed)
     records: list[TrainRecord] = []
     pi_rows = policy_rows(pi, mdp)
-    matched = prefix_match_lengths(mdp) if pi_rows.key == "prefix" else None
     for step in range(steps):
         if step % rollout_refresh == 0:
             mu_rows = PolicyRows(pi_rows.probs.copy(), pi_rows.key)
@@ -131,7 +129,7 @@ def train(
         ids = moved.nonzero()[0]
         tv = total_variation(mu_rows.probs.take(ids, axis=0), pi_rows.probs.take(ids, axis=0))
         dtv_max = float(tv.max(initial=0.0))
-        exact = _exact_return(mdp, pi_rows, matched)
+        exact = exact_return(mdp, pi_rows)
         records.append(TrainRecord(step, value, exact, dtv_max, gradient_norm(gradient)))
     return records
 

@@ -101,6 +101,13 @@ class TokenMdp:
         step.flags.writeable = False
         return step
 
+    @cached_property
+    def state_match_lengths(self) -> np.ndarray:
+        """[n_prefixes] read-only: :func:`prefix_match_lengths`, built on first use."""
+        lengths = prefix_match_lengths(self)
+        lengths.flags.writeable = False
+        return lengths
+
     def check_trajectory(self, y: Sequence[int]) -> Trajectory:
         y = tuple(int(t) for t in y)
         if len(y) != self.horizon:
@@ -230,15 +237,17 @@ def prefix_row_ids(mdp: TokenMdp, tokens: np.ndarray, key: str) -> np.ndarray:
 
 
 def prefix_match_lengths(mdp: TokenMdp) -> np.ndarray:
-    """match_length(prefix, mdp.target) for every state id, built level by level.
+    """match_length(prefix, mdp.target) for every state id, built level by level
+    in the smallest unsigned dtype that holds |target|.
 
     The children of a length-(t-1) prefix are consecutive length-t states, so
     a level is the step-table rows of its parent level, in order.
     """
     check_enumeration_cap(mdp, mdp.n_prefixes)
-    levels = [np.zeros(1, dtype=np.int64)]
+    step = mdp.step_table.astype(np.min_scalar_type(len(mdp.target)))
+    levels = [np.zeros(1, dtype=step.dtype)]
     for _ in range(1, mdp.horizon):
-        levels.append(mdp.step_table[levels[-1]].ravel())
+        levels.append(step[levels[-1]].ravel())
     return np.concatenate(levels)
 
 

@@ -18,7 +18,6 @@ from .mdp import (
     TokenMdp,
     check_enumeration_cap,
     check_window,
-    prefix_match_lengths,
     prefix_row_ids,
     reached_rows,
     trajectory_chunks,
@@ -81,23 +80,18 @@ class VarianceReport(NamedTuple):
 
 
 def exact_return(mdp: TokenMdp, policy) -> float:
-    """Expected reward under the policy, by backward induction over its own rows."""
-    return _exact_return(mdp, policy_rows(policy, mdp))
-
-
-def _exact_return(mdp: TokenMdp, rows: PolicyRows, matched=None) -> float:
-    """:func:`exact_return` from a policy's rows.
+    """Expected reward under a policy, by backward induction over its own rows.
 
     A state one token short of the horizon is worth the probability of its
     rewarded next tokens; every shorter state is worth the probability-
     weighted value of its |vocab| children, so each level is one row-wise
     dot.  Prefix rows walk the prefix tree, whose children are consecutive
-    states one level down; ``matched`` is ``prefix_match_lengths(mdp)`` when
-    the caller has it.  Match-length rows walk the (t, k) chain: a state's
-    value depends only on its level t and matched length k <= min(|target|, t),
-    and the children of k are k and k + 1.
+    states one level down, with the leaves' matched lengths read from
+    ``mdp.state_match_lengths``.  Match-length rows walk the (t, k) chain: a
+    state's value depends only on its level t and matched length
+    k <= min(|target|, t), and the children of k are k and k + 1.
     """
-    probs, key = rows
+    probs, key = policy_rows(policy, mdp)
     v, n = mdp.vocab_size, len(mdp.target)
     if key == "match_length":
         m = reached_rows(mdp, key)
@@ -106,10 +100,8 @@ def _exact_return(mdp: TokenMdp, rows: PolicyRows, matched=None) -> float:
             m = min(n, t) + 1
             value = np.einsum("ij,ij->i", probs[:m], value[mdp.step_table[:m]])
         return float(value[0])
-    if matched is None:
-        matched = prefix_match_lengths(mdp)
     first = mdp.n_prefixes - v ** (mdp.horizon - 1)
-    value = _leaf_values(mdp, probs[first:], matched[first:])
+    value = _leaf_values(mdp, probs[first:], mdp.state_match_lengths[first:])
     for t in range(mdp.horizon - 2, -1, -1):
         first -= v**t
         value = np.einsum("ij,ij->i", probs[first : first + v**t], value.reshape(-1, v))
@@ -118,10 +110,13 @@ def _exact_return(mdp: TokenMdp, rows: PolicyRows, matched=None) -> float:
 
 def _leaf_values(mdp: TokenMdp, last: np.ndarray, matched: np.ndarray) -> np.ndarray:
     """Value of the states one token short of the horizon: the row sum where the
-    target is matched, the target's last token where it is one short."""
+    target is matched, the target's last token where it is one short, and 0
+    at every other state, whose row is never read."""
     n = len(mdp.target)
-    value = np.where(matched == n, last.sum(axis=1), 0.0)
-    value += np.where(matched == n - 1, last[:, mdp.target[-1]], 0.0)
+    value = np.zeros(len(last))
+    done, near = (np.flatnonzero(matched == k) for k in (n, n - 1))
+    value[done] = last[done].sum(axis=1)
+    value[near] = last[near, mdp.target[-1]]
     return value
 
 
@@ -161,12 +156,7 @@ def population_moments(
     trajectories mu can generate.  Log ratios are gathered from each
     policy's own rows, and every window comes from one suffix sum of them.
     """
-    pair = policy_rows(pi, mdp), policy_rows(mu, mdp)
-    return _population_moments(mdp, *pair, n_list, require_full_support)
-
-
-def _population_moments(mdp: TokenMdp, pi_rows, mu_rows, n_list, require_full_support=True):
-    """:func:`population_moments` from the two policies' rows."""
+    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     check_enumeration_cap(mdp, mdp.n_trajectories)
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
@@ -235,15 +225,8 @@ def variance_of_statistic(
 
 def n_step_surrogate_empirical(group: GroupRollout, pi, mu, n_step: int) -> float:
     """Group mean of the per-sample statistic; unbiased for the population value."""
-    return _empirical_surrogate(
-        group, policy_rows(pi, group.mdp), policy_rows(mu, group.mdp), n_step
-    )
-
-
-def _empirical_surrogate(group: GroupRollout, pi_rows, mu_rows, n_step: int) -> float:
-    """:func:`n_step_surrogate_empirical` from the two policies' rows."""
     check_window(group.mdp.horizon, n_step)
-    log_r = group_log_ratios(group, pi_rows, mu_rows)
+    log_r = group_log_ratios(group, policy_rows(pi, group.mdp), policy_rows(mu, group.mdp))
     (z,) = _windowed_statistics(group.rewards, log_r, [n_step])
     return float(group.weights @ z)
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import UnknownStateError
-from .mdp import TokenMdp, check_enumeration_cap, match_length, n_rows, prefix_match_lengths
+from .mdp import TokenMdp, check_enumeration_cap, match_length, n_rows
 
 
 class PolicyRows(NamedTuple):
@@ -99,7 +99,7 @@ class TabularSoftmaxPolicy:
         """Copy another policy's distributions into logits (log-probabilities)."""
         rows = policy_rows(policy, mdp)
         if state_key == "prefix":
-            probs = state_table(rows, mdp)
+            probs = policy_prob_table(rows, mdp)
         else:
             # A representative prefix per matched length a state can reach: the
             # target's own head.  Longer matches are never reached; they stay uniform.
@@ -137,7 +137,7 @@ class TabularSoftmaxPolicy:
             raise ValueError(f"gradient values {values.shape} are not {shape}")
         if len(rows) and (rows[0] < 0 or rows[-1] >= len(self.logits) or (rows[1:] <= rows[:-1]).any()):
             raise ValueError(f"gradient rows must be sorted, unique ids below {len(self.logits)}")
-        np.add.at(self.logits, rows, learning_rate * values)
+        self.logits[rows] += learning_rate * values
 
     def copy(self) -> "TabularSoftmaxPolicy":
         return TabularSoftmaxPolicy(self.mdp, self.logits.copy(), self.state_key)
@@ -181,24 +181,28 @@ def table_ratio_deviation(p_pi: np.ndarray, p_mu: np.ndarray) -> float:
 
 
 def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
-    """[n_prefixes, vocab] probabilities in state-id order (see :func:`state_table`)."""
-    return state_table(policy_rows(policy, mdp), mdp)
-
-
-def state_table(rows: PolicyRows, mdp: TokenMdp) -> np.ndarray:
-    """A policy's rows lifted to [n_prefixes, vocab] in state-id order.
+    """A policy's (or its rows') [n_prefixes, vocab] probabilities in state-id order.
 
     Row order matches the state ids produced by ``mdp.trajectory_chunks``.  Match-length
     rows are gathered at each state's matched length; prefix rows are the table itself.
     """
     check_enumeration_cap(mdp, mdp.n_prefixes)
-    probs, key = rows
-    return probs[prefix_match_lengths(mdp)] if key == "match_length" else probs
+    probs, key = policy_rows(policy, mdp)
+    return probs[mdp.state_match_lengths] if key == "match_length" else probs
 
 
 def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:
     """The policy's rows, which are only defined for the tokens, horizon and
-    target of the MDP it was built for."""
+    target of the MDP it was built for.  Rows pass through as they are, once
+    their key and their [n_rows(mdp, key), vocab] shape are checked."""
+    if isinstance(policy, PolicyRows):
+        probs, key = policy
+        if key not in TabularSoftmaxPolicy.STATE_KEYS:
+            raise ValueError(f"row key must be one of {TabularSoftmaxPolicy.STATE_KEYS}, got {key!r}")
+        shape = (n_rows(mdp, key), mdp.vocab_size)
+        if np.shape(probs) != shape:
+            raise ValueError(f"rows under {key!r} must be {shape}, got {np.shape(probs)}")
+        return policy
     own = policy.mdp
     if (own.vocab, own.horizon, own.target) != (mdp.vocab, mdp.horizon, mdp.target):
         raise UnknownStateError("the policy was built for another vocab, horizon or target")

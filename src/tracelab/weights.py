@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ZeroSupportError
-from .mdp import TokenMdp, Trajectory, check_window, extend_rows, n_rows, prefix_row_ids, reward_vector
-from .policies import PolicyRows, kl_divergence, total_variation
+from .mdp import TokenMdp, Trajectory, check_window, extend_rows, prefix_row_ids, reward_vector
+from .policies import PolicyRows, kl_divergence, policy_rows, total_variation
 
 
 def window_products(log_ratios: np.ndarray, n_step: int) -> np.ndarray:
@@ -221,10 +221,8 @@ def group_log_ratios(group: GroupRollout, pi_rows: PolicyRows, mu_rows: PolicyRo
         return np.log(p_pi) - np.log(p_mu)
 
 
-def sample_from_table(
-    mdp: TokenMdp, mu_rows: PolicyRows, group_size: int, rng: np.random.Generator
-) -> GroupRollout:
-    """Sample G trajectories from the rollout policy's rows and center their rewards.
+def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generator) -> GroupRollout:
+    """Sample G trajectories from the rollout policy or its rows, and center their rewards.
 
     One ``[G, T]`` draw of uniforms, in the trajectory-major order of a
     token-by-token sampler, so equal generators give equal tokens.  Each
@@ -233,16 +231,13 @@ def sample_from_table(
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    probs, key = np.asarray(mu_rows.probs, dtype=float), mu_rows.key
-    v, count = mdp.vocab_size, n_rows(mdp, key)
-    if probs.shape != (count, v):
-        raise ValueError(f"rollout rows must be [{count}, {v}], got {probs.shape}")
+    probs, key = policy_rows(mu, mdp)
     u = rng.random((group_size, mdp.horizon))
     tokens = np.empty(u.shape, dtype=np.int64)
     ids = np.zeros(u.shape, dtype=np.int64)
     for t in range(mdp.horizon):
         below = np.cumsum(probs[ids[:, t]], axis=1) <= u[:, t, None]
-        tokens[:, t] = np.minimum(below.sum(axis=1), v - 1)
+        tokens[:, t] = np.minimum(below.sum(axis=1), mdp.vocab_size - 1)
         if t + 1 < mdp.horizon:
             ids[:, t + 1] = extend_rows(mdp, key, ids[:, t], tokens[:, t])
     read = probs[ids]

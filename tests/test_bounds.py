@@ -156,21 +156,21 @@ class TestTableBuilds:
         [
             pytest.param("verify", [], {}, id="verify"),
             pytest.param("sweep", [], {"policy_log_matrix": 2}, id="sweep"),
-            pytest.param("verify", [PREFIX_PI], {"state_table": 4}, id="verify-prefix-pi"),
+            pytest.param("verify", [PREFIX_PI], {"policy_prob_table": 4}, id="verify-prefix-pi"),
             pytest.param(
-                "sweep", [PREFIX_PI], {"policy_log_matrix": 2, "state_table": 2}, id="sweep-prefix-pi"
+                "sweep", [PREFIX_PI], {"policy_log_matrix": 2, "policy_prob_table": 2}, id="sweep-prefix-pi"
             ),
         ],
     )
     def test_state_tables_built_per_run(self, tmp_path, command, overrides, builds):
         """Both table builders are counted: policy_log_matrix, the log of a
-        policy's own rows that the enumeration pass reads, and state_table,
-        which lifts a policy's rows to [n_states, V] (policy_prob_table goes
-        through it).  The default target-following pair is read from its own
-        rows, so verify builds no table and sweep only its pass's two log
-        rows.  A prefix-keyed pi beside the match-length mu lifts both
-        policies for eps and dtv_max: in verify once for the bound report and
-        once for the coverage check, in sweep once."""
+        policy's own rows that the enumeration pass reads, and
+        policy_prob_table, which lifts a policy or its rows to [n_states, V].
+        The default target-following pair is read from its own rows, so
+        verify builds no table and sweep only its pass's two log rows.  A
+        prefix-keyed pi beside the match-length mu lifts both policies for eps
+        and dtv_max: in verify once for the bound report and once for the
+        coverage check, in sweep once."""
         calls = Counter()
 
         def counted(name, inner):
@@ -181,7 +181,7 @@ class TestTableBuilds:
             return wrapper
 
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("policy_log_matrix", "state_table"):
+            for name in ("policy_log_matrix", "policy_prob_table"):
                 inner = getattr(policies, name)
                 for module in (policies, weights, objectives, bounds, lab, config, cli):
                     if getattr(module, name, None) is inner:

@@ -11,6 +11,7 @@ import pytest
 from tracelab import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     objective_value,
     theorem_lower_bound,
@@ -29,6 +30,7 @@ from helpers import sample_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COPY_OF_MU = 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu"}'
+PREFIX_ZEROS = 'policies.pi={"family":"tabular_softmax","init":"zeros","state_key":"prefix"}'
 # Runs argv[1:] from a small interpreter and prints its exit code and peak RSS
 # in MB.  A child started straight from the test process would report the
 # test process's own high-water mark instead.
@@ -214,6 +216,23 @@ def test_every_command_reruns_byte_identically(tmp_path, command, overrides):
     assert len(written) == 2 and "run_manifest.json" in written
     for name in written:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "analyze"])
+def test_each_command_reads_pi_rows_once(tmp_path, command):
+    """A command computes a tabular pi's rows once and passes them on."""
+    calls = []
+    inner = TabularSoftmaxPolicy.rows
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TabularSoftmaxPolicy, "rows", counted)
+        sets = ["--set", "experiment.trials=20", "--set", PREFIX_ZEROS]
+        assert run([command, "--out", str(tmp_path), *sets]) == 0
+    assert len(calls) == 1
 
 
 class TestSweepCommand:

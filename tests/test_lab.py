@@ -252,9 +252,13 @@ class TestTableTraining:
         assert dict(calls) == {"rows": 1, "_token_terms": steps}
 
     @pytest.mark.parametrize("state_key,expected", [("prefix", 1), ("match_length", 0)])
-    def test_match_lengths_built_once_per_step(self, toy_mdp, mu05, state_key, expected):
-        """A prefix-keyed pi's return builds its match lengths once per run; a
-        match-length pi needs none, since every quantity reads its own rows."""
+    def test_match_lengths_built_once_per_step(self, state_key, expected):
+        """The MDP builds its per-state match lengths once, for a prefix-keyed
+        pi's copy of mu and every return of two runs after it; a match-length
+        pi needs none, since every quantity reads its own rows.  The MDP is the
+        test's own, so no match lengths an earlier test built are cached."""
+        mdp = TokenMdp.from_symbols("abc", 7, "abcabc")
+        mu05 = TargetFollowingPolicy(mdp, 0.5)
         calls = Counter()
         inner = mdp_module.prefix_match_lengths
 
@@ -267,9 +271,9 @@ class TestTableTraining:
             for module in (mdp_module, policies, weights, objectives, bounds, lab):
                 if getattr(module, "prefix_match_lengths", None) is inner:
                     patch.setattr(module, "prefix_match_lengths", counted)
-            pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
-            calls.clear()
-            train(toy_mdp, pi, NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
+            pi = TabularSoftmaxPolicy.from_policy(mdp, mu05, state_key)
+            for _ in range(2):
+                train(mdp, pi.copy(), NFPO_TOY, steps, 0.1, 8, 0, rollout_refresh=3)
         assert calls["prefix_match_lengths"] == expected
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from tracelab import (
 )
 from tracelab.bounds import _policy_gap
 from tracelab.mdp import n_rows
-from tracelab.objectives import _exact_return
+from tracelab.objectives import population_moments
 from tracelab.policies import policy_prob_table
 from helpers import (
     OneHotPolicy,
@@ -176,13 +177,72 @@ def test_rows_match_the_state_table_paths(data, seed):
     rng = np.random.default_rng(seed)
     pi, mu = (_random_rows_policy(mdp, key, rng) for key in keys)
     for policy in (pi, mu):
-        value = _exact_return(mdp, policy_rows(policy, mdp))
+        value = exact_return(mdp, policy_rows(policy, mdp))
         oracle = _enumerated_return(mdp, policy)
         assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
-        assert value == _exact_return(mdp, PolicyRows(policy_prob_table(policy, mdp)))
+        assert value == exact_return(mdp, PolicyRows(policy_prob_table(policy, mdp)))
     eps, dtv_max = _policy_gap(mdp, policy_rows(pi, mdp), policy_rows(mu, mdp))
     assert eps == max(ratio_deviation_bound(pi, mu, mdp), 1e-12)
     assert dtv_max == d_tv_max(mu, pi, mdp)
+
+
+def _gated_quantities(mdp, mu, seed):
+    """Every public quantity that reads a policy or its rows, as a function of
+    (pi, mu); the sampled ones read a group drawn from ``mu``."""
+    group = sample_from_table(mdp, mu, 6, np.random.default_rng(seed))
+    n_list = range(1, mdp.horizon + 1)
+    return {
+        "exact_return": lambda pi, mu: exact_return(mdp, pi),
+        "population_moments": lambda pi, mu: population_moments(mdp, pi, mu, n_list),
+        "n_step_surrogate_empirical": lambda pi, mu: n_step_surrogate_empirical(group, pi, mu, 2),
+        "objective_value": lambda pi, mu: objective_value(group, pi, mu, _nfpo(2, MASK_NONE)),
+        "policy_prob_table": lambda pi, mu: policy_prob_table(pi, mdp),
+        "sample_from_table": lambda pi, mu: sample_from_table(
+            mdp, mu, 6, np.random.default_rng(seed)
+        ).tokens,
+    }
+
+
+GATED = (
+    "exact_return",
+    "population_moments",
+    "n_step_surrogate_empirical",
+    "objective_value",
+    "policy_prob_table",
+    "sample_from_table",
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), which=st.integers(0, 1))
+def test_rows_read_bit_for_bit_like_their_policy(seed, which):
+    """Each quantity gives the same bits from a policy as from its rows, which
+    the gate passes through as they are."""
+    mdp, pi, mu = random_setups(2, seed)[which]
+    rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    assert policy_rows(rows[0], mdp) is rows[0]
+    quantities = _gated_quantities(mdp, mu, seed)
+    assert tuple(quantities) == GATED
+    for name, quantity in quantities.items():
+        from_policies, from_rows = quantity(pi, mu), quantity(*rows)
+        assert np.asarray(from_policies).tobytes() == np.asarray(from_rows).tobytes(), name
+
+
+@pytest.mark.parametrize("bad", ["key", "row_count", "vocab_width"])
+@pytest.mark.parametrize("key", TabularSoftmaxPolicy.STATE_KEYS)
+@pytest.mark.parametrize("name", GATED)
+def test_malformed_rows_refused(toy_mdp, mu05, pi08, name, key, bad):
+    """Rows under an unknown key or of the wrong shape are refused by the gate,
+    which names the shape it expects."""
+    probs = policy_rows(pi08, toy_mdp).probs if key == "match_length" else policy_prob_table(pi08, toy_mdp)
+    rows, expected = {
+        "key": (PolicyRows(probs, "state"), "row key must be one of"),
+        "row_count": (PolicyRows(probs[:-1], key), f"must be {probs.shape}"),
+        "vocab_width": (PolicyRows(probs[:, :-1], key), f"must be {probs.shape}"),
+    }[bad]
+    quantity = _gated_quantities(toy_mdp, mu05, 0)[name]
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        quantity(rows, rows)
 
 
 class TestPerformanceDifference:

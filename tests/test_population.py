@@ -267,13 +267,16 @@ def test_sweep_makes_one_pass_and_two_table_builds(toy_mdp, mu05, pi08, n_list):
 
 
 @pytest.mark.parametrize("tabular", [False, True], ids=["target_following", "tabular"])
-def test_match_length_pair_sweep_builds_no_state_quantity(toy_mdp, mu05, pi08, tabular):
+def test_match_length_pair_sweep_builds_no_state_quantity(tabular):
     """Every quantity of a sweep over two match-length policies comes from
-    their rows: no state table and no per-state match lengths."""
-    pi = TabularSoftmaxPolicy.from_policy(toy_mdp, pi08, "match_length") if tabular else pi08
+    their rows: no state table and no per-state match lengths.  The MDP is
+    the test's own, so no match lengths an earlier test built are cached."""
+    mdp = TokenMdp.from_symbols("abc", 7, "abcabc")
+    mu05, pi08 = TargetFollowingPolicy(mdp, 0.5), TargetFollowingPolicy(mdp, 0.8)
+    pi = TabularSoftmaxPolicy.from_policy(mdp, pi08, "match_length") if tabular else pi08
     calls = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        for home, name in ((policies, "state_table"), (mdp_module, "prefix_match_lengths")):
+        for home, name in ((policies, "policy_prob_table"), (mdp_module, "prefix_match_lengths")):
             inner = getattr(home, name)
 
             def wrapper(*args, name=name, inner=inner, **kwargs):
@@ -283,6 +286,6 @@ def test_match_length_pair_sweep_builds_no_state_quantity(toy_mdp, mu05, pi08, t
             for module in (mdp_module, policies, weights, objectives, bounds, lab):
                 if getattr(module, name, None) is inner:
                     patch.setattr(module, name, wrapper)
-        rows = bias_variance_sweep(toy_mdp, pi, mu05, range(1, 8), 8, 0.05)
+        rows = bias_variance_sweep(mdp, pi, mu05, range(1, 8), 8, 0.05)
     assert len(rows) == 7
     assert calls == Counter()
