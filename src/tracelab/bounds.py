@@ -21,21 +21,30 @@ from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps 
 from .weights import GroupRollout, sample_from_table
 
 
+def _finite(name: str, eps: float, n_step: int, value) -> float:
+    """``value()`` as a float, refused by name when it overflows one."""
+    try:
+        if math.isfinite(result := float(value())):
+            return result
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} overflows a float at eps = {eps!r} and N = {n_step}")
+
+
 def s_n(eps: float, horizon: int, n_step: int) -> float:
     """Sum over tokens of (1 + eps) raised to each token's window length."""
     check_window(horizon, n_step)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    return float(
-        sum((1.0 + eps) ** min(n_step - 1, horizon - t) for t in range(1, horizon + 1))
-    )
+    powers = ((1.0 + eps) ** min(n_step - 1, horizon - t) for t in range(1, horizon + 1))
+    return _finite("s_n", eps, n_step, lambda: sum(powers))
 
 
 def b_n(xi: float, eps: float, horizon: int, n_step: int) -> float:
     """Worst-case magnitude of the per-sample windowed statistic."""
     if not xi > 0.0:
         raise ValueError("xi must be positive")
-    return xi * eps * s_n(eps, horizon, n_step)
+    return _finite("b_n", eps, n_step, lambda: xi * eps * s_n(eps, horizon, n_step))
 
 
 def b_n_increment(xi: float, eps: float, horizon: int, n_step: int) -> float:
@@ -43,7 +52,9 @@ def b_n_increment(xi: float, eps: float, horizon: int, n_step: int) -> float:
     check_window(horizon, n_step)
     if n_step >= horizon:
         raise ValueError("increment defined for n_step < horizon")
-    return xi * eps * eps * (horizon - n_step) * (1.0 + eps) ** (n_step - 1)
+    return _finite(
+        "b_n_increment", eps, n_step, lambda: xi * eps * eps * (horizon - n_step) * (1.0 + eps) ** (n_step - 1)
+    )
 
 
 def truncation_bias_bound(xi: float, horizon: int, n_step: int, dtv_max: float) -> float:

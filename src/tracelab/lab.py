@@ -20,7 +20,7 @@ from .objectives import (
     gradient_norm,
     population_moments,
 )
-from .policies import PolicyRows, TabularSoftmaxPolicy, _softmax, policy_rows, total_variation
+from .policies import PolicyRows, TabularSoftmaxPolicy, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import clipped_trace, sample_from_table
 
@@ -101,10 +101,10 @@ def train(
     is what makes the forward traces non-trivial.  The whole run is a pure
     function of its arguments: one seed, one record stream.
 
-    The run reads pi's own rows once; each step re-runs the softmax only on
-    the rows its gradient moved, and the rollout snapshot is a frozen copy of
-    the rows taken at the refresh.  ``dtv_max`` reads the rows moved since the
-    refresh, since every other row has a TV of exactly 0.
+    The run reads pi's own rows once; each step writes in the rows that
+    ``apply_gradient`` returns for the rows it moved, and the rollout snapshot
+    is a frozen copy of the rows taken at the refresh.  ``dtv_max`` reads the
+    rows moved since the refresh, since every other row has a TV of exactly 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -123,8 +123,7 @@ def train(
         if not math.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} at step {step}")
         gradient = _logit_gradient(group, pi_rows, coeffs)
-        pi.apply_gradient(gradient, learning_rate)
-        pi_rows.probs[gradient.rows] = _softmax(pi.logits.take(gradient.rows, axis=0))
+        pi_rows.probs[gradient.rows] = pi.apply_gradient(gradient, learning_rate)
         moved[gradient.rows] = True
         ids = moved.nonzero()[0]
         tv = total_variation(mu_rows.probs.take(ids, axis=0), pi_rows.probs.take(ids, axis=0))

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import EnumerationCapError
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
+ROW_KEYS = ("prefix", "match_length")  # how a state picks its row: see extend_rows
 _CHUNK = 1 << 14
 
 Prefix = tuple[int, ...]
@@ -69,8 +70,6 @@ class TokenMdp:
     ) -> "TokenMdp":
         """Build an MDP from token symbols, e.g. vocab "abc", target "abcabc"."""
         index = {sym: i for i, sym in enumerate(vocab)}
-        if len(index) != len(vocab):
-            raise ValueError("vocab tokens must be distinct")
         try:
             target_idx = tuple(index[s] for s in target)
         except KeyError as exc:
@@ -208,10 +207,16 @@ def extend_rows(mdp: TokenMdp, key: str, ids: np.ndarray, tokens: np.ndarray) ->
     return np.take(mdp.step_table, ids * mdp.vocab_size + tokens)
 
 
+def _row_key(key: str) -> str:
+    if key not in ROW_KEYS:
+        raise ValueError(f"row key must be one of {ROW_KEYS}, got {key!r}")
+    return key
+
+
 def n_rows(mdp: TokenMdp, key: str) -> int:
     """Number of row ids under ``key`` (see :func:`extend_rows`); a prefix-keyed
     count is every state id, and is refused beyond the cap like every state table."""
-    if key == "prefix":
+    if _row_key(key) == "prefix":
         check_enumeration_cap(mdp, mdp.n_prefixes)
         return mdp.n_prefixes
     return len(mdp.target) + 1
@@ -220,15 +225,14 @@ def n_rows(mdp: TokenMdp, key: str) -> int:
 def reached_rows(mdp: TokenMdp, key: str) -> int:
     """Number of leading row ids under ``key`` that some state reaches: every
     state id, or the match lengths k <= min(|target|, T - 1)."""
-    if key == "prefix":
-        return n_rows(mdp, key)
-    return min(len(mdp.target), mdp.horizon - 1) + 1
+    rows = n_rows(mdp, key)
+    return rows if key == "prefix" else min(rows, mdp.horizon)
 
 
 def prefix_row_ids(mdp: TokenMdp, tokens: np.ndarray, key: str) -> np.ndarray:
     """Row id under ``key`` (see :func:`extend_rows`) of every prefix y_{<t}
     in a [m, T] token block, laid out in memory like the block."""
-    if key == "prefix" and mdp.n_prefixes - 1 > np.iinfo(np.int64).max:
+    if _row_key(key) == "prefix" and mdp.n_prefixes - 1 > np.iinfo(np.int64).max:
         raise ValueError(f"state ids at horizon {mdp.horizon} overflow int64")
     ids = np.zeros_like(tokens, dtype=np.int64)
     for t in range(1, tokens.shape[1]):

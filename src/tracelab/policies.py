@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import UnknownStateError
-from .mdp import TokenMdp, check_enumeration_cap, match_length, n_rows
+from .mdp import ROW_KEYS, TokenMdp, check_enumeration_cap, match_length, n_rows, prefix_row_ids, reached_rows
 
 
 class PolicyRows(NamedTuple):
@@ -77,11 +77,9 @@ class TabularSoftmaxPolicy:
     the array it is given, and every update edits it in place.
     """
 
-    STATE_KEYS = ("prefix", "match_length")
+    STATE_KEYS = ROW_KEYS
 
     def __init__(self, mdp: TokenMdp, logits: np.ndarray, state_key: str = "prefix"):
-        if state_key not in self.STATE_KEYS:
-            raise ValueError(f"state_key must be one of {self.STATE_KEYS}")
         shape = (n_rows(mdp, state_key), mdp.vocab_size)
         self.mdp, self.state_key, self.logits = mdp, state_key, np.asarray(logits, dtype=float)
         if self.logits.shape != shape:
@@ -96,16 +94,17 @@ class TabularSoftmaxPolicy:
     def from_policy(
         cls, mdp: TokenMdp, policy, state_key: str = "prefix"
     ) -> "TabularSoftmaxPolicy":
-        """Copy another policy's distributions into logits (log-probabilities)."""
+        """Copy a policy's (or its rows') distributions into logits (log-probabilities)."""
         rows = policy_rows(policy, mdp)
         if state_key == "prefix":
             probs = policy_prob_table(rows, mdp)
         else:
-            # A representative prefix per matched length a state can reach: the
-            # target's own head.  Longer matches are never reached; they stay uniform.
+            # Matched length k copies the row of the target's head target[:k] (the pad
+            # token is never read); longer matches are never reached and stay uniform.
             probs = np.full((n_rows(mdp, state_key), mdp.vocab_size), 1.0 / mdp.vocab_size)
-            for k in range(min(len(mdp.target), mdp.horizon - 1) + 1):
-                probs[k] = policy.probs(mdp.target[:k])
+            reached = reached_rows(mdp, state_key)
+            heads = np.array([mdp.target[: reached - 1] + (0,)])
+            probs[:reached] = rows.probs[prefix_row_ids(mdp, heads, rows.key)[0]]
         with np.errstate(divide="ignore"):
             return cls(mdp, np.log(probs), state_key)
 
@@ -129,8 +128,9 @@ class TabularSoftmaxPolicy:
         """The softmax of every logit row, keyed by ``state_key``."""
         return PolicyRows(_softmax(self.logits), self.state_key)
 
-    def apply_gradient(self, gradient, learning_rate: float) -> None:
-        """Ascent step on a ``RowGradient``: logits[rows] += learning_rate * values."""
+    def apply_gradient(self, gradient, learning_rate: float) -> np.ndarray:
+        """Ascent step on a ``RowGradient``: logits[rows] += learning_rate * values.
+        Returns the new probabilities of those rows, in the order of ``gradient.rows``."""
         rows, values = np.asarray(gradient.rows), np.asarray(gradient.values, dtype=float)
         shape = (len(rows), self.logits.shape[1])
         if rows.ndim != 1 or values.shape != shape:
@@ -138,6 +138,7 @@ class TabularSoftmaxPolicy:
         if len(rows) and (rows[0] < 0 or rows[-1] >= len(self.logits) or (rows[1:] <= rows[:-1]).any()):
             raise ValueError(f"gradient rows must be sorted, unique ids below {len(self.logits)}")
         self.logits[rows] += learning_rate * values
+        return _softmax(self.logits.take(rows, axis=0))
 
     def copy(self) -> "TabularSoftmaxPolicy":
         return TabularSoftmaxPolicy(self.mdp, self.logits.copy(), self.state_key)
@@ -197,8 +198,6 @@ def policy_rows(policy, mdp: TokenMdp) -> PolicyRows:
     their key and their [n_rows(mdp, key), vocab] shape are checked."""
     if isinstance(policy, PolicyRows):
         probs, key = policy
-        if key not in TabularSoftmaxPolicy.STATE_KEYS:
-            raise ValueError(f"row key must be one of {TabularSoftmaxPolicy.STATE_KEYS}, got {key!r}")
         shape = (n_rows(mdp, key), mdp.vocab_size)
         if np.shape(probs) != shape:
             raise ValueError(f"rows under {key!r} must be {shape}, got {np.shape(probs)}")

@@ -21,6 +21,7 @@ from tracelab import (
     PolicyRows,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
+    TokenMdp,
     dynamics_report,
     enumerate_prefixes,
     objective_gradient,
@@ -198,6 +199,44 @@ def test_table_sampler_draws_the_tokens_of_sample_group(setup, group_size, seed)
         batched = sample_from_table(mdp, rows, group_size, table_rng)
         np.testing.assert_array_equal(batched.tokens, oracle.tokens)
         assert table_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@st.composite
+def copy_sources(draw):
+    """A ``rollout_policies`` source, or one of the same kinds on an MDP with
+    the same vocab and horizon whose target is longer than the horizon."""
+    mdp, src = draw(rollout_policies())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        target = "".join(rng.choice(list(mdp.vocab), mdp.horizon + draw(st.integers(1, 3))))
+        mdp = TokenMdp.from_symbols(mdp.vocab, mdp.horizon, target)
+        kind = draw(st.sampled_from(["target_following", "prefix", "match_length"]))
+        if kind == "target_following":
+            src = TargetFollowingPolicy(mdp, rng.uniform(0.05, 0.95))
+        elif kind == "prefix":
+            src = random_tabular(mdp, rng)
+        else:
+            logits = rng.normal(0.0, 0.8, (len(mdp.target) + 1, mdp.vocab_size))
+            src = TabularSoftmaxPolicy(mdp, logits, "match_length")
+    return mdp, src
+
+
+@PROPERTY
+@given(source=copy_sources(), state_key=st.sampled_from(TabularSoftmaxPolicy.STATE_KEYS))
+def test_copy_from_rows_equals_the_per_prefix_copy(source, state_key):
+    """``from_policy`` gives bitwise the same logits from a policy and from its
+    rows.  Each match length a state reaches holds the log of the source's
+    distribution at the target's head, read prefix by prefix; longer matches
+    stay uniform."""
+    mdp, src = source
+    copy = TabularSoftmaxPolicy.from_policy(mdp, src, state_key)
+    from_rows = TabularSoftmaxPolicy.from_policy(mdp, policy_rows(src, mdp), state_key)
+    assert from_rows.logits.tobytes() == copy.logits.tobytes()
+    if state_key == "match_length":
+        reached = min(len(mdp.target), mdp.horizon - 1) + 1
+        for k in range(reached):
+            assert copy.logits[k].tobytes() == np.log(src.probs(mdp.target[:k])).tobytes(), k
+        np.testing.assert_array_equal(copy.logits[reached:], np.log(1.0 / mdp.vocab_size))
 
 
 class TablePolicy:

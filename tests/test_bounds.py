@@ -76,6 +76,21 @@ class TestConcentrationEnvelope:
         with pytest.raises(ValueError):
             b_n_increment(1.0, 0.1, 7, 7)
 
+    def test_overflow_named(self):
+        """A value past the largest float is refused, naming eps and N, whether a
+        power overflows or a sum or product of finite ones does."""
+        with pytest.raises(ValueError, match=r"^s_n overflows a float at eps = 18\.0 and N = 300$"):
+            s_n(18.0, 300, 300)
+        with pytest.raises(ValueError, match=r"^s_n overflows a float at eps = 18\.0 and N = 241$"):
+            s_n(18.0, 300, 241)
+        assert math.isfinite(s_n(18.0, 240, 240))
+        with pytest.raises(ValueError, match=r"^b_n overflows a float at eps = 18\.0 and N = 240$"):
+            b_n(1e10, 18.0, 240, 240)
+        with pytest.raises(ValueError, match=r"^b_n_increment overflows a float at eps = 18\.0 and N = 299$"):
+            b_n_increment(1.0, 18.0, 300, 299)
+        with pytest.raises(ValueError, match=r"^b_n_increment overflows a float at eps = 18\.0 and N = 241$"):
+            b_n_increment(1e10, 18.0, 300, 241)
+
 
 class TestHoeffdingPenalty:
     def test_confidence_domain(self):

@@ -17,7 +17,7 @@ from tracelab import (
     theorem_lower_bound,
 )
 from tracelab import cli as cli_module
-from tracelab import lab, objectives, policies
+from tracelab import lab, mdp, objectives, policies
 from tracelab.cli import run
 from tracelab.config import (
     apply_overrides,
@@ -107,6 +107,20 @@ class TestConfigParsing:
         a = config_hash(parse_config(default_config()).to_dict())
         b = config_hash(parse_config(default_config()).to_dict())
         assert a == b and len(a) == 64
+
+    def test_default_echo_is_pinned(self):
+        """The built-in default names only the toy problem; the parser fills in
+        every other key, so the echo and every output's stamp stay put."""
+        echo = parse_config(default_config()).to_dict()
+        assert config_hash(echo) == "67f5b595091ddf93f5cff6ff1c456d8670403c8b4620f7c6ab2b614d7224bc9b"
+
+    @pytest.mark.parametrize("override", ["seed=1", "a.b=1"])
+    def test_override_on_a_non_object_root_named(self, tmp_path, capsys, override):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code = run(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--set", override])
+        assert code == 1
+        assert "config key '<root>': expected an object, got []" in capsys.readouterr().err
 
 
 class TestEnumerationCap:
@@ -216,6 +230,35 @@ def test_every_command_reruns_byte_identically(tmp_path, command, overrides):
     assert len(written) == 2 and "run_manifest.json" in written
     for name in written:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _no_per_prefix_read(*args, **kwargs):
+    raise AssertionError("a command read a policy prefix by prefix")
+
+
+@pytest.mark.parametrize(
+    "command,pi",
+    [(command, None) for command in ("sweep", "analyze", "verify")]
+    + [
+        (command, key)
+        for command in ("sweep", "analyze", "verify", "train")
+        for key in TabularSoftmaxPolicy.STATE_KEYS
+    ],
+)
+def test_no_command_reads_a_policy_prefix_by_prefix(tmp_path, command, pi):
+    """Every command reads each policy's rows, never ``probs(prefix)``, a row id
+    or a match length of one prefix: with the default pair, and with a pi that
+    copies mu under either key (train needs that tabular pi)."""
+    sets = ["experiment.trials=20", "experiment.steps=5"]
+    if pi is not None:
+        sets.append(f'policies.pi={{"family":"tabular_softmax","init":"copy_of_mu","state_key":"{pi}"}}')
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TargetFollowingPolicy, "probs", _no_per_prefix_read)
+        patch.setattr(TabularSoftmaxPolicy, "probs", _no_per_prefix_read)
+        patch.setattr(TabularSoftmaxPolicy, "row", _no_per_prefix_read)
+        patch.setattr(mdp, "match_length", _no_per_prefix_read)
+        patch.setattr(policies, "match_length", _no_per_prefix_read)
+        assert run([command, "--out", str(tmp_path), *(arg for s in sets for arg in ("--set", s))]) == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep", "analyze"])
@@ -426,6 +469,22 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["bound_report"]["horizon"] == 20
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("n_step", [300, 241])
+    def test_overflowing_envelope_named(self, tmp_path, capsys, n_step):
+        """At T = 300 with alphas 0.95 and 0.05, eps is about 18: (1 + eps) ** 299
+        overflows a float, and at N = 241 the sum of the powers does."""
+        sets = [
+            "mdp.horizon=300",
+            f"objective.N={n_step}",
+            'policies.pi={"family":"target_following","alpha":0.95}',
+            'policies.mu={"family":"target_following","alpha":0.05}',
+            "experiment.trials=5",
+        ]
+        code = run(["verify", "--out", str(tmp_path), *(arg for s in sets for arg in ("--set", s))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "s_n overflows a float at eps = 17.99" in err and f"and N = {n_step}" in err
 
     def test_toy_pair_passes_quickly(self, tmp_path):
         code = run(["verify", "--out", str(tmp_path), "--set", "experiment.trials=200"])

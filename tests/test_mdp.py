@@ -12,7 +12,7 @@ from tracelab import (
     reward,
     sample_from_table,
 )
-from tracelab.mdp import prefix_row_ids, trajectory_chunks
+from tracelab.mdp import n_rows, prefix_row_ids, reached_rows, trajectory_chunks
 from helpers import OneHotPolicy, decoded_trajectories, enumerate_trajectories, prefix_state_ids
 from helpers import sample_trajectory, trajectory_log_prob
 
@@ -80,6 +80,13 @@ class TestConstruction:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             TokenMdp.from_symbols("ab", 0, "a")
+
+    def test_rejects_repeated_vocab(self):
+        """The constructor owns the check, so both ways in refuse the same vocab."""
+        with pytest.raises(ValueError, match="vocab tokens must be distinct"):
+            TokenMdp.from_symbols("aba", 3, "ab")
+        with pytest.raises(ValueError, match="vocab tokens must be distinct"):
+            TokenMdp(("a", "b", "a"), 3, (0, 1))
 
     @pytest.mark.parametrize("bound", [0.5, 0.0, float("nan")])
     def test_reward_bound_covers_the_reward(self, bound):
@@ -218,3 +225,28 @@ class TestSampling:
             statistic += (observed - expected) ** 2 / expected
         dof = 3**7 - 1
         assert statistic < dof + 5 * np.sqrt(2 * dof)
+
+
+class TestRowKeys:
+    """The MDP owns the row keys: every function that reads a key refuses any other."""
+
+    @pytest.mark.parametrize("key", ["Prefix", "state", ""])
+    def test_unknown_key_refused(self, toy_mdp, mu05, key):
+        group = sample_from_table(toy_mdp, policy_rows(mu05, toy_mdp), 2, np.random.default_rng(0))
+        tokens = np.zeros((2, toy_mdp.horizon), dtype=np.int64)
+        for read in (
+            lambda: n_rows(toy_mdp, key),
+            lambda: reached_rows(toy_mdp, key),
+            lambda: prefix_row_ids(toy_mdp, tokens, key),
+            lambda: group.row_ids(key),
+        ):
+            with pytest.raises(ValueError, match="row key must be one of"):
+                read()
+
+    @pytest.mark.parametrize("horizon,reached", [(3, 3), (6, 6), (7, 7), (9, 7)])
+    def test_reached_match_lengths(self, horizon, reached):
+        """min(|target|, T - 1) + 1 match lengths are reached, of |target| + 1 rows."""
+        mdp = TokenMdp.from_symbols("abc", horizon, "abcabc")
+        assert n_rows(mdp, "match_length") == 7
+        assert reached_rows(mdp, "match_length") == reached
+        assert reached_rows(mdp, "prefix") == n_rows(mdp, "prefix") == mdp.n_prefixes

@@ -109,6 +109,17 @@ class TestTabularSoftmax:
         expected[0, 0], expected[5, 1] = 0.5, 1.0
         np.testing.assert_array_equal(pi.logits, expected)
 
+    @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
+    def test_apply_gradient_returns_the_moved_rows(self, toy_mdp, state_key):
+        """The new probabilities of the rows a step moved, in the order of its
+        rows: bitwise the rows of the whole policy afterwards."""
+        rng = np.random.default_rng(11)
+        pi = TabularSoftmaxPolicy.zeros(toy_mdp, state_key)
+        pi.logits[:] = rng.normal(0.0, 2.0, pi.logits.shape)
+        rows = np.array([0, 2, 3, 5])
+        moved = pi.apply_gradient(RowGradient(rows, rng.normal(0.0, 1.0, (4, 3))), 0.7)
+        assert moved.tobytes() == pi.rows().probs[rows].tobytes()
+
     @pytest.mark.parametrize(
         "rows,values",
         [
