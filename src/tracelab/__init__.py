@@ -36,13 +36,7 @@ from .lab import (
     switch_frequency,
     train,
 )
-from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
-    TokenMdp,
-    enumerate_prefixes,
-    match_length,
-    reward,
-)
+from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp
 from .objectives import (
     ObjectiveSpec,
     RowGradient,
@@ -63,7 +57,6 @@ from .policies import (
     TargetFollowingPolicy,
     d_tv_max,
     policy_rows,
-    ratio_deviation_bound,
 )
 from .weights import (
     MASK_NONE,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TokenMdp, check_window, reached_rows
+from .mdp import TokenMdp, check_window
 from .objectives import exact_return, n_step_surrogate_empirical
-from .policies import PolicyRows, policy_prob_table, policy_rows, table_ratio_deviation, total_variation
+from .policies import PolicyRows, policy_gap, policy_rows
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import GroupRollout, sample_from_table
 
@@ -99,21 +99,11 @@ class BoundReport:
 
 
 def _policy_gap(mdp: TokenMdp, pi_rows: PolicyRows, mu_rows: PolicyRows) -> tuple[float, float]:
-    """The exact eps and dtv_max of a policy pair: maxima over every state.
-
-    When both policies have the same key they are read from the rows some
-    state reaches: every prefix row, or the match lengths k <= min(|target|,
-    T - 1).  Otherwise both are lifted to state tables first.
-    """
-    (p_pi, key), (p_mu, mu_key) = pi_rows, mu_rows
-    if key != mu_key:
-        p_pi, p_mu = policy_prob_table(pi_rows, mdp), policy_prob_table(mu_rows, mdp)
-    else:
-        reached = reached_rows(mdp, key)
-        p_pi, p_mu = p_pi[:reached], p_mu[:reached]
-    eps = table_ratio_deviation(p_pi, p_mu)
-    # Identical policies deviate by zero; keep the formulas well-defined.
-    return max(eps, 1e-12), float(total_variation(p_mu, p_pi).max())
+    """The eps and dtv_max of :func:`policy_gap`, with eps floored at 1e-12:
+    identical policies deviate by zero, and the floor keeps the formulas
+    well-defined."""
+    eps, dtv_max = policy_gap(mdp, pi_rows, mu_rows)
+    return max(eps, 1e-12), dtv_max
 
 
 def _bound_report(
@@ -172,23 +162,30 @@ def verify_coverage(
     trials: int,
     seed: int = 0,
 ) -> float:
-    """Fraction of independent groups whose bound the true improvement beats.
+    """Fraction of independent groups whose bound the true improvement beats:
+    :func:`report_coverage` of the bound terms for this pair and window."""
+    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    gap = _policy_gap(mdp, pi_rows, mu_rows)
+    report = _bound_report(mdp, n_step, alpha_conf, group_size, 0.0, *gap)
+    return report_coverage(mdp, pi_rows, mu_rows, report, trials, seed)
 
-    The truth, eps and dtv_max all come from each policy's own rows, so
-    each trial only samples a fresh group from mu's rows and evaluates its
-    empirical surrogate.
+
+def report_coverage(mdp: TokenMdp, pi, mu, report: BoundReport, trials: int, seed: int = 0) -> float:
+    """Fraction of independent groups of ``report.group_size`` whose bound, with
+    the truncation and Hoeffding terms of ``report``, the true improvement beats.
+
+    The truth comes from each policy's own rows, so each trial only samples a
+    fresh group from mu's rows and evaluates its empirical surrogate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     truth = exact_return(mdp, pi_rows) - exact_return(mdp, mu_rows)
-    gap = _policy_gap(mdp, pi_rows, mu_rows)
-    report = _bound_report(mdp, n_step, alpha_conf, group_size, 0.0, *gap)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
-        group = sample_from_table(mdp, mu_rows, group_size, rng)
-        surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, n_step)
+        group = sample_from_table(mdp, mu_rows, report.group_size, rng)
+        surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, report.n_step)
         if truth >= surrogate - report.truncation_bias - report.hoeffding:
             hits += 1
     return hits / trials

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import theorem_lower_bound, verify_coverage
+from .bounds import report_coverage, theorem_lower_bound
 from .config import (
     RunConfig,
     apply_overrides,
@@ -132,14 +132,8 @@ def _stamp(cfg: RunConfig) -> str:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    rows = bias_variance_sweep(
-        cfg.mdp,
-        cfg.build_pi(),
-        cfg.build_mu(),
-        cfg.n_list,
-        cfg.group_size,
-        cfg.alpha_conf,
-    )
+    mu = cfg.build_mu()
+    rows = bias_variance_sweep(cfg.mdp, cfg.build_pi(mu), mu, cfg.n_list, cfg.group_size, cfg.alpha_conf)
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, map(astuple, rows), _stamp(cfg))
     _write_manifest(out_dir, "sweep", cfg, ["sweep.csv"])
     return 0
@@ -169,8 +163,8 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
 def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.mdp.horizon < 2:
         raise ConfigError(f"config key 'mdp.horizon': analyze needs T >= 2, got {cfg.mdp.horizon}")
-    mu_rows = policy_rows(cfg.build_mu(), cfg.mdp)
-    pi_rows = policy_rows(cfg.build_pi(), cfg.mdp)
+    mu = cfg.build_mu()
+    mu_rows, pi_rows = policy_rows(mu, cfg.mdp), policy_rows(cfg.build_pi(mu), cfg.mdp)
     group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
     rho = np.exp(group_log_ratios(group, pi_rows, mu_rows))
     spec = cfg.objective
@@ -197,20 +191,11 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    mu_rows = policy_rows(cfg.build_mu(), cfg.mdp)
-    pi_rows = policy_rows(cfg.build_pi(), cfg.mdp)
+    mu = cfg.build_mu()
+    mu_rows, pi_rows = policy_rows(mu, cfg.mdp), policy_rows(cfg.build_pi(mu), cfg.mdp)
     group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
     report = theorem_lower_bound(group, pi_rows, mu_rows, cfg.objective.n_step, cfg.alpha_conf)
-    coverage = verify_coverage(
-        cfg.mdp,
-        pi_rows,
-        mu_rows,
-        cfg.objective.n_step,
-        cfg.group_size,
-        cfg.alpha_conf,
-        cfg.trials,
-        seed=cfg.seed + 1,
-    )
+    coverage = report_coverage(cfg.mdp, pi_rows, mu_rows, report, cfg.trials, seed=cfg.seed + 1)
     nominal = 1.0 - cfg.alpha_conf
     threshold = nominal - 3.0 * math.sqrt(nominal * cfg.alpha_conf / cfg.trials)
     passed = coverage >= threshold

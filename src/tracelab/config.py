@@ -168,8 +168,12 @@ class RunConfig:
     def build_mu(self):
         return _build_policy(self.mu, self.mdp, mu=None)
 
-    def build_pi(self):
-        return _build_policy(self.pi, self.mdp, mu=self.build_mu())
+    def build_pi(self, mu=None):
+        """The target policy; a ``copy_of_mu`` pi copies ``mu``, which is built
+        here when not given."""
+        if mu is None and self.pi.init == "copy_of_mu":
+            mu = self.build_mu()
+        return _build_policy(self.pi, self.mdp, mu)
 
     def to_dict(self) -> dict:
         """Canonical echo: the parsed document, with every default filled in and

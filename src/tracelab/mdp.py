@@ -4,12 +4,12 @@ States are generated prefixes, dynamics append one vocabulary token per
 step, and a trajectory earns reward 1 exactly when the target pattern
 occurs inside it as an ordered (not necessarily contiguous) subsequence.
 Everything here is small enough to enumerate, which is what makes exact
-expectations possible downstream.
+expectations possible downstream.  Prefixes are read in blocks, as row ids
+under a row key (see :func:`extend_rows`), never one prefix at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -21,9 +21,6 @@ from .errors import EnumerationCapError
 DEFAULT_ENUMERATION_CAP = 10_000_000
 ROW_KEYS = ("prefix", "match_length")  # how a state picks its row: see extend_rows
 _CHUNK = 1 << 14
-
-Prefix = tuple[int, ...]
-Trajectory = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,9 @@ class TokenMdp:
 
     @cached_property
     def step_table(self) -> np.ndarray:
-        """[|target| + 1, V] read-only: the matched length once each token
-        extends a prefix matched up to each length k (see :func:`match_length`)."""
+        """[|target| + 1, V] read-only: the matched length (the longest k such that
+        target[:k] is an ordered subsequence of a prefix) once each token
+        extends a prefix matched up to each length k."""
         n = len(self.target)
         k = np.arange(n + 1)[:, None]
         step = k + ((np.array(self.target)[np.minimum(k, n - 1)] == np.arange(self.vocab_size)) & (k < n))
@@ -107,13 +105,15 @@ class TokenMdp:
         lengths.flags.writeable = False
         return lengths
 
-    def check_trajectory(self, y: Sequence[int]) -> Trajectory:
-        y = tuple(int(t) for t in y)
-        if len(y) != self.horizon:
-            raise ValueError(f"trajectory length {len(y)} != horizon {self.horizon}")
-        if any(not (0 <= t < self.vocab_size) for t in y):
-            raise ValueError("trajectory contains out-of-vocab indices")
-        return y
+    @cached_property
+    def matched_leaves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (done, near): the states one token short of the horizon
+        that have matched the whole target, and those one token short of it,
+        as ids counted from the first such state; built on first use."""
+        leaves = self.state_match_lengths[self.n_prefixes - self.vocab_size ** (self.horizon - 1) :]
+        done, near = (np.flatnonzero(leaves == k) for k in (len(self.target), len(self.target) - 1))
+        done.flags.writeable = near.flags.writeable = False
+        return done, near
 
 
 def check_enumeration_cap(mdp: TokenMdp, count: int) -> None:
@@ -125,42 +125,6 @@ def check_enumeration_cap(mdp: TokenMdp, count: int) -> None:
 def check_window(horizon: int, n_step: int) -> None:
     if not 1 <= n_step <= horizon:
         raise ValueError(f"n_step must lie in [1, {horizon}], got {n_step}")
-
-
-def match_length(prefix: Sequence, target: Sequence) -> int:
-    """Longest k such that target[:k] is an ordered subsequence of prefix.
-
-    Greedy left-to-right matching is optimal here: skipping an available
-    match can never extend the matched prefix of the target.
-    """
-    k = 0
-    n = len(target)
-    for sym in prefix:
-        if k == n:
-            break
-        if sym == target[k]:
-            k += 1
-    return k
-
-
-def reward(mdp: TokenMdp, y: Sequence[int]) -> float:
-    """1.0 when the target is an ordered subsequence of y, else 0.0."""
-    y = mdp.check_trajectory(y)
-    return 1.0 if match_length(y, mdp.target) == len(mdp.target) else 0.0
-
-
-def enumerate_prefixes(mdp: TokenMdp) -> Iterator[Prefix]:
-    """All reachable states: prefixes of length 0 .. horizon-1.
-
-    Ordered by length, lexicographic within each length, which matches the
-    integer state codes used by the vectorized enumeration helpers.  The cap
-    is checked on the call, before the first prefix is asked for.
-    """
-    check_enumeration_cap(mdp, mdp.n_prefixes)
-    v = range(mdp.vocab_size)
-    return itertools.chain.from_iterable(
-        itertools.product(v, repeat=length) for length in range(mdp.horizon)
-    )
 
 
 # --- vectorized enumeration internals ---------------------------------------
@@ -241,8 +205,8 @@ def prefix_row_ids(mdp: TokenMdp, tokens: np.ndarray, key: str) -> np.ndarray:
 
 
 def prefix_match_lengths(mdp: TokenMdp) -> np.ndarray:
-    """match_length(prefix, mdp.target) for every state id, built level by level
-    in the smallest unsigned dtype that holds |target|.
+    """The matched length (see ``TokenMdp.step_table``) of every state id, built
+    level by level in the smallest unsigned dtype that holds |target|.
 
     The children of a length-(t-1) prefix are consecutive length-t states, so
     a level is the step-table rows of its parent level, in order.

@@ -86,35 +86,34 @@ def exact_return(mdp: TokenMdp, policy) -> float:
     rewarded next tokens; every shorter state is worth the probability-
     weighted value of its |vocab| children, so each level is one row-wise
     dot.  Prefix rows walk the prefix tree, whose children are consecutive
-    states one level down, with the leaves' matched lengths read from
-    ``mdp.state_match_lengths``.  Match-length rows walk the (t, k) chain: a
+    states one level down, with the matched leaves read from
+    ``mdp.matched_leaves``.  Match-length rows walk the (t, k) chain: a
     state's value depends only on its level t and matched length
     k <= min(|target|, t), and the children of k are k and k + 1.
     """
     probs, key = policy_rows(policy, mdp)
     v, n = mdp.vocab_size, len(mdp.target)
     if key == "match_length":
-        m = reached_rows(mdp, key)
-        value = _leaf_values(mdp, probs[:m], np.arange(m))
+        ks = np.arange(reached_rows(mdp, key))
+        value = _leaf_values(mdp, probs[: len(ks)], ks[ks == n], ks[ks == n - 1])
         for t in range(mdp.horizon - 2, -1, -1):
             m = min(n, t) + 1
             value = np.einsum("ij,ij->i", probs[:m], value[mdp.step_table[:m]])
         return float(value[0])
     first = mdp.n_prefixes - v ** (mdp.horizon - 1)
-    value = _leaf_values(mdp, probs[first:], mdp.state_match_lengths[first:])
+    value = _leaf_values(mdp, probs[first:], *mdp.matched_leaves)
     for t in range(mdp.horizon - 2, -1, -1):
         first -= v**t
         value = np.einsum("ij,ij->i", probs[first : first + v**t], value.reshape(-1, v))
     return float(value[0])
 
 
-def _leaf_values(mdp: TokenMdp, last: np.ndarray, matched: np.ndarray) -> np.ndarray:
-    """Value of the states one token short of the horizon: the row sum where the
-    target is matched, the target's last token where it is one short, and 0
-    at every other state, whose row is never read."""
-    n = len(mdp.target)
+def _leaf_values(mdp: TokenMdp, last: np.ndarray, done: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Value of the states one token short of the horizon, with rows ``last``:
+    the row sum at the ids ``done``, where the target is matched, the target's
+    last token at the ids ``near``, where it is one short, and 0 at every other
+    state, whose row is never read."""
     value = np.zeros(len(last))
-    done, near = (np.flatnonzero(matched == k) for k in (n, n - 1))
     value[done] = last[done].sum(axis=1)
     value[near] = last[near, mdp.target[-1]]
     return value

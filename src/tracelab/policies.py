@@ -1,9 +1,10 @@
-"""Policy families and per-state divergence measures.
+"""Policy families, their rows, and the divergences of a policy pair.
 
 Two families cover everything the lab needs: the analytic target-following
 policy (probability ``alpha`` on the next unmatched target token, the rest
 uniform) and a trainable tabular softmax keyed either by the full prefix or
-by the matched-target length.
+by the matched-target length.  A policy is read through its rows
+(:func:`policy_rows`), one distribution per row id under its key.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import UnknownStateError
-from .mdp import ROW_KEYS, TokenMdp, check_enumeration_cap, match_length, n_rows, prefix_row_ids, reached_rows
+from .mdp import ROW_KEYS, TokenMdp, check_enumeration_cap, n_rows, prefix_row_ids, reached_rows
 
 
 class PolicyRows(NamedTuple):
@@ -45,9 +46,6 @@ class TargetFollowingPolicy:
         table[n, :] = 1.0 / v
         table.flags.writeable = False
         self._table = table
-
-    def probs(self, prefix: Sequence[int]) -> np.ndarray:
-        return self._table[match_length(prefix, self.mdp.target)]
 
     def rows(self) -> PolicyRows:
         """The |target|+1 distributions, one per matched length."""
@@ -108,21 +106,15 @@ class TabularSoftmaxPolicy:
         with np.errstate(divide="ignore"):
             return cls(mdp, np.log(probs), state_key)
 
-    def row(self, prefix: Sequence[int]) -> int:
-        """The row id of ``prefix`` under ``state_key``; only a state of the MDP,
-        a prefix of vocab tokens shorter than the horizon, has one."""
+    def probs(self, prefix: Sequence[int]) -> np.ndarray:
+        """The softmax of the logit row of ``prefix`` (see :func:`prefix_row_ids`);
+        only a state of the MDP, a prefix of vocab tokens shorter than the
+        horizon, has one."""
         v = self.mdp.vocab_size
         if len(prefix) >= self.mdp.horizon or not all(0 <= token < v for token in prefix):
             raise UnknownStateError(f"no logits for state {tuple(prefix)!r}; policy/MDP mismatch?")
-        if self.state_key == "match_length":
-            return match_length(prefix, self.mdp.target)
-        state = 0
-        for token in prefix:
-            state = v * state + 1 + token
-        return state
-
-    def probs(self, prefix: Sequence[int]) -> np.ndarray:
-        return _softmax(self.logits[self.row(prefix)])
+        ids = prefix_row_ids(self.mdp, np.array([[*prefix, 0]]), self.state_key)
+        return _softmax(self.logits[ids[0, -1]])
 
     def rows(self) -> PolicyRows:
         """The softmax of every logit row, keyed by ``state_key``."""
@@ -139,9 +131,6 @@ class TabularSoftmaxPolicy:
             raise ValueError(f"gradient rows must be sorted, unique ids below {len(self.logits)}")
         self.logits[rows] += learning_rate * values
         return _softmax(self.logits.take(rows, axis=0))
-
-    def copy(self) -> "TabularSoftmaxPolicy":
-        return TabularSoftmaxPolicy(self.mdp, self.logits.copy(), self.state_key)
 
     def __repr__(self) -> str:
         return f"TabularSoftmaxPolicy(states={len(self.logits)}, state_key={self.state_key!r})"
@@ -160,25 +149,28 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0).sum(axis=-1)
 
 
+def policy_gap(mdp: TokenMdp, pi, mu) -> tuple[float, float]:
+    """The exact eps and dtv_max of a policy pair (or of their rows): the sup
+    over (state, token) of |pi/mu - 1|, and the max state-wise total variation.
+
+    Tokens mu never emits never appear in sampled trajectories, so eps leaves
+    them out.  When both policies have the same key they are read from the rows
+    some state reaches: every prefix row, or the match lengths
+    k <= min(|target|, T - 1).  Otherwise both are lifted to state tables first.
+    """
+    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
+    if pi_rows.key != mu_rows.key:
+        p_pi, p_mu = policy_prob_table(pi_rows, mdp), policy_prob_table(mu_rows, mdp)
+    else:
+        reached = reached_rows(mdp, pi_rows.key)
+        p_pi, p_mu = pi_rows.probs[:reached], mu_rows.probs[:reached]
+    ratio = np.divide(p_pi, p_mu, out=np.ones_like(p_pi), where=p_mu > 0)
+    return float(np.abs(ratio - 1.0).max()), float(total_variation(p_mu, p_pi).max())
+
+
 def d_tv_max(mu, pi, mdp: TokenMdp) -> float:
     """Max state-wise total variation over all reachable prefixes."""
-    tv = total_variation(policy_prob_table(mu, mdp), policy_prob_table(pi, mdp))
-    return float(tv.max())
-
-
-def ratio_deviation_bound(pi, mu, mdp: TokenMdp) -> float:
-    """Exact sup over (state, token) of |pi/mu - 1| on the rollout support.
-
-    Tokens with zero rollout probability never appear in sampled
-    trajectories, so they are excluded from the bound.
-    """
-    return table_ratio_deviation(policy_prob_table(pi, mdp), policy_prob_table(mu, mdp))
-
-
-def table_ratio_deviation(p_pi: np.ndarray, p_mu: np.ndarray) -> float:
-    """:func:`ratio_deviation_bound` from the two state-indexed tables."""
-    ratio = np.divide(p_pi, p_mu, out=np.ones_like(p_pi), where=p_mu > 0)
-    return float(np.abs(ratio - 1.0).max())
+    return policy_gap(mdp, pi, mu)[1]
 
 
 def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:

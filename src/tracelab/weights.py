@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ZeroSupportError
-from .mdp import TokenMdp, Trajectory, check_window, extend_rows, prefix_row_ids, reward_vector
+from .mdp import TokenMdp, check_window, extend_rows, prefix_row_ids, reward_vector
 from .policies import PolicyRows, kl_divergence, policy_rows, total_variation
 
 
@@ -200,11 +200,6 @@ class GroupRollout:
     def dists(self, rows: PolicyRows) -> np.ndarray:
         """The distribution of every token's state, [G, T, V]."""
         return rows.probs[self.row_ids(rows.key)]
-
-    @property
-    def trajectories(self) -> tuple[Trajectory, ...]:
-        """The tokens as a tuple of trajectories."""
-        return tuple(tuple(row) for row in self.tokens.tolist())
 
     @property
     def group_size(self) -> int:

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tracelab import TargetFollowingPolicy, TokenMdp
+from helpers import TargetFollowingPolicy
+from tracelab import TokenMdp
 
 
 @pytest.fixture(scope="session")

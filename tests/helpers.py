@@ -1,6 +1,8 @@
 """Shared builders for randomized test configurations, and the per-prefix
 oracles: each walks one trajectory prefix by prefix through ``probs``, the
-slow path that the row-indexed group kernels are checked against."""
+slow path that the row-indexed group kernels are checked against.  The
+policy classes here are the package's, plus the per-prefix reads that only
+these oracles use."""
 
 from __future__ import annotations
 
@@ -10,13 +12,109 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from tracelab import GroupRollout, MaskSpec, PolicyRows, TabularSoftmaxPolicy, TargetFollowingPolicy, TokenMdp
-from tracelab import ZeroSupportError, match_length, reward
-from tracelab.mdp import Trajectory, check_enumeration_cap, check_window, prefix_row_ids
-from tracelab.mdp import trajectory_chunks
+import tracelab
+from tracelab import GroupRollout, MaskSpec, PolicyRows, TokenMdp, UnknownStateError, ZeroSupportError
+from tracelab.mdp import check_enumeration_cap, check_window, prefix_row_ids, trajectory_chunks
 from tracelab.objectives import _windowed_statistics
 from tracelab.policies import kl_divergence, policy_prob_table, total_variation
 from tracelab.weights import _keep, _sampled_group, _suffix_sums, clipped_trace, window_products
+
+Trajectory = tuple[int, ...]
+
+
+def match_length(prefix: Sequence, target: Sequence) -> int:
+    """Longest k such that target[:k] is an ordered subsequence of prefix.
+
+    Greedy left-to-right matching is optimal here: skipping an available
+    match can never extend the matched prefix of the target.
+    """
+    k = 0
+    n = len(target)
+    for sym in prefix:
+        if k == n:
+            break
+        if sym == target[k]:
+            k += 1
+    return k
+
+
+def check_trajectory(mdp: TokenMdp, y: Sequence[int]) -> Trajectory:
+    y = tuple(int(t) for t in y)
+    if len(y) != mdp.horizon:
+        raise ValueError(f"trajectory length {len(y)} != horizon {mdp.horizon}")
+    if any(not (0 <= t < mdp.vocab_size) for t in y):
+        raise ValueError("trajectory contains out-of-vocab indices")
+    return y
+
+
+def reward(mdp: TokenMdp, y: Sequence[int]) -> float:
+    """1.0 when the target is an ordered subsequence of y, else 0.0."""
+    y = check_trajectory(mdp, y)
+    return 1.0 if match_length(y, mdp.target) == len(mdp.target) else 0.0
+
+
+def enumerate_prefixes(mdp: TokenMdp) -> Iterator[tuple[int, ...]]:
+    """All reachable states: prefixes of length 0 .. horizon-1.
+
+    Ordered by length, lexicographic within each length, which matches the
+    integer state codes used by the vectorized enumeration helpers.  The cap
+    is checked on the call, before the first prefix is asked for.
+    """
+    check_enumeration_cap(mdp, mdp.n_prefixes)
+    v = range(mdp.vocab_size)
+    return itertools.chain.from_iterable(
+        itertools.product(v, repeat=length) for length in range(mdp.horizon)
+    )
+
+
+def trajectories(group: GroupRollout) -> tuple[Trajectory, ...]:
+    """The tokens of a group as a tuple of trajectories."""
+    return tuple(tuple(row) for row in group.tokens.tolist())
+
+
+class TargetFollowingPolicy(tracelab.TargetFollowingPolicy):
+    """The package policy, read at a prefix through its matched length."""
+
+    def probs(self, prefix: Sequence[int]) -> np.ndarray:
+        return self._table[match_length(prefix, self.mdp.target)]
+
+
+class TabularSoftmaxPolicy(tracelab.TabularSoftmaxPolicy):
+    """The package policy, with a prefix's row id found by a per-prefix walk."""
+
+    def row(self, prefix: Sequence[int]) -> int:
+        """The row id of ``prefix`` under ``state_key``; only a state of the MDP,
+        a prefix of vocab tokens shorter than the horizon, has one."""
+        v = self.mdp.vocab_size
+        if len(prefix) >= self.mdp.horizon or not all(0 <= token < v for token in prefix):
+            raise UnknownStateError(f"no logits for state {tuple(prefix)!r}; policy/MDP mismatch?")
+        if self.state_key == "match_length":
+            return match_length(prefix, self.mdp.target)
+        state = 0
+        for token in prefix:
+            state = v * state + 1 + token
+        return state
+
+    def copy(self) -> "TabularSoftmaxPolicy":
+        return TabularSoftmaxPolicy(self.mdp, self.logits.copy(), self.state_key)
+
+
+def d_tv_max(mu, pi, mdp: TokenMdp) -> float:
+    """Max state-wise total variation over all reachable prefixes, from the two
+    state-indexed tables."""
+    tv = total_variation(policy_prob_table(mu, mdp), policy_prob_table(pi, mdp))
+    return float(tv.max())
+
+
+def ratio_deviation_bound(pi, mu, mdp: TokenMdp) -> float:
+    """Exact sup over (state, token) of |pi/mu - 1| on the rollout support.
+
+    Tokens with zero rollout probability never appear in sampled
+    trajectories, so they are excluded from the bound.
+    """
+    p_pi, p_mu = policy_prob_table(pi, mdp), policy_prob_table(mu, mdp)
+    ratio = np.divide(p_pi, p_mu, out=np.ones_like(p_pi), where=p_mu > 0)
+    return float(np.abs(ratio - 1.0).max())
 
 
 class OneHotPolicy:
@@ -74,7 +172,7 @@ def random_setups(count: int, seed: int):
 def frozen_nfpo_coefficients(group, pi, mu, n_step, beta, eps_low, eps_high, mask):
     """Per-token multipliers of the trace objective, pinned at the current pi."""
     coeffs = []
-    for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
+    for w, adv, y in zip(group.weights, group.advantages, trajectories(group)):
         profile = ratios(pi, mu, y)
         trace = traces(profile, n_step, beta, eps_low, eps_high)
         keep = token_mask(mask, profile, float(adv), mu, pi, y)
@@ -85,7 +183,7 @@ def frozen_nfpo_coefficients(group, pi, mu, n_step, beta, eps_low, eps_high, mas
 def frozen_objective(group, pi, mu, coeffs, minus_one: bool = False) -> float:
     """sum of c_t * rho_t (or c_t * (rho_t - 1)) with the c_t held fixed."""
     total = 0.0
-    for coeff, y in zip(coeffs, group.trajectories):
+    for coeff, y in zip(coeffs, trajectories(group)):
         rho = ratios(pi, mu, y).ratios
         total += float((coeff * (rho - 1.0 if minus_one else rho)).sum())
     return total
@@ -357,7 +455,7 @@ class PerSampleStat:
 
 def per_sample_statistic(mdp: TokenMdp, y: Sequence[int], pi, mu, n_step: int) -> PerSampleStat:
     """Reward times the window-corrected sum of ratio deviations for one y."""
-    y = mdp.check_trajectory(y)
+    y = check_trajectory(mdp, y)
     check_window(mdp.horizon, n_step)
     (z,) = _windowed_statistics(reward(mdp, y), ratios(pi, mu, y).log_ratios, [n_step])
     return PerSampleStat(z=float(z), trajectory=y)

@@ -15,7 +15,6 @@ from tracelab import (
     MASK_NONE,
     MaskSpec,
     ObjectiveSpec,
-    TabularSoftmaxPolicy,
     alternating_profile,
     b_n,
     b_n_increment,
@@ -32,6 +31,8 @@ from tracelab import (
     verify_coverage,
 )
 from helpers import (
+    TabularSoftmaxPolicy,
+    TargetFollowingPolicy,
     brute_force_local_surrogate,
     dense_gradient,
     finite_difference_gradient,
@@ -141,7 +142,7 @@ def test_c07_trace_decomposition():
 
 def test_c08_window_conditional_mean():
     with reported(8, "window products average to one given the prefix"):
-        from tracelab import TargetFollowingPolicy, TokenMdp
+        from tracelab import TokenMdp
 
         cases = []
         mdp_a = TokenMdp.from_symbols("ab", 4, "ab")
@@ -170,7 +171,7 @@ def test_c08_window_conditional_mean():
 
 def test_c09_gradient_vs_finite_differences():
     with reported(9, "analytic gradient matches frozen finite differences"):
-        from tracelab import TargetFollowingPolicy, TokenMdp
+        from tracelab import TokenMdp
 
         mdp = TokenMdp.from_symbols("abc", 3, "ab")
         mu = TargetFollowingPolicy(mdp, 0.5)

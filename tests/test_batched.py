@@ -19,11 +19,8 @@ from tracelab import (
     MaskSpec,
     ObjectiveSpec,
     PolicyRows,
-    TabularSoftmaxPolicy,
-    TargetFollowingPolicy,
     TokenMdp,
     dynamics_report,
-    enumerate_prefixes,
     objective_gradient,
     objective_value,
     policy_rows,
@@ -33,7 +30,10 @@ from tracelab.objectives import _token_terms
 from tracelab.policies import policy_prob_table
 from tracelab.weights import group_log_ratios, group_token_mask, sample_from_table
 from helpers import (
+    TabularSoftmaxPolicy,
+    TargetFollowingPolicy,
     dense_gradient,
+    enumerate_prefixes,
     frozen_nfpo_coefficients,
     random_setups,
     random_small_mdp,
@@ -42,6 +42,7 @@ from helpers import (
     sample_group,
     token_mask,
     traces,
+    trajectories,
 )
 
 MASK_KINDS = ["none", "grpo_ratio", "tv", "kl", "icepop"]
@@ -80,7 +81,7 @@ def _oracle(group, pi, mu, spec):
         group, pi, mu, n_step, spec.beta, spec.eps_low, spec.eps_high, spec.mask
     )
     value, grad = 0.0, np.zeros(pi.logits.shape)
-    for w, adv, coeff, y in zip(group.weights, group.advantages, coeffs, group.trajectories):
+    for w, adv, coeff, y in zip(group.weights, group.advantages, coeffs, trajectories(group)):
         rho = ratios(pi, mu, y).ratios
         if spec.kind == "ppo":
             clipped = np.clip(rho, 1.0 - spec.eps_low, 1.0 + spec.eps_high)
@@ -154,7 +155,7 @@ def test_every_mask_keeps_a_subset_of_none(setup):
     for mask in (_mask(kind, delta) for kind in MASK_KINDS[1:]):
         keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
         assert np.all(keep <= keep_all)
-        for row, adv, y in zip(keep, group.advantages, group.trajectories):
+        for row, adv, y in zip(keep, group.advantages, trajectories(group)):
             oracle = token_mask(mask, ratios(pi, mu, y), float(adv), mu, pi, y)
             np.testing.assert_array_equal(row, oracle.astype(bool))
 
@@ -365,14 +366,14 @@ def test_row_indexed_group_equals_per_prefix_oracles(setup, n_step):
     group = sample_from_table(mdp, mu_rows, group_size, np.random.default_rng(seed))
     oracle = sample_group(mdp, mu, group_size, np.random.default_rng(seed))
     np.testing.assert_array_equal(group.tokens, oracle.tokens)
-    profiles = [ratios(pi, mu, y) for y in group.trajectories]
+    profiles = [ratios(pi, mu, y) for y in trajectories(group)]
     log_r = group_log_ratios(group, pi_rows, mu_rows)
     np.testing.assert_array_equal(log_r, [profile.log_ratios for profile in profiles])
     rho = np.exp(log_r)
     for mask in (_mask(kind, delta) for kind in MASK_KINDS):
         keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
-        for row, profile, adv, y in zip(keep, profiles, group.advantages, group.trajectories):
+        for row, profile, adv, y in zip(keep, profiles, group.advantages, trajectories(group)):
             expected = token_mask(mask, profile, float(adv), mu, pi, y)
             np.testing.assert_array_equal(row, expected.astype(bool))
     report = dynamics_report(rho, n_step, 3.0, 0.2, 0.4)
-    assert report == per_prefix_dynamics_report(group.trajectories, pi, mu, n_step, 3.0, 0.2, 0.4)
+    assert report == per_prefix_dynamics_report(trajectories(group), pi, mu, n_step, 3.0, 0.2, 0.4)

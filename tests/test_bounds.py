@@ -171,7 +171,7 @@ class TestTableBuilds:
         [
             pytest.param("verify", [], {}, id="verify"),
             pytest.param("sweep", [], {"policy_log_matrix": 2}, id="sweep"),
-            pytest.param("verify", [PREFIX_PI], {"policy_prob_table": 4}, id="verify-prefix-pi"),
+            pytest.param("verify", [PREFIX_PI], {"policy_prob_table": 2}, id="verify-prefix-pi"),
             pytest.param(
                 "sweep", [PREFIX_PI], {"policy_log_matrix": 2, "policy_prob_table": 2}, id="sweep-prefix-pi"
             ),
@@ -183,9 +183,8 @@ class TestTableBuilds:
         policy_prob_table, which lifts a policy or its rows to [n_states, V].
         The default target-following pair is read from its own rows, so
         verify builds no table and sweep only its pass's two log rows.  A
-        prefix-keyed pi beside the match-length mu lifts both policies for eps
-        and dtv_max: in verify once for the bound report and once for the
-        coverage check, in sweep once."""
+        prefix-keyed pi beside the match-length mu lifts both policies once for
+        eps and dtv_max, which verify's bound report and coverage check share."""
         calls = Counter()
 
         def counted(name, inner):

@@ -14,10 +14,11 @@ from tracelab import (
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     objective_value,
+    sample_from_table,
     theorem_lower_bound,
 )
 from tracelab import cli as cli_module
-from tracelab import lab, mdp, objectives, policies
+from tracelab import lab, objectives, policies
 from tracelab.cli import run
 from tracelab.config import (
     apply_overrides,
@@ -26,7 +27,6 @@ from tracelab.config import (
     parse_config,
 )
 from tracelab.errors import ConfigError
-from helpers import sample_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COPY_OF_MU = 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu"}'
@@ -170,7 +170,7 @@ class TestEnumerationCap:
         )
         cfg = parse_config(raw)
         mu, pi = cfg.build_mu(), TargetFollowingPolicy(cfg.mdp, 0.8)
-        group = sample_group(cfg.mdp, mu, 8, np.random.default_rng(0))
+        group = sample_from_table(cfg.mdp, mu, 8, np.random.default_rng(0))
         # Target-following rows need no table, so the objective and the bound
         # both run under the cap; a prefix-keyed pi is refused before its
         # logits are allocated.
@@ -246,18 +246,14 @@ def _no_per_prefix_read(*args, **kwargs):
     ],
 )
 def test_no_command_reads_a_policy_prefix_by_prefix(tmp_path, command, pi):
-    """Every command reads each policy's rows, never ``probs(prefix)``, a row id
-    or a match length of one prefix: with the default pair, and with a pi that
-    copies mu under either key (train needs that tabular pi)."""
+    """Every command reads each policy's rows, never ``probs(prefix)``, the one
+    per-prefix read the package keeps: with the default pair, and with a pi
+    that copies mu under either key (train needs that tabular pi)."""
     sets = ["experiment.trials=20", "experiment.steps=5"]
     if pi is not None:
         sets.append(f'policies.pi={{"family":"tabular_softmax","init":"copy_of_mu","state_key":"{pi}"}}')
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TargetFollowingPolicy, "probs", _no_per_prefix_read)
         patch.setattr(TabularSoftmaxPolicy, "probs", _no_per_prefix_read)
-        patch.setattr(TabularSoftmaxPolicy, "row", _no_per_prefix_read)
-        patch.setattr(mdp, "match_length", _no_per_prefix_read)
-        patch.setattr(policies, "match_length", _no_per_prefix_read)
         assert run([command, "--out", str(tmp_path), *(arg for s in sets for arg in ("--set", s))]) == 0
 
 
@@ -275,6 +271,23 @@ def test_each_command_reads_pi_rows_once(tmp_path, command):
         patch.setattr(TabularSoftmaxPolicy, "rows", counted)
         sets = ["--set", "experiment.trials=20", "--set", PREFIX_ZEROS]
         assert run([command, "--out", str(tmp_path), *sets]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "analyze", "train"])
+def test_each_command_builds_mu_once(tmp_path, command):
+    """A command builds mu once, and a pi that copies mu copies that one."""
+    calls = []
+    inner = TabularSoftmaxPolicy.zeros.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return inner(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TabularSoftmaxPolicy, "zeros", classmethod(counted))
+        sets = ["experiment.trials=20", "experiment.steps=5", PREFIX_ZEROS.replace(".pi=", ".mu="), COPY_OF_MU]
+        assert run([command, "--out", str(tmp_path), *(arg for s in sets for arg in ("--set", s))]) == 0
     assert len(calls) == 1
 
 

@@ -9,8 +9,6 @@ from tracelab import (
     MASK_NONE,
     MaskSpec,
     ObjectiveSpec,
-    TabularSoftmaxPolicy,
-    TargetFollowingPolicy,
     TokenMdp,
     TrainRecord,
     alternating_profile,
@@ -29,7 +27,7 @@ from tracelab import (
 )
 from tracelab import bounds, lab, objectives, policies, weights
 from tracelab import mdp as mdp_module
-from helpers import population_group, ratios, sample_group
+from helpers import TabularSoftmaxPolicy, TargetFollowingPolicy, population_group, ratios, sample_group
 
 NFPO_TOY = ObjectiveSpec(
     kind="nfpo", n_step=4, beta=3.0, eps_low=0.2, eps_high=0.4, mask=MaskSpec("tv", delta=0.2)

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from tracelab import (
     EnumerationCapError,
     TokenMdp,
-    enumerate_prefixes,
-    match_length,
     policy_rows,
-    reward,
     sample_from_table,
 )
 from tracelab.mdp import n_rows, prefix_row_ids, reached_rows, trajectory_chunks
-from helpers import OneHotPolicy, decoded_trajectories, enumerate_trajectories, prefix_state_ids
-from helpers import sample_trajectory, trajectory_log_prob
+from helpers import OneHotPolicy, decoded_trajectories, enumerate_prefixes, enumerate_trajectories, match_length
+from helpers import prefix_state_ids, reward, sample_trajectory, trajectories, trajectory_log_prob
 
 
 class TestMatchLength:
@@ -154,6 +151,16 @@ class TestEnumeration:
         expected = [[index[y[:t]] for t in range(mdp.horizon)] for y in trajectories]
         np.testing.assert_array_equal(prefix_state_ids(mdp, tokens), expected)
 
+    @pytest.mark.parametrize("horizon,target", [(1, "a"), (4, "acb"), (3, "abcabc")])
+    def test_matched_leaves_are_cached_and_read_only(self, horizon, target):
+        """The leaves that match the whole target, then those one token short of
+        it, as ids counted from the first leaf; built once per MDP, never written."""
+        mdp = TokenMdp.from_symbols("abc", horizon, target)
+        lengths = np.array([match_length(y, mdp.target) for y in enumerate_prefixes(mdp) if len(y) == horizon - 1])
+        for ids, cached, k in zip(mdp.matched_leaves, mdp.matched_leaves, (len(target), len(target) - 1)):
+            np.testing.assert_array_equal(ids, np.flatnonzero(lengths == k))
+            assert ids is cached and not ids.flags.writeable
+
     @settings(max_examples=40, deadline=None)
     @given(vocab_size=st.integers(2, 4), horizon=st.integers(1, 8), data=st.data())
     def test_chunks_match_the_division_decode(self, vocab_size, horizon, data):
@@ -209,7 +216,7 @@ class TestSampling:
         hits = 0
         # The same tokens as n_samples sample_trajectory calls on this generator.
         group = sample_from_table(toy_mdp, policy_rows(mu05, toy_mdp), n_samples, rng)
-        for y in group.trajectories:
+        for y in trajectories(group):
             counts[y] = counts.get(y, 0) + 1
             hits += reward(toy_mdp, y)
 

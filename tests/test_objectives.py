@@ -15,11 +15,8 @@ from tracelab import (
     MaskSpec,
     ObjectiveSpec,
     PolicyRows,
-    TabularSoftmaxPolicy,
-    TargetFollowingPolicy,
     TokenMdp,
     b_n,
-    d_tv_max,
     exact_return,
     n_step_surrogate_empirical,
     n_step_surrogate_population,
@@ -28,8 +25,6 @@ from tracelab import (
     performance_difference_direct,
     performance_difference_trace,
     policy_rows,
-    ratio_deviation_bound,
-    reward,
     sample_from_table,
     variance_of_statistic,
 )
@@ -39,7 +34,10 @@ from tracelab.objectives import population_moments
 from tracelab.policies import policy_prob_table
 from helpers import (
     OneHotPolicy,
+    TabularSoftmaxPolicy,
+    TargetFollowingPolicy,
     brute_force_local_surrogate,
+    d_tv_max,
     dense_gradient,
     finite_difference_gradient,
     frozen_nfpo_coefficients,
@@ -47,9 +45,12 @@ from helpers import (
     per_sample_statistic,
     random_setups,
     random_tabular,
+    ratio_deviation_bound,
     ratios,
+    reward,
     sample_group,
     token_mask,
+    trajectories,
     trajectory_log_prob,
 )
 
@@ -326,7 +327,7 @@ class TestPerSampleStatistic:
             envelope = b_n(1.0, eps, 7, n_step)
             for _ in range(100):
                 group = sample_group(toy_mdp, mu05, 1, rng)
-                z = per_sample_statistic(toy_mdp, group.trajectories[0], pi08, mu05, n_step).z
+                z = per_sample_statistic(toy_mdp, trajectories(group)[0], pi08, mu05, n_step).z
                 assert abs(z) <= envelope + 1e-9
 
 
@@ -411,7 +412,7 @@ class TestMpgObjective:
         spec = MaskSpec("tv", delta=0.2)
         group = sample_group(toy_mdp, mu05, 4, np.random.default_rng(8))
         expected = 0.0
-        for w, adv, y in zip(group.weights, group.advantages, group.trajectories):
+        for w, adv, y in zip(group.weights, group.advantages, trajectories(group)):
             profile = ratios(pi08, mu05, y)
             keep = token_mask(spec, profile, float(adv), mu05, pi08, y)
             expected += w * sum(

@@ -7,16 +7,13 @@ import pytest
 from tracelab import (
     EnumerationCapError,
     RowGradient,
-    TabularSoftmaxPolicy,
-    TargetFollowingPolicy,
     TokenMdp,
     UnknownStateError,
     d_tv_max,
-    enumerate_prefixes,
     exact_return,
-    ratio_deviation_bound,
 )
 from tracelab.policies import policy_prob_table, total_variation
+from helpers import TabularSoftmaxPolicy, TargetFollowingPolicy, enumerate_prefixes, ratio_deviation_bound
 from helpers import random_tabular, ratios, sample_trajectory, state_kl, state_tv, token_prob
 
 

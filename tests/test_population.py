@@ -18,19 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelab import (
-    TabularSoftmaxPolicy,
-    TargetFollowingPolicy,
     TokenMdp,
     ZeroSupportError,
     bias_variance_sweep,
     exact_return,
-    reward,
 )
 from tracelab import bounds, lab, objectives, policies, weights
 from tracelab import mdp as mdp_module
 from tracelab.objectives import population_moments
 from tracelab.weights import iter_window_products, window_products
 from helpers import RatioProfile, per_sample_statistic, random_setups, traces, trajectory_log_prob
+from helpers import TabularSoftmaxPolicy, TargetFollowingPolicy, reward
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
