@@ -152,25 +152,7 @@ def theorem_lower_bound(
     return _bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
 
 
-def verify_coverage(
-    mdp: TokenMdp,
-    pi,
-    mu,
-    n_step: int,
-    group_size: int,
-    alpha_conf: float,
-    trials: int,
-    seed: int = 0,
-) -> float:
-    """Fraction of independent groups whose bound the true improvement beats:
-    :func:`report_coverage` of the bound terms for this pair and window."""
-    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
-    gap = _policy_gap(mdp, pi_rows, mu_rows)
-    report = _bound_report(mdp, n_step, alpha_conf, group_size, 0.0, *gap)
-    return report_coverage(mdp, pi_rows, mu_rows, report, trials, seed)
-
-
-def report_coverage(mdp: TokenMdp, pi, mu, report: BoundReport, trials: int, seed: int = 0) -> float:
+def verify_coverage(mdp: TokenMdp, pi, mu, report: BoundReport, trials: int, seed: int = 0) -> float:
     """Fraction of independent groups of ``report.group_size`` whose bound, with
     the truncation and Hoeffding terms of ``report``, the true improvement beats.
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import report_coverage, theorem_lower_bound
+from .bounds import theorem_lower_bound, verify_coverage
 from .config import (
     RunConfig,
     apply_overrides,
@@ -195,7 +195,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     mu_rows, pi_rows = policy_rows(mu, cfg.mdp), policy_rows(cfg.build_pi(mu), cfg.mdp)
     group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
     report = theorem_lower_bound(group, pi_rows, mu_rows, cfg.objective.n_step, cfg.alpha_conf)
-    coverage = report_coverage(cfg.mdp, pi_rows, mu_rows, report, cfg.trials, seed=cfg.seed + 1)
+    coverage = verify_coverage(cfg.mdp, pi_rows, mu_rows, report, cfg.trials, seed=cfg.seed + 1)
     nominal = 1.0 - cfg.alpha_conf
     threshold = nominal - 3.0 * math.sqrt(nominal * cfg.alpha_conf / cfg.trials)
     passed = coverage >= threshold

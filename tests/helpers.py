@@ -16,7 +16,7 @@ import tracelab
 from tracelab import GroupRollout, MaskSpec, PolicyRows, TokenMdp, UnknownStateError, ZeroSupportError
 from tracelab.mdp import check_enumeration_cap, check_window, prefix_row_ids, trajectory_chunks
 from tracelab.objectives import _windowed_statistics
-from tracelab.policies import kl_divergence, policy_prob_table, total_variation
+from tracelab.policies import _softmax, kl_divergence, policy_prob_table, total_variation
 from tracelab.weights import _keep, _sampled_group, _suffix_sums, clipped_trace, window_products
 
 Trajectory = tuple[int, ...]
@@ -38,18 +38,12 @@ def match_length(prefix: Sequence, target: Sequence) -> int:
     return k
 
 
-def check_trajectory(mdp: TokenMdp, y: Sequence[int]) -> Trajectory:
-    y = tuple(int(t) for t in y)
+def reward(mdp: TokenMdp, y: Sequence[int]) -> float:
+    """1.0 when the target is an ordered subsequence of y, else 0.0."""
     if len(y) != mdp.horizon:
         raise ValueError(f"trajectory length {len(y)} != horizon {mdp.horizon}")
     if any(not (0 <= t < mdp.vocab_size) for t in y):
         raise ValueError("trajectory contains out-of-vocab indices")
-    return y
-
-
-def reward(mdp: TokenMdp, y: Sequence[int]) -> float:
-    """1.0 when the target is an ordered subsequence of y, else 0.0."""
-    y = check_trajectory(mdp, y)
     return 1.0 if match_length(y, mdp.target) == len(mdp.target) else 0.0
 
 
@@ -65,11 +59,6 @@ def enumerate_prefixes(mdp: TokenMdp) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(
         itertools.product(v, repeat=length) for length in range(mdp.horizon)
     )
-
-
-def trajectories(group: GroupRollout) -> tuple[Trajectory, ...]:
-    """The tokens of a group as a tuple of trajectories."""
-    return tuple(tuple(row) for row in group.tokens.tolist())
 
 
 class TargetFollowingPolicy(tracelab.TargetFollowingPolicy):
@@ -94,6 +83,9 @@ class TabularSoftmaxPolicy(tracelab.TabularSoftmaxPolicy):
         for token in prefix:
             state = v * state + 1 + token
         return state
+
+    def probs(self, prefix: Sequence[int]) -> np.ndarray:
+        return _softmax(self.logits[self.row(prefix)])
 
     def copy(self) -> "TabularSoftmaxPolicy":
         return TabularSoftmaxPolicy(self.mdp, self.logits.copy(), self.state_key)
@@ -172,7 +164,7 @@ def random_setups(count: int, seed: int):
 def frozen_nfpo_coefficients(group, pi, mu, n_step, beta, eps_low, eps_high, mask):
     """Per-token multipliers of the trace objective, pinned at the current pi."""
     coeffs = []
-    for w, adv, y in zip(group.weights, group.advantages, trajectories(group)):
+    for w, adv, y in zip(group.weights, group.advantages, map(tuple, group.tokens.tolist())):
         profile = ratios(pi, mu, y)
         trace = traces(profile, n_step, beta, eps_low, eps_high)
         keep = token_mask(mask, profile, float(adv), mu, pi, y)
@@ -183,7 +175,7 @@ def frozen_nfpo_coefficients(group, pi, mu, n_step, beta, eps_low, eps_high, mas
 def frozen_objective(group, pi, mu, coeffs, minus_one: bool = False) -> float:
     """sum of c_t * rho_t (or c_t * (rho_t - 1)) with the c_t held fixed."""
     total = 0.0
-    for coeff, y in zip(coeffs, trajectories(group)):
+    for coeff, y in zip(coeffs, map(tuple, group.tokens.tolist())):
         rho = ratios(pi, mu, y).ratios
         total += float((coeff * (rho - 1.0 if minus_one else rho)).sum())
     return total
@@ -455,10 +447,9 @@ class PerSampleStat:
 
 def per_sample_statistic(mdp: TokenMdp, y: Sequence[int], pi, mu, n_step: int) -> PerSampleStat:
     """Reward times the window-corrected sum of ratio deviations for one y."""
-    y = check_trajectory(mdp, y)
     check_window(mdp.horizon, n_step)
     (z,) = _windowed_statistics(reward(mdp, y), ratios(pi, mu, y).log_ratios, [n_step])
-    return PerSampleStat(z=float(z), trajectory=y)
+    return PerSampleStat(z=float(z), trajectory=tuple(y))
 
 
 def residual_check(trace_set: TraceSet) -> float:

@@ -26,6 +26,7 @@ from tracelab import (
     performance_difference_direct,
     performance_difference_trace,
     smoothing_demo,
+    theorem_lower_bound,
     train,
     truncation_bias_bound,
     verify_coverage,
@@ -112,10 +113,9 @@ def test_c05_empirical_coverage(toy_mdp, mu05, pi08):
         trials, alpha = 2000, 0.05
         threshold = (1 - alpha) - 3 * math.sqrt(alpha * (1 - alpha) / trials)
         for n_step in (1, 4, 7):
-            coverage = verify_coverage(
-                toy_mdp, pi08, mu05, n_step, group_size=8, alpha_conf=alpha,
-                trials=trials, seed=100 + n_step,
-            )
+            group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(n_step))
+            report = theorem_lower_bound(group, pi08, mu05, n_step, alpha_conf=alpha)
+            coverage = verify_coverage(toy_mdp, pi08, mu05, report, trials=trials, seed=100 + n_step)
             assert coverage >= threshold
 
 

@@ -42,7 +42,6 @@ from helpers import (
     sample_group,
     token_mask,
     traces,
-    trajectories,
 )
 
 MASK_KINDS = ["none", "grpo_ratio", "tv", "kl", "icepop"]
@@ -81,7 +80,7 @@ def _oracle(group, pi, mu, spec):
         group, pi, mu, n_step, spec.beta, spec.eps_low, spec.eps_high, spec.mask
     )
     value, grad = 0.0, np.zeros(pi.logits.shape)
-    for w, adv, coeff, y in zip(group.weights, group.advantages, coeffs, trajectories(group)):
+    for w, adv, coeff, y in zip(group.weights, group.advantages, coeffs, map(tuple, group.tokens.tolist())):
         rho = ratios(pi, mu, y).ratios
         if spec.kind == "ppo":
             clipped = np.clip(rho, 1.0 - spec.eps_low, 1.0 + spec.eps_high)
@@ -155,7 +154,7 @@ def test_every_mask_keeps_a_subset_of_none(setup):
     for mask in (_mask(kind, delta) for kind in MASK_KINDS[1:]):
         keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
         assert np.all(keep <= keep_all)
-        for row, adv, y in zip(keep, group.advantages, trajectories(group)):
+        for row, adv, y in zip(keep, group.advantages, map(tuple, group.tokens.tolist())):
             oracle = token_mask(mask, ratios(pi, mu, y), float(adv), mu, pi, y)
             np.testing.assert_array_equal(row, oracle.astype(bool))
 
@@ -366,14 +365,14 @@ def test_row_indexed_group_equals_per_prefix_oracles(setup, n_step):
     group = sample_from_table(mdp, mu_rows, group_size, np.random.default_rng(seed))
     oracle = sample_group(mdp, mu, group_size, np.random.default_rng(seed))
     np.testing.assert_array_equal(group.tokens, oracle.tokens)
-    profiles = [ratios(pi, mu, y) for y in trajectories(group)]
+    profiles = [ratios(pi, mu, y) for y in group.tokens.tolist()]
     log_r = group_log_ratios(group, pi_rows, mu_rows)
     np.testing.assert_array_equal(log_r, [profile.log_ratios for profile in profiles])
     rho = np.exp(log_r)
     for mask in (_mask(kind, delta) for kind in MASK_KINDS):
         keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
-        for row, profile, adv, y in zip(keep, profiles, group.advantages, trajectories(group)):
+        for row, profile, adv, y in zip(keep, profiles, group.advantages, group.tokens.tolist()):
             expected = token_mask(mask, profile, float(adv), mu, pi, y)
             np.testing.assert_array_equal(row, expected.astype(bool))
     report = dynamics_report(rho, n_step, 3.0, 0.2, 0.4)
-    assert report == per_prefix_dynamics_report(trajectories(group), pi, mu, n_step, 3.0, 0.2, 0.4)
+    assert report == per_prefix_dynamics_report(group.tokens.tolist(), pi, mu, n_step, 3.0, 0.2, 0.4)

@@ -149,15 +149,18 @@ class TestTheoremLowerBound:
 
 class TestCoverage:
     def test_identical_policies_cover_always(self, toy_mdp, mu05):
-        assert verify_coverage(toy_mdp, mu05, mu05, 4, 8, 0.05, trials=50, seed=0) == 1.0
+        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), mu05, mu05, 4, 0.05)
+        assert verify_coverage(toy_mdp, mu05, mu05, report, trials=50, seed=0) == 1.0
 
     def test_toy_coverage_quick(self, toy_mdp, mu05, pi08):
-        coverage = verify_coverage(toy_mdp, pi08, mu05, 4, 8, 0.05, trials=300, seed=5)
+        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), pi08, mu05, 4, 0.05)
+        coverage = verify_coverage(toy_mdp, pi08, mu05, report, trials=300, seed=5)
         sigma = math.sqrt(0.95 * 0.05 / 300)
         assert coverage >= 0.95 - 3 * sigma
 
     def test_loose_confidence_still_valid(self, toy_mdp, mu05, pi08):
-        coverage = verify_coverage(toy_mdp, pi08, mu05, 4, 8, 0.5, trials=300, seed=6)
+        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), pi08, mu05, 4, 0.5)
+        coverage = verify_coverage(toy_mdp, pi08, mu05, report, trials=300, seed=6)
         sigma = math.sqrt(0.5 * 0.5 / 300)
         assert coverage >= 0.5 - 3 * sigma
 

@@ -11,7 +11,7 @@ from tracelab import (
 )
 from tracelab.mdp import n_rows, prefix_row_ids, reached_rows, trajectory_chunks
 from helpers import OneHotPolicy, decoded_trajectories, enumerate_prefixes, enumerate_trajectories, match_length
-from helpers import prefix_state_ids, reward, sample_trajectory, trajectories, trajectory_log_prob
+from helpers import prefix_state_ids, reward, sample_trajectory, trajectory_log_prob
 
 
 class TestMatchLength:
@@ -216,7 +216,7 @@ class TestSampling:
         hits = 0
         # The same tokens as n_samples sample_trajectory calls on this generator.
         group = sample_from_table(toy_mdp, policy_rows(mu05, toy_mdp), n_samples, rng)
-        for y in trajectories(group):
+        for y in map(tuple, group.tokens.tolist()):
             counts[y] = counts.get(y, 0) + 1
             hits += reward(toy_mdp, y)
 

@@ -50,7 +50,6 @@ from helpers import (
     reward,
     sample_group,
     token_mask,
-    trajectories,
     trajectory_log_prob,
 )
 
@@ -327,7 +326,7 @@ class TestPerSampleStatistic:
             envelope = b_n(1.0, eps, 7, n_step)
             for _ in range(100):
                 group = sample_group(toy_mdp, mu05, 1, rng)
-                z = per_sample_statistic(toy_mdp, trajectories(group)[0], pi08, mu05, n_step).z
+                z = per_sample_statistic(toy_mdp, tuple(group.tokens[0].tolist()), pi08, mu05, n_step).z
                 assert abs(z) <= envelope + 1e-9
 
 
@@ -412,7 +411,7 @@ class TestMpgObjective:
         spec = MaskSpec("tv", delta=0.2)
         group = sample_group(toy_mdp, mu05, 4, np.random.default_rng(8))
         expected = 0.0
-        for w, adv, y in zip(group.weights, group.advantages, trajectories(group)):
+        for w, adv, y in zip(group.weights, group.advantages, map(tuple, group.tokens.tolist())):
             profile = ratios(pi08, mu05, y)
             keep = token_mask(spec, profile, float(adv), mu05, pi08, y)
             expected += w * sum(

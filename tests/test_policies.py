@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tracelab
 from tracelab import (
     EnumerationCapError,
     RowGradient,
@@ -116,6 +117,19 @@ class TestTabularSoftmax:
         rows = np.array([0, 2, 3, 5])
         moved = pi.apply_gradient(RowGradient(rows, rng.normal(0.0, 1.0, (4, 3))), 0.7)
         assert moved.tobytes() == pi.rows().probs[rows].tobytes()
+
+    @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
+    def test_package_probs_reads_the_walked_row(self, toy_mdp, state_key):
+        """The package ``probs`` finds a prefix's row through ``prefix_row_ids``:
+        bitwise the row of the per-prefix walk, and the same prefixes refused."""
+        pi = TabularSoftmaxPolicy.zeros(toy_mdp, state_key)
+        pi.logits[:] = np.random.default_rng(12).normal(0.0, 2.0, pi.logits.shape)
+        package = tracelab.TabularSoftmaxPolicy(toy_mdp, pi.logits, state_key)
+        for prefix in enumerate_prefixes(toy_mdp):
+            assert package.probs(prefix).tobytes() == pi.probs(prefix).tobytes(), prefix
+        for prefix in [(0,) * 7, (0,) * 8, (3,), (-1,), (5, 9)]:
+            with pytest.raises(UnknownStateError):
+                package.probs(prefix)
 
     @pytest.mark.parametrize(
         "rows,values",

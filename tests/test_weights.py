@@ -18,7 +18,6 @@ from helpers import (
     sample_group,
     token_mask,
     traces,
-    trajectories,
 )
 
 TOY_TRAJECTORY = (0, 1, 2, 0, 1, 2, 0)  # abcabca
@@ -175,7 +174,7 @@ class TestTokenMask:
         ]
         rng = np.random.default_rng(9)
         group = sample_group(toy_mdp, mu05, 6, rng)
-        for y, adv in zip(trajectories(group), group.advantages):
+        for y, adv in zip(map(tuple, group.tokens.tolist()), group.advantages):
             profile = ratios(pi08, mu05, y)
             baseline = token_mask(MASK_NONE, profile, float(adv), mu05, pi08, y)
             for spec in specs:
