@@ -2,8 +2,9 @@
 
 Population quantities are exact up to float rounding: the return by
 backward induction over every state, and the windowed surrogates and their
-variance by exhaustive enumeration.  Sampled groups feed the empirical
-estimators and the practical clipped/masked objectives.
+variance by exhaustive enumeration, or for two match-length policies by a
+forward pass over (t, k).  Sampled groups feed the empirical estimators and
+the practical clipped/masked objectives.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import ZeroSupportError
 from .mdp import (
+    _CHUNK,
     TokenMdp,
     check_enumeration_cap,
     check_window,
@@ -151,24 +153,51 @@ def population_moments(
 ) -> PopulationMoments:
     """Mean and variance of Z for each window in ``n_list``, in one pass.
 
-    Z vanishes where R(y) = 0, so each chunk keeps only the rewarded
-    trajectories mu can generate.  Log ratios are gathered from each
-    policy's own rows, and every window comes from one suffix sum of them.
+    Two match-length policies over more trajectories than one enumeration
+    chunk take the forward pass over (t, k) of :func:`_match_length_moments`,
+    which enumerates nothing and so is not held to the enumeration cap.  Every
+    other pair enumerates (:func:`_enumerated_moments`).  A mean or variance
+    that overflows a float is refused with a ``ValueError`` naming its window.
     """
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
-    check_enumeration_cap(mdp, mdp.n_trajectories)
+    by_match_length = pi_rows.key == mu_rows.key == "match_length" and mdp.n_trajectories > _CHUNK
+    if not by_match_length:
+        check_enumeration_cap(mdp, mdp.n_trajectories)
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
     logs = [(policy_log_matrix(rows), rows.key) for rows in (pi_rows, mu_rows)]
     log_mu, mu_key = logs[1]
     if require_full_support and np.isneginf(log_mu[: reached_rows(mdp, mu_key)]).any():
         raise ZeroSupportError("rollout policy must have full support for exact identities")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if by_match_length:
+            moments = _match_length_moments(mdp, pi_rows.probs, mu_rows.probs, n_list)
+        else:
+            moments = _enumerated_moments(mdp, logs, n_list)
+    finite = np.isfinite(moments.mean) & np.isfinite(moments.variance)
+    if not finite.all():
+        n_step = list(n_list)[int(np.argmin(finite))]
+        raise ValueError(f"the moments of Z overflow a float at N = {n_step}")
+    return moments
+
+
+def _moments(mean: np.ndarray, second: np.ndarray) -> PopulationMoments:
+    """The moments from E[Z] and E[Z^2], the variance floored at 0 against rounding."""
+    return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0))
+
+
+def _enumerated_moments(mdp: TokenMdp, logs, n_list: Sequence[int]) -> PopulationMoments:
+    """The moments by enumeration, from the log rows and key of pi and of mu.
+
+    Z vanishes where R(y) = 0, so each chunk keeps only the rewarded
+    trajectories mu can generate.  Log ratios are gathered from each
+    policy's own rows, and every window comes from one suffix sum of them.
+    """
     totals = np.zeros((len(n_list), 2))
     for chunk in trajectory_chunks(mdp):
         totals += _chunk_moments(mdp, logs, *chunk, n_list)
         del chunk  # free this chunk before the next one is built
-    mean, second = totals.T
-    return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0))
+    return _moments(*totals.T)
 
 
 def _chunk_moments(mdp: TokenMdp, logs, tokens, rewards, n_list) -> np.ndarray:
@@ -190,6 +219,76 @@ def _chunk_moments(mdp: TokenMdp, logs, tokens, rewards, n_list) -> np.ndarray:
     weights = np.exp(log_weight[keep])
     stats = [(weights @ z, weights @ (z * z)) for z in _windowed_statistics(rewards[hit], log_r, n_list)]
     return np.reshape(stats, (-1, 2))
+
+
+def _match_length_moments(
+    mdp: TokenMdp, pi: np.ndarray, mu: np.ndarray, n_list: Sequence[int]
+) -> PopulationMoments:
+    """The moments for two match-length policies with rows ``pi`` and ``mu``,
+    from one forward pass over the tokens; no trajectory is enumerated.
+
+    Z sums one term per token t: rho_t - 1 times the ratios of the next N - 1
+    tokens, the term's ages 1 .. N - 1, after which it is closed.  The mu
+    weight of a path times one term, or times two, factors over its tokens,
+    so each token multiplies a weight over the matched length k by one of six
+    [K, K] kernels from ``mdp.step_table``: mu times the factor of each term
+    at that token, 1 (not started, or closed), rho (live) or rho - 1
+    (starting), i.e. mu times 1, rho, rho - 1, rho^2, rho (rho - 1) or
+    (rho - 1)^2.  A token mu never emits weighs 0 in all six, as enumeration
+    drops its paths.
+
+    A live term of age a < N has the same value under every window N, so
+    the terms still live are shared by all windows: ``live[a]`` for one term
+    and ``pairs[a1, a2]`` for two, for ages below max(N).  Each window keeps
+    what its closed terms carry: ``closed`` for one term, ``closed_live[a]``
+    for a closed term and a live one, and ``both_closed``.  ``unstarted`` is
+    the path weight alone.  E[Z] and E[Z^2] are the weights at k = |target|
+    after the last token.  Every step and sum is elementwise or runs along
+    the ages in order, so a window's moments do not depend on the others.
+    """
+    k_len = len(mdp.step_table)
+    rho = np.divide(pi, mu, out=np.zeros_like(pi), where=mu > 0)
+    dev = rho - 1.0
+    factors = mu * np.stack([np.ones_like(rho), rho, dev, rho * rho, rho * dev, dev * dev])
+    moves = mdp.step_table > np.arange(k_len)[:, None]  # a token keeps k or moves it to k + 1
+    stay, advance = (np.where(moves == step, factors, 0.0).sum(axis=-1) for step in (False, True))
+    k_mu, k_rho, k_dev, k_rho2, k_rho_dev, k_dev2 = np.stack([stay, advance], axis=1)
+
+    n_steps = np.asarray(n_list)
+    last, windows = n_steps - 1, np.arange(len(n_steps))  # a term closes after age N - 1
+    open_ages = (np.arange(n_steps.max()) < n_steps[:, None])[..., None]
+    unstarted = np.eye(1, k_len)[0]
+    live = np.zeros((n_steps.max(), k_len))
+    pairs = np.zeros(live.shape[:1] + live.shape)
+    closed, both_closed = np.zeros((2, len(n_steps), k_len))
+    closed_live = np.zeros(closed.shape[:1] + live.shape)
+    for _ in range(mdp.horizon):  # every right-hand side is read before its row is written
+        closing, closing_pairs = closed + live[last], pairs[last] + closed_live
+        both_closed = _chain_step(both_closed + closing_pairs[windows, last] + closed_live[windows, last], k_mu)
+        closed_live[:, 1:] = _chain_step(closing_pairs[:, :-1], k_rho)
+        closed_live[:, 0] = _chain_step(closing, k_dev)
+        closed_live *= open_ages
+        closed = _chain_step(closing, k_mu)
+        pairs[1:, 1:] = _chain_step(pairs[:-1, :-1], k_rho2)
+        pairs[0, 1:] = pairs[1:, 0] = _chain_step(live[:-1], k_rho_dev)
+        pairs[0, 0] = _chain_step(unstarted, k_dev2)
+        live[1:] = _chain_step(live[:-1], k_rho)
+        live[0] = _chain_step(unstarted, k_dev)
+        unstarted = _chain_step(unstarted, k_mu)
+    n = len(mdp.target)
+    mean = live[:, n].cumsum()[last] + closed[:, n]
+    live_pairs = pairs[:, :, n].cumsum(axis=0).cumsum(axis=1)[last, last]
+    closed_live_pairs = closed_live[:, :, n].cumsum(axis=1)[windows, last]
+    return _moments(mean, live_pairs + 2.0 * closed_live_pairs + both_closed[:, n])
+
+
+def _chain_step(weights: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``weights @`` the [K, K] kernel whose diagonal is ``kernel[0]`` (the
+    token keeps k) and whose superdiagonal is ``kernel[1][:-1]`` (it moves k to
+    k + 1), along the last axis, elementwise."""
+    out = weights * kernel[0]
+    out[..., 1:] += weights[..., :-1] * kernel[1][:-1]
+    return out
 
 
 def n_step_surrogate_population(mdp: TokenMdp, pi, mu, n_step: int) -> float:

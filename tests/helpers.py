@@ -7,8 +7,10 @@ these oracles use."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -457,3 +459,51 @@ def residual_check(trace_set: TraceSet) -> float:
     return float(
         np.abs(trace_set.full - trace_set.n_step * trace_set.residual).max(initial=0.0)
     )
+
+
+class RationalMoments(NamedTuple):
+    """Exact E[Z] and Var[Z], one per window, the returns of pi and mu, and
+    E[(sum of |term|)^2] per window: Z is a sum of one term per token, and a
+    float path that adds or multiplies those terms rounds on their size."""
+
+    mean: list[Fraction]
+    variance: list[Fraction]
+    returns: tuple[Fraction, Fraction]
+    term_size: list[Fraction]
+
+
+def rational_moments(mdp: TokenMdp, pi, mu, n_list: Sequence[int]) -> RationalMoments:
+    """The population moments of Z and both returns in exact rationals, by brute
+    force over every trajectory, for match-length rows ``pi`` and ``mu`` given
+    as ``[k][token]`` rationals (floats convert exactly).
+
+    A prefix's row is its ``match_length``, walked token by token, and each
+    window multiplies the ratios after a token one by one, so nothing is
+    shared with the package's step table, row ids or window kernel.
+    """
+    pi = [[Fraction(p) for p in row] for row in pi]
+    mu = [[Fraction(p) for p in row] for row in mu]
+    t_len = mdp.horizon
+    mean, second, size = ([Fraction(0)] * len(n_list) for _ in range(3))
+    ret_pi = ret_mu = Fraction(0)
+    for y in itertools.product(range(mdp.vocab_size), repeat=t_len):
+        if not reward(mdp, y):
+            continue
+        steps = [(match_length(y[:t], mdp.target), token) for t, token in enumerate(y)]
+        p_pi = math.prod((pi[k][token] for k, token in steps), start=Fraction(1))
+        p_mu = math.prod((mu[k][token] for k, token in steps), start=Fraction(1))
+        ret_pi, ret_mu = ret_pi + p_pi, ret_mu + p_mu
+        if p_mu == 0:
+            continue
+        rho = [pi[k][token] / mu[k][token] for k, token in steps]
+        for i, n_step in enumerate(n_list):
+            terms = [
+                (rho[t] - 1) * math.prod(rho[t + 1 : min(t + n_step, t_len)], start=Fraction(1))
+                for t in range(t_len)
+            ]
+            z = sum(terms)
+            mean[i] += p_mu * z
+            second[i] += p_mu * z * z
+            size[i] += p_mu * sum(abs(term) for term in terms) ** 2
+    variance = [s - m * m for s, m in zip(second, mean)]
+    return RationalMoments(mean, variance, (ret_pi, ret_mu), size)
