@@ -40,16 +40,12 @@ from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp
 from .objectives import (
     ObjectiveSpec,
     RowGradient,
-    VarianceReport,
     exact_return,
     gradient_norm,
     n_step_surrogate_empirical,
-    n_step_surrogate_population,
     objective_gradient,
     objective_value,
-    performance_difference_direct,
-    performance_difference_trace,
-    variance_of_statistic,
+    population_moments,
 )
 from .policies import (
     PolicyRows,
@@ -62,7 +58,6 @@ from .weights import (
     MASK_NONE,
     GroupRollout,
     MaskSpec,
-    group_advantages,
     sample_from_table,
 )
 

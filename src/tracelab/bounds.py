@@ -2,9 +2,11 @@
 
 The high-probability lower bound on the true policy improvement assembles
 three pieces: the empirical windowed surrogate, a truncation penalty that
-shrinks as the window grows, and a concentration penalty that grows with
-it.  Everything here is a direct formula; the coverage check verifies the
-assembled inequality empirically against enumerated truth.
+shrinks as the window grows (:func:`truncation_bias_bound`), and a
+concentration penalty that grows with it (:func:`s_n`, :func:`b_n`,
+:func:`hoeffding_penalty`).  Everything here is a direct formula;
+:func:`theorem_lower_bound` assembles the inequality for one sampled group,
+and :func:`verify_coverage` checks it empirically against enumerated truth.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .mdp import TokenMdp, check_window
 from .objectives import exact_return, n_step_surrogate_empirical
-from .policies import PolicyRows, policy_gap, policy_rows
+from .policies import policy_gap, policy_rows
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import GroupRollout, sample_from_table
 
@@ -98,21 +100,14 @@ class BoundReport:
     lower_bound: float
 
 
-def _policy_gap(mdp: TokenMdp, pi_rows: PolicyRows, mu_rows: PolicyRows) -> tuple[float, float]:
-    """The eps and dtv_max of :func:`policy_gap`, with eps floored at 1e-12:
-    identical policies deviate by zero, and the floor keeps the formulas
-    well-defined."""
-    eps, dtv_max = policy_gap(mdp, pi_rows, mu_rows)
-    return max(eps, 1e-12), dtv_max
-
-
 def _bound_report(
     mdp: TokenMdp, n_step: int, alpha_conf: float, group_size: int, surrogate: float,
     eps: float, dtv_max: float,
 ) -> BoundReport:
     """The bound terms around a surrogate, for xi = ``mdp.reward_bound`` and eps
-    and dtv_max from :func:`_policy_gap`."""
-    xi, horizon = mdp.reward_bound, mdp.horizon
+    and dtv_max from :func:`policy_gap`.  eps is floored at 1e-12: identical
+    policies deviate by zero, and the floor keeps the formulas well-defined."""
+    xi, horizon, eps = mdp.reward_bound, mdp.horizon, max(eps, 1e-12)
     truncation = truncation_bias_bound(xi, horizon, n_step, dtv_max)
     b_val = b_n(xi, eps, horizon, n_step)
     penalty = hoeffding_penalty(b_val, alpha_conf, group_size)
@@ -148,7 +143,7 @@ def theorem_lower_bound(
         raise ValueError(f"group contains rewards exceeding the bound xi = {mdp.reward_bound}")
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, n_step)
-    gap = _policy_gap(mdp, pi_rows, mu_rows)
+    gap = policy_gap(mdp, pi_rows, mu_rows)
     return _bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
 
 

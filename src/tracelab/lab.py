@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _bound_report, _policy_gap
+from .bounds import _bound_report
 from .errors import TrainingDivergedError
 from .mdp import TokenMdp
 from .objectives import (
@@ -20,7 +20,7 @@ from .objectives import (
     gradient_norm,
     population_moments,
 )
-from .policies import PolicyRows, TabularSoftmaxPolicy, policy_rows, total_variation
+from .policies import PolicyRows, TabularSoftmaxPolicy, policy_gap, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import clipped_trace, sample_from_table
 
@@ -53,7 +53,7 @@ def bias_variance_sweep(
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     moments = population_moments(mdp, pi_rows, mu_rows, n_list)
     improvement = exact_return(mdp, pi_rows) - exact_return(mdp, mu_rows)
-    gap = _policy_gap(mdp, pi_rows, mu_rows)
+    gap = policy_gap(mdp, pi_rows, mu_rows)
     rows = []
     for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
         report = _bound_report(mdp, n_step, alpha_conf, group_size, surrogate, *gap)

@@ -1,10 +1,14 @@
-"""Scalar objectives and their gradients.
+"""Scalar objectives and their gradients, one public entry per quantity.
 
-Population quantities are exact up to float rounding: the return by
-backward induction over every state, and the windowed surrogates and their
-variance by exhaustive enumeration, or for two match-length policies by a
-forward pass over (t, k).  Sampled groups feed the empirical estimators and
-the practical clipped/masked objectives.
+Population quantities are exact up to float rounding.  :func:`exact_return`
+is the return, by backward induction over every state; the exact improvement
+of pi over mu is the difference of two returns.  :func:`population_moments`
+gives the windowed surrogates (its means: the local surrogate at N = 1, the
+improvement at N = T) and their variance, by exhaustive enumeration, or for
+two match-length policies by a forward pass over (t, k).  Sampled groups feed
+the empirical estimator :func:`n_step_surrogate_empirical` and the practical
+clipped/masked objectives, :func:`objective_value` and
+:func:`objective_gradient`.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ class ObjectiveSpec:
             raise ValueError("eps_high must be positive")
 
 
-class VarianceReport(NamedTuple):
-    per_sample: float
-    per_group: float
-
-
 # --- exact population quantities ---------------------------------------------
 
 
@@ -121,11 +120,6 @@ def _leaf_values(mdp: TokenMdp, last: np.ndarray, done: np.ndarray, near: np.nda
     return value
 
 
-def performance_difference_direct(mdp: TokenMdp, pi, mu) -> float:
-    """Expected-reward gap computed from the two returns separately."""
-    return exact_return(mdp, pi) - exact_return(mdp, mu)
-
-
 def _windowed_statistics(rewards, log_r: np.ndarray, n_list: Sequence[int]) -> Iterator[np.ndarray]:
     """Z = R * sum_t (rho_t - 1) * (product of the next N-1 ratios), along
     the last axis, for each window N in ``n_list``."""
@@ -144,20 +138,17 @@ class PopulationMoments(NamedTuple):
     variance: np.ndarray
 
 
-def population_moments(
-    mdp: TokenMdp,
-    pi,
-    mu,
-    n_list: Sequence[int],
-    require_full_support: bool = True,
-) -> PopulationMoments:
+def population_moments(mdp: TokenMdp, pi, mu, n_list: Sequence[int]) -> PopulationMoments:
     """Mean and variance of Z for each window in ``n_list``, in one pass.
 
     Two match-length policies over more trajectories than one enumeration
     chunk take the forward pass over (t, k) of :func:`_match_length_moments`,
-    which enumerates nothing and so is not held to the enumeration cap.  Every
-    other pair enumerates (:func:`_enumerated_moments`).  A mean or variance
-    that overflows a float is refused with a ``ValueError`` naming its window.
+    which enumerates nothing and is held to the enumeration cap by the cells
+    of its largest grid.  Every other pair enumerates
+    (:func:`_enumerated_moments`), held to the cap by its trajectory count.
+    A mu that gives zero probability to a token at a reached row is refused
+    with ``ZeroSupportError``, and a mean or variance that overflows a float
+    with a ``ValueError`` naming its window.
     """
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     by_match_length = pi_rows.key == mu_rows.key == "match_length" and mdp.n_trajectories > _CHUNK
@@ -165,15 +156,13 @@ def population_moments(
         check_enumeration_cap(mdp, mdp.n_trajectories)
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
-    logs = [(policy_log_matrix(rows), rows.key) for rows in (pi_rows, mu_rows)]
-    log_mu, mu_key = logs[1]
-    if require_full_support and np.isneginf(log_mu[: reached_rows(mdp, mu_key)]).any():
+    if (mu_rows.probs[: reached_rows(mdp, mu_rows.key)] == 0).any():
         raise ZeroSupportError("rollout policy must have full support for exact identities")
     with np.errstate(over="ignore", invalid="ignore"):
         if by_match_length:
             moments = _match_length_moments(mdp, pi_rows.probs, mu_rows.probs, n_list)
         else:
-            moments = _enumerated_moments(mdp, logs, n_list)
+            moments = _enumerated_moments(mdp, pi_rows, mu_rows, n_list)
     finite = np.isfinite(moments.mean) & np.isfinite(moments.variance)
     if not finite.all():
         n_step = list(n_list)[int(np.argmin(finite))]
@@ -186,13 +175,16 @@ def _moments(mean: np.ndarray, second: np.ndarray) -> PopulationMoments:
     return PopulationMoments(mean, np.maximum(second - mean * mean, 0.0))
 
 
-def _enumerated_moments(mdp: TokenMdp, logs, n_list: Sequence[int]) -> PopulationMoments:
-    """The moments by enumeration, from the log rows and key of pi and of mu.
+def _enumerated_moments(
+    mdp: TokenMdp, pi_rows: PolicyRows, mu_rows: PolicyRows, n_list: Sequence[int]
+) -> PopulationMoments:
+    """The moments by enumeration, from the log of each policy's rows.
 
     Z vanishes where R(y) = 0, so each chunk keeps only the rewarded
-    trajectories mu can generate.  Log ratios are gathered from each
-    policy's own rows, and every window comes from one suffix sum of them.
+    trajectories.  Log ratios are gathered from each policy's own rows, and
+    every window comes from one suffix sum of them.
     """
+    logs = [(policy_log_matrix(rows), rows.key) for rows in (pi_rows, mu_rows)]
     totals = np.zeros((len(n_list), 2))
     for chunk in trajectory_chunks(mdp):
         totals += _chunk_moments(mdp, logs, *chunk, n_list)
@@ -210,13 +202,9 @@ def _chunk_moments(mdp: TokenMdp, logs, tokens, rewards, n_list) -> np.ndarray:
     log_r, token_log_mu = (log[ids[key], tokens] for log, key in logs)
     del ids, tokens
     # Summed along contiguous rows, which numpy adds pairwise, not as a strided running sum.
-    log_weight = np.ascontiguousarray(token_log_mu).sum(axis=1)
-    keep = ~np.isneginf(log_weight)
-    if not keep.all():
-        hit, log_r, token_log_mu = hit[keep], log_r[keep], token_log_mu[keep]
+    weights = np.exp(np.ascontiguousarray(token_log_mu).sum(axis=1))
     log_r -= token_log_mu
     del token_log_mu
-    weights = np.exp(log_weight[keep])
     stats = [(weights @ z, weights @ (z * z)) for z in _windowed_statistics(rewards[hit], log_r, n_list)]
     return np.reshape(stats, (-1, 2))
 
@@ -234,8 +222,7 @@ def _match_length_moments(
     [K, K] kernels from ``mdp.step_table``: mu times the factor of each term
     at that token, 1 (not started, or closed), rho (live) or rho - 1
     (starting), i.e. mu times 1, rho, rho - 1, rho^2, rho (rho - 1) or
-    (rho - 1)^2.  A token mu never emits weighs 0 in all six, as enumeration
-    drops its paths.
+    (rho - 1)^2.  Only a row no state reaches may have mu = 0; its rho is 0.
 
     A live term of age a < N has the same value under every window N, so
     the terms still live are shared by all windows: ``live[a]`` for one term
@@ -245,8 +232,12 @@ def _match_length_moments(
     the path weight alone.  E[Z] and E[Z^2] are the weights at k = |target|
     after the last token.  Every step and sum is elementwise or runs along
     the ages in order, so a window's moments do not depend on the others.
+    The largest grid, ``pairs`` or ``closed_live``, is held to the
+    enumeration cap before any grid is built.
     """
-    k_len = len(mdp.step_table)
+    k_len, n_steps = len(mdp.step_table), np.asarray(n_list)
+    longest = int(n_steps.max())
+    check_enumeration_cap(mdp, max(longest, len(n_steps)) * longest * k_len)
     rho = np.divide(pi, mu, out=np.zeros_like(pi), where=mu > 0)
     dev = rho - 1.0
     factors = mu * np.stack([np.ones_like(rho), rho, dev, rho * rho, rho * dev, dev * dev])
@@ -254,11 +245,10 @@ def _match_length_moments(
     stay, advance = (np.where(moves == step, factors, 0.0).sum(axis=-1) for step in (False, True))
     k_mu, k_rho, k_dev, k_rho2, k_rho_dev, k_dev2 = np.stack([stay, advance], axis=1)
 
-    n_steps = np.asarray(n_list)
     last, windows = n_steps - 1, np.arange(len(n_steps))  # a term closes after age N - 1
-    open_ages = (np.arange(n_steps.max()) < n_steps[:, None])[..., None]
+    open_ages = (np.arange(longest) < n_steps[:, None])[..., None]
     unstarted = np.eye(1, k_len)[0]
-    live = np.zeros((n_steps.max(), k_len))
+    live = np.zeros((longest, k_len))
     pairs = np.zeros(live.shape[:1] + live.shape)
     closed, both_closed = np.zeros((2, len(n_steps), k_len))
     closed_live = np.zeros(closed.shape[:1] + live.shape)
@@ -289,33 +279,6 @@ def _chain_step(weights: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     out = weights * kernel[0]
     out[..., 1:] += weights[..., :-1] * kernel[1][:-1]
     return out
-
-
-def n_step_surrogate_population(mdp: TokenMdp, pi, mu, n_step: int) -> float:
-    """Exact windowed surrogate; the local surrogate at n_step=1 and the
-    full performance difference at n_step=horizon."""
-    return float(population_moments(mdp, pi, mu, [n_step]).mean[0])
-
-
-def performance_difference_trace(mdp: TokenMdp, pi, mu) -> float:
-    """Expected-reward gap through the forward-trace identity.
-
-    Agreement with :func:`performance_difference_direct` is the exact
-    telescoping identity, verified by the test suite on every enumerable
-    configuration.
-    """
-    return float(population_moments(mdp, pi, mu, [mdp.horizon]).mean[0])
-
-
-def variance_of_statistic(
-    mdp: TokenMdp, pi, mu, n_step: int, group_size: int = 1
-) -> VarianceReport:
-    """Exact variance of the per-sample statistic, and its mean-of-G scaling."""
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    moments = population_moments(mdp, pi, mu, [n_step], require_full_support=False)
-    per_sample = float(moments.variance[0])
-    return VarianceReport(per_sample=per_sample, per_group=per_sample / group_size)
 
 
 # --- empirical estimators ------------------------------------------------------

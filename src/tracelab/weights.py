@@ -12,7 +12,7 @@ trajectory ``[T]`` and a whole group ``[G, T]`` share the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -145,14 +145,6 @@ def group_token_mask(
 
 
 # --- group rollouts ----------------------------------------------------------
-
-
-def group_advantages(rewards: Sequence[float]) -> np.ndarray:
-    """Center each reward on its group mean."""
-    r = np.asarray(rewards, dtype=float)
-    if len(r) < 2:
-        raise ValueError(f"group advantages need at least 2 rewards, got {len(r)}")
-    return r - r.mean()
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ from tracelab import (
     b_n_increment,
     bias_variance_sweep,
     d_tv_max,
-    n_step_surrogate_population,
+    exact_return,
     objective_gradient,
     objective_value,
-    performance_difference_direct,
-    performance_difference_trace,
+    population_moments,
     smoothing_demo,
     theorem_lower_bound,
     train,
@@ -66,24 +65,22 @@ def randomized_setups():
 
 def test_c01_trace_identity(toy_mdp, mu05, pi08, randomized_setups):
     with reported(1, "performance-difference identity, toy + 50 random MDPs"):
-        gap = performance_difference_trace(toy_mdp, pi08, mu05) - performance_difference_direct(
-            toy_mdp, pi08, mu05
-        )
+        trace = population_moments(toy_mdp, pi08, mu05, [toy_mdp.horizon]).mean[0]
+        gap = trace - (exact_return(toy_mdp, pi08) - exact_return(toy_mdp, mu05))
         assert abs(gap) < 1e-10
         for mdp, pi, mu in randomized_setups:
-            gap = performance_difference_trace(mdp, pi, mu) - performance_difference_direct(
-                mdp, pi, mu
-            )
+            trace = population_moments(mdp, pi, mu, [mdp.horizon]).mean[0]
+            gap = trace - (exact_return(mdp, pi) - exact_return(mdp, mu))
             assert abs(gap) < 1e-10
 
 
 def test_c02_endpoint_identities(toy_mdp, mu05, pi08, randomized_setups):
     with reported(2, "window endpoints: local surrogate and exact improvement"):
         for mdp, pi, mu in [(toy_mdp, pi08, mu05)] + randomized_setups:
-            local = n_step_surrogate_population(mdp, pi, mu, 1)
+            local = population_moments(mdp, pi, mu, [1]).mean[0]
             assert abs(local - brute_force_local_surrogate(mdp, pi, mu, 1)) < 1e-10
-            full = n_step_surrogate_population(mdp, pi, mu, mdp.horizon)
-            assert abs(full - performance_difference_direct(mdp, pi, mu)) < 1e-10
+            full = population_moments(mdp, pi, mu, [mdp.horizon]).mean[0]
+            assert abs(full - (exact_return(mdp, pi) - exact_return(mdp, mu))) < 1e-10
 
 
 def test_c03_bias_variance_sweep(toy_mdp, mu05, pi08):
@@ -98,12 +95,12 @@ def test_c03_bias_variance_sweep(toy_mdp, mu05, pi08):
 def test_c04_population_inequality(toy_mdp, mu05, pi08, randomized_setups):
     with reported(4, "deterministic population lower bound at every window"):
         for mdp, pi, mu in [(toy_mdp, pi08, mu05)] + randomized_setups:
-            improvement = performance_difference_direct(mdp, pi, mu)
+            improvement = exact_return(mdp, pi) - exact_return(mdp, mu)
             dtv = d_tv_max(mu, pi, mdp)
             if mdp is toy_mdp:
                 assert dtv == pytest.approx(0.3)
             for n_step in range(1, mdp.horizon + 1):
-                surrogate = n_step_surrogate_population(mdp, pi, mu, n_step)
+                surrogate = population_moments(mdp, pi, mu, [n_step]).mean[0]
                 penalty = truncation_bias_bound(mdp.reward_bound, mdp.horizon, n_step, dtv)
                 assert improvement >= surrogate - penalty - 1e-10
 

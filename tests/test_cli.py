@@ -210,6 +210,23 @@ class TestEnumerationCap:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_long_target_sweep_refused_before_any_grid(self, tmp_path, capsys):
+        """Two match-length policies at T=300 with a 300-token target: the
+        forward pass's largest grid, [300, 300, 301], is 27,090,000 cells
+        (217 MB), over the default cap, so the sweep is refused before any
+        grid is built."""
+        sets = ["mdp.horizon=300", "mdp.target=" + "abc" * 100]
+        tracemalloc.start()
+        try:
+            code = run(["sweep", "--out", str(tmp_path), *(arg for s in sets for arg in ("--set", s))])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"needs 27090000 items, cap is {DEFAULT_ENUMERATION_CAP}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 1 << 20
+
 
 @pytest.mark.parametrize(
     "command,overrides",
@@ -230,6 +247,27 @@ def test_every_command_reruns_byte_identically(tmp_path, command, overrides):
     assert len(written) == 2 and "run_manifest.json" in written
     for name in written:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        ("sweep", []),
+        ("train", ["experiment.steps=20", COPY_OF_MU]),
+        ("analyze", []),
+        ("verify", ["experiment.trials=50"]),
+    ],
+    ids=["sweep", "train", "analyze", "verify"],
+)
+def test_every_command_runs_at_one_sample_per_group(tmp_path, command, overrides):
+    """G=1 is a valid group size.  A group of one is centred to an advantage
+    of 0, so train never moves pi and its exact return stays constant."""
+    sets = [arg for s in ["experiment.G=1", *overrides] for arg in ("--set", s)]
+    assert run([command, "--out", str(tmp_path), *sets]) == 0
+    if command == "train":
+        _, header, rows = _read_csv(tmp_path / "train.csv")
+        returns = {row[header.index("exact_return")] for row in rows}
+        assert len(rows) == 20 and len(returns) == 1
 
 
 def _no_per_prefix_read(*args, **kwargs):

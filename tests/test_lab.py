@@ -17,10 +17,9 @@ from tracelab import (
     dynamics_report,
     exact_return,
     gradient_norm,
-    n_step_surrogate_population,
     objective_gradient,
     objective_value,
-    performance_difference_direct,
+    population_moments,
     smoothing_demo,
     switch_frequency,
     train,
@@ -53,8 +52,8 @@ class TestSweep:
         assert rows[-1].per_sample_variance > rows[0].per_sample_variance
 
     def test_rows_match_objective_module(self, rows, toy_mdp, mu05, pi08):
-        local = n_step_surrogate_population(toy_mdp, pi08, mu05, 1)
-        improvement = performance_difference_direct(toy_mdp, pi08, mu05)
+        local = population_moments(toy_mdp, pi08, mu05, [1]).mean[0]
+        improvement = exact_return(toy_mdp, pi08) - exact_return(toy_mdp, mu05)
         assert abs(rows[0].population_surrogate - local) < 1e-10
         assert abs(rows[-1].population_surrogate - improvement) < 1e-10
         assert all(r.exact_improvement == pytest.approx(improvement) for r in rows)
@@ -62,7 +61,7 @@ class TestSweep:
     def test_exact_improvement_is_the_direct_return_gap(self, rows, toy_mdp, mu05, pi08):
         """The improvement comes from backward induction, not from the
         enumeration pass that gives the N = T surrogate."""
-        improvement = performance_difference_direct(toy_mdp, pi08, mu05)
+        improvement = exact_return(toy_mdp, pi08) - exact_return(toy_mdp, mu05)
         assert [r.exact_improvement for r in rows] == [improvement] * len(rows)
 
     def test_population_inequality_every_window(self, rows):
@@ -135,7 +134,7 @@ class TestTrain:
         spec = ObjectiveSpec("nfpo", 4, 3.0, 0.2, 0.4, MASK_NONE)
         gradient = objective_gradient(group, pi, pi, spec)
         pi.apply_gradient(gradient, 0.05)
-        assert n_step_surrogate_population(toy_mdp, pi, mu05, 4) > 0.0
+        assert population_moments(toy_mdp, pi, mu05, [4]).mean[0] > 0.0
 
 
 def _reference_train(mdp, pi, spec, steps, learning_rate, group_size, seed, rollout_refresh):

@@ -19,7 +19,6 @@ from tracelab import mdp as mdp_module
 from tracelab import objectives
 from tracelab.cli import run
 from tracelab.objectives import _enumerated_moments, _match_length_moments, population_moments
-from tracelab.policies import policy_log_matrix
 from helpers import TabularSoftmaxPolicy, TargetFollowingPolicy, rational_moments
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -29,8 +28,7 @@ TAME_RATIO = 10.0  # beyond this ratio, enumeration is not the engine's referenc
 
 def _enumerated(mdp, pi, mu, n_list):
     """The enumeration path on two match-length rows, called directly."""
-    logs = [(policy_log_matrix(PolicyRows(rows, "match_length")), "match_length") for rows in (pi, mu)]
-    return _enumerated_moments(mdp, logs, n_list)
+    return _enumerated_moments(mdp, PolicyRows(pi, "match_length"), PolicyRows(mu, "match_length"), n_list)
 
 
 def _assert_close(values, exact, rtol, scale=None):
@@ -163,10 +161,10 @@ def _counted_chunks(patch) -> Counter:
 
 def test_past_one_chunk_match_length_pairs_enumerate_nothing():
     """At T=9 the 19,683 trajectories are more than one chunk of 16,384: the
-    pass enumerates none of them, so a cap of 100 does not refuse it.  At
+    pass enumerates none of them, so a cap of 1000 does not refuse it.  At
     T=8 the 6,561 trajectories are enumerated, and the cap refuses them."""
     assert 3**8 <= mdp_module._CHUNK < 3**9
-    for horizon, cap, chunks in ((9, 100, 0), (8, mdp_module.DEFAULT_ENUMERATION_CAP, 1)):
+    for horizon, cap, chunks in ((9, 1000, 0), (8, mdp_module.DEFAULT_ENUMERATION_CAP, 1)):
         mdp = TokenMdp.from_symbols("abc", horizon, "abcabc", enumeration_cap=cap)
         pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
         with pytest.MonkeyPatch.context() as patch:
@@ -177,6 +175,31 @@ def test_past_one_chunk_match_length_pairs_enumerate_nothing():
     mdp = TokenMdp.from_symbols("abc", 8, "abcabc", enumeration_cap=100)
     with pytest.raises(EnumerationCapError):
         population_moments(mdp, TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5), [1])
+
+
+def test_only_enumeration_takes_the_log_of_the_rows():
+    """The forward pass reads the probabilities themselves and builds no log
+    matrix; below one chunk the enumeration builds one per policy."""
+    for horizon, builds in ((9, 0), (8, 2)):
+        mdp = TokenMdp.from_symbols("abc", horizon, "abcabc")
+        pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
+        calls, inner = [], objectives.policy_log_matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(objectives, "policy_log_matrix", lambda rows: calls.append(rows) or inner(rows))
+            population_moments(mdp, pi, mu, [1, 4])
+        assert len(calls) == builds
+
+
+def test_engine_grids_are_held_to_the_cap():
+    """The pass's largest grid, [max N, max N, |target| + 1] or
+    [len(N_list), max N, |target| + 1], is held to the enumeration cap before
+    any grid is built: at T=12 under a cap of 500, N=[1, 8] needs 448 cells
+    and runs, and N=1..12 needs 1008 and is refused."""
+    mdp = TokenMdp.from_symbols("abc", 12, "abcabc", enumeration_cap=500)
+    pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
+    assert np.isfinite(population_moments(mdp, pi, mu, [1, 8]).variance).all()
+    with pytest.raises(EnumerationCapError, match="needs 1008 items, cap is 500"):
+        population_moments(mdp, pi, mu, range(1, 13))
 
 
 def test_prefix_keyed_and_mixed_pairs_still_enumerate():

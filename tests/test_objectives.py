@@ -16,22 +16,18 @@ from tracelab import (
     ObjectiveSpec,
     PolicyRows,
     TokenMdp,
+    ZeroSupportError,
     b_n,
     exact_return,
     n_step_surrogate_empirical,
-    n_step_surrogate_population,
     objective_gradient,
     objective_value,
-    performance_difference_direct,
-    performance_difference_trace,
     policy_rows,
     sample_from_table,
-    variance_of_statistic,
 )
-from tracelab.bounds import _policy_gap
 from tracelab.mdp import n_rows
 from tracelab.objectives import population_moments
-from tracelab.policies import policy_prob_table
+from tracelab.policies import policy_gap, policy_prob_table
 from helpers import (
     OneHotPolicy,
     TabularSoftmaxPolicy,
@@ -181,8 +177,8 @@ def test_rows_match_the_state_table_paths(data, seed):
         oracle = _enumerated_return(mdp, policy)
         assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
         assert value == exact_return(mdp, PolicyRows(policy_prob_table(policy, mdp)))
-    eps, dtv_max = _policy_gap(mdp, policy_rows(pi, mdp), policy_rows(mu, mdp))
-    assert eps == max(ratio_deviation_bound(pi, mu, mdp), 1e-12)
+    eps, dtv_max = policy_gap(mdp, policy_rows(pi, mdp), policy_rows(mu, mdp))
+    assert eps == ratio_deviation_bound(pi, mu, mdp)
     assert dtv_max == d_tv_max(mu, pi, mdp)
 
 
@@ -247,21 +243,21 @@ def test_malformed_rows_refused(toy_mdp, mu05, pi08, name, key, bad):
 
 class TestPerformanceDifference:
     def test_direct_toy_value(self, toy_mdp, mu05, pi08):
-        assert performance_difference_direct(toy_mdp, pi08, mu05) == pytest.approx(
+        assert exact_return(toy_mdp, pi08) - exact_return(toy_mdp, mu05) == pytest.approx(
             0.5142168, abs=1e-12
         )
 
     def test_identical_policies(self, toy_mdp, mu05):
-        assert performance_difference_trace(toy_mdp, mu05, mu05) == 0.0
+        assert population_moments(toy_mdp, mu05, mu05, [toy_mdp.horizon]).mean[0] == 0.0
 
     def test_antisymmetry(self, toy_mdp, mu05, pi08):
-        forward = performance_difference_direct(toy_mdp, pi08, mu05)
-        backward = performance_difference_direct(toy_mdp, mu05, pi08)
+        forward = exact_return(toy_mdp, pi08) - exact_return(toy_mdp, mu05)
+        backward = exact_return(toy_mdp, mu05) - exact_return(toy_mdp, pi08)
         assert forward == pytest.approx(-backward, abs=1e-12)
 
     def test_trace_form_matches_direct_on_toy(self, toy_mdp, mu05, pi08):
-        trace = performance_difference_trace(toy_mdp, pi08, mu05)
-        direct = performance_difference_direct(toy_mdp, pi08, mu05)
+        trace = population_moments(toy_mdp, pi08, mu05, [toy_mdp.horizon]).mean[0]
+        direct = exact_return(toy_mdp, pi08) - exact_return(toy_mdp, mu05)
         assert abs(trace - direct) < 1e-10
 
     def test_trace_form_matches_direct_randomized(self):
@@ -270,38 +266,37 @@ class TestPerformanceDifference:
         rng = np.random.default_rng(17)
         for _ in range(25):
             pi, mu = random_tabular(mdp, rng), random_tabular(mdp, rng)
-            gap = performance_difference_trace(mdp, pi, mu) - performance_difference_direct(
-                mdp, pi, mu
-            )
+            trace = population_moments(mdp, pi, mu, [mdp.horizon]).mean[0]
+            gap = trace - (exact_return(mdp, pi) - exact_return(mdp, mu))
             assert abs(gap) < 1e-10
 
 
 class TestWindowedSurrogate:
     def test_full_window_recovers_improvement(self, toy_mdp, mu05, pi08):
-        full = n_step_surrogate_population(toy_mdp, pi08, mu05, 7)
+        full = population_moments(toy_mdp, pi08, mu05, [7]).mean[0]
         assert abs(full - 0.5142168) < 1e-10
 
     def test_identical_policies_vanish(self, toy_mdp, mu05):
         for n_step in (1, 3, 7):
-            assert n_step_surrogate_population(toy_mdp, mu05, mu05, n_step) == 0.0
+            assert population_moments(toy_mdp, mu05, mu05, [n_step]).mean[0] == 0.0
 
     def test_local_window_has_larger_bias(self, toy_mdp, mu05, pi08):
-        improvement = performance_difference_direct(toy_mdp, pi08, mu05)
-        local = n_step_surrogate_population(toy_mdp, pi08, mu05, 1)
-        full = n_step_surrogate_population(toy_mdp, pi08, mu05, 7)
+        improvement = exact_return(toy_mdp, pi08) - exact_return(toy_mdp, mu05)
+        local = population_moments(toy_mdp, pi08, mu05, [1]).mean[0]
+        full = population_moments(toy_mdp, pi08, mu05, [7]).mean[0]
         assert abs(improvement - local) > abs(improvement - full)
 
     @pytest.mark.parametrize("n_step", [1, 4, 7])
     def test_against_plain_python_oracle(self, toy_mdp, mu05, pi08, n_step):
         oracle = brute_force_local_surrogate(toy_mdp, pi08, mu05, n_step)
-        fast = n_step_surrogate_population(toy_mdp, pi08, mu05, n_step)
+        fast = population_moments(toy_mdp, pi08, mu05, [n_step]).mean[0]
         assert fast == pytest.approx(oracle, abs=1e-11)
 
     def test_window_domain(self, toy_mdp, mu05, pi08):
         with pytest.raises(ValueError):
-            n_step_surrogate_population(toy_mdp, pi08, mu05, 0)
+            population_moments(toy_mdp, pi08, mu05, [0])
         with pytest.raises(ValueError):
-            n_step_surrogate_population(toy_mdp, pi08, mu05, 8)
+            population_moments(toy_mdp, pi08, mu05, [8])
 
 
 class TestPerSampleStatistic:
@@ -342,7 +337,7 @@ class TestEmpiricalSurrogate:
     def test_unbiased_over_many_groups(self, toy_mdp, mu05, pi08):
         """Mean over 10^4 independent 8-sample groups lands within 3 SE of
         the enumerated population value."""
-        population = n_step_surrogate_population(toy_mdp, pi08, mu05, 4)
+        population = population_moments(toy_mdp, pi08, mu05, [4]).mean[0]
         rng = np.random.default_rng(99)
         rows = policy_rows(mu05, toy_mdp)  # draws the tokens of sample_group on this generator
         values = np.array(
@@ -357,7 +352,7 @@ class TestEmpiricalSurrogate:
 
 class TestVariance:
     def test_identical_policies(self, toy_mdp, mu05):
-        assert variance_of_statistic(toy_mdp, mu05, mu05, 4).per_sample == 0.0
+        assert population_moments(toy_mdp, mu05, mu05, [4]).variance[0] == 0.0
 
     def test_deterministic_rollout(self, toy_mdp, pi08):
         class OneHot:
@@ -371,17 +366,13 @@ class TestVariance:
             def rows(self):
                 return PolicyRows(np.tile(self.probs(()), (len(self.mdp.target) + 1, 1)), "match_length")
 
-        report = variance_of_statistic(toy_mdp, pi08, OneHot(), 3)
-        assert report.per_sample == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ZeroSupportError):
+            population_moments(toy_mdp, pi08, OneHot(), [3])
 
     def test_full_window_noisier_than_local(self, toy_mdp, mu05, pi08):
-        local = variance_of_statistic(toy_mdp, pi08, mu05, 1).per_sample
-        full = variance_of_statistic(toy_mdp, pi08, mu05, 7).per_sample
+        local = population_moments(toy_mdp, pi08, mu05, [1]).variance[0]
+        full = population_moments(toy_mdp, pi08, mu05, [7]).variance[0]
         assert full > local
-
-    def test_group_scaling(self, toy_mdp, mu05, pi08):
-        report = variance_of_statistic(toy_mdp, pi08, mu05, 4, group_size=8)
-        assert report.per_group == pytest.approx(report.per_sample / 8)
 
 
 class TestPpoObjective:

@@ -50,8 +50,8 @@ def _oracle(mdp, pi, mu, n_list):
     return mean, second, returns
 
 
-def _assert_matches_oracle(mdp, pi, mu, n_list, require_full_support=True):
-    moments = population_moments(mdp, pi, mu, n_list, require_full_support=require_full_support)
+def _assert_matches_oracle(mdp, pi, mu, n_list):
+    moments = population_moments(mdp, pi, mu, n_list)
     mean, second, returns = _oracle(mdp, pi, mu, n_list)
     tol = 1e-12 * max(1.0, float(np.abs(second).max(initial=0.0)))
     np.testing.assert_allclose(moments.mean, mean, rtol=0, atol=tol)
@@ -102,9 +102,8 @@ def test_zero_probability_target_tokens(setup):
 def test_rollout_without_full_support(setup):
     mdp, pi, mu, n_list, rng = setup
     mu = _with_zero_tokens(TabularSoftmaxPolicy.from_policy(mdp, mu), rng, 0.3)
-    _assert_matches_oracle(mdp, pi, mu, n_list, require_full_support=False)
     with pytest.raises(ZeroSupportError):
-        population_moments(mdp, pi, mu, n_list, require_full_support=True)
+        population_moments(mdp, pi, mu, n_list)
 
 
 @PROPERTY

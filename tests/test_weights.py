@@ -8,7 +8,7 @@ from tracelab import (
     MaskSpec,
     ZeroSupportError,
     exact_return,
-    group_advantages,
+    sample_from_table,
 )
 from helpers import (
     population_group,
@@ -193,25 +193,38 @@ class TestTokenMask:
             MaskSpec("sequence")
 
 
+def _sampled_groups(mdp, policy, group_size: int, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return [sample_from_table(mdp, policy, group_size, rng) for _ in range(count)]
+
+
 class TestGroups:
-    def test_centering_example(self):
-        np.testing.assert_allclose(group_advantages([1, 0, 0, 1]), [0.5, -0.5, -0.5, 0.5])
+    def test_centering_example(self, toy_mdp, pi08):
+        """With h hits among G rewards, a hit is centred to 1 - h/G and a miss to -h/G."""
+        groups = _sampled_groups(toy_mdp, pi08, 4, 50, 0)
+        assert any(0 < group.rewards.sum() < 4 for group in groups)
+        for group in groups:
+            hits = group.rewards.sum()
+            expected = np.where(group.rewards == 1.0, 1.0 - hits / 4, -hits / 4)
+            np.testing.assert_allclose(group.advantages, expected, rtol=0, atol=1e-15)
 
-    def test_equal_rewards_center_to_zero(self):
-        np.testing.assert_allclose(group_advantages([0.3] * 5), np.zeros(5), atol=1e-15)
+    def test_equal_rewards_center_to_zero(self, toy_mdp, mu05):
+        groups = _sampled_groups(toy_mdp, mu05, 5, 20, 1) + _sampled_groups(toy_mdp, mu05, 1, 20, 2)
+        equal = [g for g in groups if np.all(g.rewards == g.rewards[0])]
+        assert any(g.group_size == 5 for g in equal)
+        for group in equal:
+            np.testing.assert_array_equal(group.advantages, np.zeros(group.group_size))
 
-    def test_eight_sample_centering(self):
-        adv = group_advantages([1, 1, 0, 0, 0, 0, 0, 0])
-        np.testing.assert_allclose(adv, [0.75, 0.75] + [-0.25] * 6)
+    def test_eight_sample_centering(self, toy_mdp, pi08):
+        two_hits = [g for g in _sampled_groups(toy_mdp, pi08, 8, 100, 3) if g.rewards.sum() == 2]
+        assert two_hits
+        for group in two_hits:
+            adv = np.sort(group.advantages)[::-1]
+            np.testing.assert_allclose(adv, [0.75, 0.75] + [-0.25] * 6)
 
-    def test_advantages_sum_to_zero(self):
-        rng = np.random.default_rng(1)
-        adv = group_advantages(rng.random(17))
-        assert abs(adv.sum()) < 1e-12
-
-    def test_rejects_singleton(self):
-        with pytest.raises(ValueError):
-            group_advantages([1.0])
+    def test_advantages_sum_to_zero(self, toy_mdp, pi08):
+        for group in _sampled_groups(toy_mdp, pi08, 17, 20, 4):
+            assert abs(group.advantages.sum()) < 1e-12
 
     def test_sample_group_shapes(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(0))
