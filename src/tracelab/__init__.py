@@ -44,7 +44,6 @@ from .objectives import (
     gradient_norm,
     n_step_surrogate_empirical,
     objective_gradient,
-    objective_value,
     population_moments,
 )
 from .policies import (

@@ -100,7 +100,7 @@ class BoundReport:
     lower_bound: float
 
 
-def _bound_report(
+def bound_report(
     mdp: TokenMdp, n_step: int, alpha_conf: float, group_size: int, surrogate: float,
     eps: float, dtv_max: float,
 ) -> BoundReport:
@@ -144,7 +144,7 @@ def theorem_lower_bound(
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, n_step)
     gap = policy_gap(mdp, pi_rows, mu_rows)
-    return _bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
+    return bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
 
 
 def verify_coverage(mdp: TokenMdp, pi, mu, report: BoundReport, trials: int, seed: int = 0) -> float:

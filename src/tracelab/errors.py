@@ -8,11 +8,12 @@ class TracelabError(Exception):
 
 
 class EnumerationCapError(TracelabError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """An enumeration, a table or an array would exceed the configured cap;
+    ``what`` names what was counted."""
 
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int, cap: int, what: str):
         super().__init__(
-            f"exhaustive enumeration needs {required} items, cap is {cap}"
+            f"{what} needs {required} items, cap is {cap} (config key 'enumeration_cap')"
         )
         self.required = required
         self.cap = cap

@@ -9,17 +9,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _bound_report
+from .bounds import bound_report
 from .errors import TrainingDivergedError
 from .mdp import TokenMdp
-from .objectives import (
-    ObjectiveSpec,
-    _logit_gradient,
-    _token_terms,
-    exact_return,
-    gradient_norm,
-    population_moments,
-)
+from .objectives import ObjectiveSpec, exact_return, gradient_norm, objective_gradient, population_moments
 from .policies import PolicyRows, TabularSoftmaxPolicy, policy_gap, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
 from .weights import clipped_trace, sample_from_table
@@ -56,7 +49,7 @@ def bias_variance_sweep(
     gap = policy_gap(mdp, pi_rows, mu_rows)
     rows = []
     for n_step, surrogate, var in zip(n_list, moments.mean.tolist(), moments.variance.tolist()):
-        report = _bound_report(mdp, n_step, alpha_conf, group_size, surrogate, *gap)
+        report = bound_report(mdp, n_step, alpha_conf, group_size, surrogate, *gap)
         rows.append(
             SweepRow(
                 n_step=n_step,
@@ -119,10 +112,9 @@ def train(
             mu_rows.probs.flags.writeable = False
             moved = np.zeros(len(pi_rows.probs), dtype=bool)
             group = sample_from_table(mdp, mu_rows, group_size, rng)
-        value, coeffs = _token_terms(group, pi_rows, mu_rows, objective_spec)
+        value, gradient = objective_gradient(group, pi_rows, mu_rows, objective_spec)
         if not math.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} at step {step}")
-        gradient = _logit_gradient(group, pi_rows, coeffs)
         pi_rows.probs[gradient.rows] = pi.apply_gradient(gradient, learning_rate)
         moved[gradient.rows] = True
         ids = moved.nonzero()[0]

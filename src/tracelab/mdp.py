@@ -21,6 +21,8 @@ from .errors import EnumerationCapError
 DEFAULT_ENUMERATION_CAP = 10_000_000
 ROW_KEYS = ("prefix", "match_length")  # how a state picks its row: see extend_rows
 _CHUNK = 1 << 14
+# How a refusal names the two counts that most checks against the cap make.
+ENUMERATION, STATE_TABLE = "exhaustive enumeration (trajectories)", "a state table (rows, one per state)"
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,11 @@ class TokenMdp:
         return done, near
 
 
-def check_enumeration_cap(mdp: TokenMdp, count: int) -> None:
-    """Refuse to enumerate or tabulate ``count`` items beyond the MDP's cap."""
+def check_enumeration_cap(mdp: TokenMdp, count: int, what: str) -> None:
+    """Refuse to enumerate or hold ``count`` items beyond the MDP's cap;
+    ``what`` says what the items are, for the error."""
     if count > mdp.enumeration_cap:
-        raise EnumerationCapError(count, mdp.enumeration_cap)
+        raise EnumerationCapError(count, mdp.enumeration_cap, what)
 
 
 def check_window(horizon: int, n_step: int) -> None:
@@ -146,7 +149,7 @@ def trajectory_chunks(
     the digits of its runs, with no division over the chunk.
     """
     total = mdp.n_trajectories
-    check_enumeration_cap(mdp, total)
+    check_enumeration_cap(mdp, total, ENUMERATION)
     v, t_len = mdp.vocab_size, mdp.horizon
     for lo in range(0, total, chunk_size):
         hi = min(lo + chunk_size, total)
@@ -181,7 +184,7 @@ def n_rows(mdp: TokenMdp, key: str) -> int:
     """Number of row ids under ``key`` (see :func:`extend_rows`); a prefix-keyed
     count is every state id, and is refused beyond the cap like every state table."""
     if _row_key(key) == "prefix":
-        check_enumeration_cap(mdp, mdp.n_prefixes)
+        check_enumeration_cap(mdp, mdp.n_prefixes, STATE_TABLE)
         return mdp.n_prefixes
     return len(mdp.target) + 1
 
@@ -211,7 +214,7 @@ def prefix_match_lengths(mdp: TokenMdp) -> np.ndarray:
     The children of a length-(t-1) prefix are consecutive length-t states, so
     a level is the step-table rows of its parent level, in order.
     """
-    check_enumeration_cap(mdp, mdp.n_prefixes)
+    check_enumeration_cap(mdp, mdp.n_prefixes, STATE_TABLE)
     step = mdp.step_table.astype(np.min_scalar_type(len(mdp.target)))
     levels = [np.zeros(1, dtype=step.dtype)]
     for _ in range(1, mdp.horizon):

@@ -7,8 +7,7 @@ gives the windowed surrogates (its means: the local surrogate at N = 1, the
 improvement at N = T) and their variance, by exhaustive enumeration, or for
 two match-length policies by a forward pass over (t, k).  Sampled groups feed
 the empirical estimator :func:`n_step_surrogate_empirical` and the practical
-clipped/masked objectives, :func:`objective_value` and
-:func:`objective_gradient`.
+clipped/masked objective with its gradient, :func:`objective_gradient`.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import ZeroSupportError
 from .mdp import (
     _CHUNK,
+    ENUMERATION,
     TokenMdp,
     check_enumeration_cap,
     check_window,
@@ -28,12 +28,7 @@ from .mdp import (
     reached_rows,
     trajectory_chunks,
 )
-from .policies import (
-    PolicyRows,
-    TabularSoftmaxPolicy,
-    policy_log_matrix,
-    policy_rows,
-)
+from .policies import PolicyRows, policy_log_matrix, policy_rows
 from .weights import (
     MASK_NONE,
     GroupRollout,
@@ -153,7 +148,7 @@ def population_moments(mdp: TokenMdp, pi, mu, n_list: Sequence[int]) -> Populati
     pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     by_match_length = pi_rows.key == mu_rows.key == "match_length" and mdp.n_trajectories > _CHUNK
     if not by_match_length:
-        check_enumeration_cap(mdp, mdp.n_trajectories)
+        check_enumeration_cap(mdp, mdp.n_trajectories, ENUMERATION)
     for n_step in n_list:
         check_window(mdp.horizon, n_step)
     if (mu_rows.probs[: reached_rows(mdp, mu_rows.key)] == 0).any():
@@ -232,12 +227,17 @@ def _match_length_moments(
     the path weight alone.  E[Z] and E[Z^2] are the weights at k = |target|
     after the last token.  Every step and sum is elementwise or runs along
     the ages in order, so a window's moments do not depend on the others.
-    The largest grid, ``pairs`` or ``closed_live``, is held to the
-    enumeration cap before any grid is built.
+    The cells the pass holds at once are held to the enumeration cap before
+    any grid is built: four grids, ``pairs``, ``closed_live`` (which takes the
+    closing pairs in place) and a ``_chain_step`` output and its temporary,
+    each at most [max(L, W), L, K] for L = max(N) and W windows; one grid
+    more for numpy's iteration buffers and the kernels; and [L + 5 W, K] for
+    the rows.  Once a grid outgrows numpy's buffers, that bounds the peak.
     """
     k_len, n_steps = len(mdp.step_table), np.asarray(n_list)
-    longest = int(n_steps.max())
-    check_enumeration_cap(mdp, max(longest, len(n_steps)) * longest * k_len)
+    longest, width = int(n_steps.max()), len(n_steps)
+    held = (5 * max(longest, width) * longest + longest + 5 * width) * k_len
+    check_enumeration_cap(mdp, held, "the (t, k) pass (cells held at once)")
     rho = np.divide(pi, mu, out=np.zeros_like(pi), where=mu > 0)
     dev = rho - 1.0
     factors = mu * np.stack([np.ones_like(rho), rho, dev, rho * rho, rho * dev, dev * dev])
@@ -253,9 +253,10 @@ def _match_length_moments(
     closed, both_closed = np.zeros((2, len(n_steps), k_len))
     closed_live = np.zeros(closed.shape[:1] + live.shape)
     for _ in range(mdp.horizon):  # every right-hand side is read before its row is written
-        closing, closing_pairs = closed + live[last], pairs[last] + closed_live
-        both_closed = _chain_step(both_closed + closing_pairs[windows, last] + closed_live[windows, last], k_mu)
-        closed_live[:, 1:] = _chain_step(closing_pairs[:, :-1], k_rho)
+        closing, closed_live_last = closed + live[last], closed_live[windows, last]
+        closed_live += pairs[last]  # now the closing pairs: a closed term and a live one, or two closing
+        both_closed = _chain_step(both_closed + closed_live[windows, last] + closed_live_last, k_mu)
+        closed_live[:, 1:] = _chain_step(closed_live[:, :-1], k_rho)
         closed_live[:, 0] = _chain_step(closing, k_dev)
         closed_live *= open_ages
         closed = _chain_step(closing, k_mu)
@@ -322,14 +323,6 @@ def _token_terms(
     return value, group.weights[:, None] * adv * keep * trace * rho
 
 
-def objective_value(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> float:
-    """The practical objective ``spec`` of a group: nfpo (the masked surrogate
-    reweighted by the clipped forward trace), mpg (masked tokens contribute
-    nothing) or ppo (the clipped-ratio surrogate with the pessimistic min)."""
-    pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
-    return _token_terms(group, pi_rows, mu_rows, spec)[0]
-
-
 class RowGradient(NamedTuple):
     """A logit gradient on the rows it touches: ``values[i]`` is the gradient of
     row ``rows[i]``, ``rows`` is sorted and unique, and every other row is zero."""
@@ -338,20 +331,19 @@ class RowGradient(NamedTuple):
     values: np.ndarray
 
 
-def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> RowGradient:
-    """Analytic gradient w.r.t. the tabular logits, on the rows of pi's logits
-    that a kept token touches.  Masks and clipped traces are frozen at the
-    evaluation point, so gradient flows only through the token ratio."""
-    if not isinstance(pi, TabularSoftmaxPolicy):
-        raise TypeError("analytic gradients need a TabularSoftmaxPolicy target")
-    pi_rows = policy_rows(pi, group.mdp)
-    _, coeffs = _token_terms(group, pi_rows, policy_rows(mu, group.mdp), spec)
-    return _logit_gradient(group, pi_rows, coeffs)
+def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> tuple[float, RowGradient]:
+    """The practical objective ``spec`` of a group, and its gradient w.r.t. the
+    logits of pi's rows, from one pass of :func:`_token_terms`.
 
-
-def _logit_gradient(group: GroupRollout, pi_rows: PolicyRows, coeffs: np.ndarray) -> RowGradient:
-    """Scatter the frozen coefficients of :func:`_token_terms` into a gradient
-    on the rows that hit tokens touch, each row summed in token order."""
+    The objective is nfpo (the masked surrogate reweighted by the clipped
+    forward trace), mpg (masked tokens contribute nothing) or ppo (the
+    clipped-ratio surrogate with the pessimistic min).  Masks and clipped
+    traces are frozen at the evaluation point, so gradient flows only through
+    the token ratio.  The gradient is on the rows that a token with a non-zero
+    coefficient touches, each row summed in token order.
+    """
+    pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
+    value, coeffs = _token_terms(group, pi_rows, mu_rows, spec)
     hit = coeffs != 0.0
     c = coeffs[hit]
     ids = group.row_ids(pi_rows.key)[hit]
@@ -362,7 +354,7 @@ def _logit_gradient(group: GroupRollout, pi_rows: PolicyRows, coeffs: np.ndarray
     contrib[np.arange(len(c)), group.tokens[hit]] += c
     values = np.zeros((len(rows), pi_rows.probs.shape[1]))
     np.add.at(values, rows.searchsorted(ids), contrib)
-    return RowGradient(rows, values)
+    return value, RowGradient(rows, values)
 
 
 def gradient_norm(gradient: RowGradient) -> float:

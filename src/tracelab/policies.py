@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import UnknownStateError
-from .mdp import ROW_KEYS, TokenMdp, check_enumeration_cap, n_rows, prefix_row_ids, reached_rows
+from .mdp import ROW_KEYS, STATE_TABLE, TokenMdp, check_enumeration_cap, n_rows, prefix_row_ids, reached_rows
 
 
 class PolicyRows(NamedTuple):
@@ -179,7 +179,7 @@ def policy_prob_table(policy, mdp: TokenMdp) -> np.ndarray:
     Row order matches the state ids produced by ``mdp.trajectory_chunks``.  Match-length
     rows are gathered at each state's matched length; prefix rows are the table itself.
     """
-    check_enumeration_cap(mdp, mdp.n_prefixes)
+    check_enumeration_cap(mdp, mdp.n_prefixes, STATE_TABLE)
     probs, key = policy_rows(policy, mdp)
     return probs[mdp.state_match_lengths] if key == "match_length" else probs
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ZeroSupportError
-from .mdp import TokenMdp, check_window, extend_rows, prefix_row_ids, reward_vector
+from .mdp import TokenMdp, check_enumeration_cap, check_window, extend_rows, prefix_row_ids, reward_vector
 from .policies import PolicyRows, kl_divergence, policy_rows, total_variation
 
 
@@ -214,11 +214,13 @@ def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generat
     One ``[G, T]`` draw of uniforms, in the trajectory-major order of a
     token-by-token sampler, so equal generators give equal tokens.  Each
     step is an inverse-CDF lookup for all G rows at the row ids of mu's key,
-    which the group keeps.  Every distribution the draw reads is checked.
+    which the group keeps.  Every distribution the draw reads is checked,
+    and the G * T tokens are held to the enumeration cap before the draw.
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     probs, key = policy_rows(mu, mdp)
+    check_enumeration_cap(mdp, group_size * mdp.horizon, "a sampled group (G x T tokens)")
     u = rng.random((group_size, mdp.horizon))
     tokens = np.empty(u.shape, dtype=np.int64)
     ids = np.zeros(u.shape, dtype=np.int64)

@@ -16,7 +16,14 @@ import numpy as np
 
 import tracelab
 from tracelab import GroupRollout, MaskSpec, PolicyRows, TokenMdp, UnknownStateError, ZeroSupportError
-from tracelab.mdp import check_enumeration_cap, check_window, prefix_row_ids, trajectory_chunks
+from tracelab.mdp import (
+    ENUMERATION,
+    STATE_TABLE,
+    check_enumeration_cap,
+    check_window,
+    prefix_row_ids,
+    trajectory_chunks,
+)
 from tracelab.objectives import _windowed_statistics
 from tracelab.policies import _softmax, kl_divergence, policy_prob_table, total_variation
 from tracelab.weights import _keep, _sampled_group, _suffix_sums, clipped_trace, window_products
@@ -56,7 +63,7 @@ def enumerate_prefixes(mdp: TokenMdp) -> Iterator[tuple[int, ...]]:
     integer state codes used by the vectorized enumeration helpers.  The cap
     is checked on the call, before the first prefix is asked for.
     """
-    check_enumeration_cap(mdp, mdp.n_prefixes)
+    check_enumeration_cap(mdp, mdp.n_prefixes, STATE_TABLE)
     v = range(mdp.vocab_size)
     return itertools.chain.from_iterable(
         itertools.product(v, repeat=length) for length in range(mdp.horizon)
@@ -252,7 +259,7 @@ def decoded_trajectories(mdp: TokenMdp, lo: int, hi: int) -> np.ndarray:
 
 def enumerate_trajectories(mdp: TokenMdp) -> Iterator[Trajectory]:
     """All |vocab|^horizon trajectories, each exactly once, lexicographic."""
-    check_enumeration_cap(mdp, mdp.n_trajectories)
+    check_enumeration_cap(mdp, mdp.n_trajectories, ENUMERATION)
     return itertools.product(range(mdp.vocab_size), repeat=mdp.horizon)
 
 

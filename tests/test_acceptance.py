@@ -22,7 +22,6 @@ from tracelab import (
     d_tv_max,
     exact_return,
     objective_gradient,
-    objective_value,
     population_moments,
     smoothing_demo,
     theorem_lower_bound,
@@ -184,7 +183,7 @@ def test_c09_gradient_vs_finite_differences():
             group = sample_group(mdp, mu, 6, rng)
             mask = masks[trial % len(masks)]
             spec = ObjectiveSpec("nfpo", 2, 3.0, 0.2, 0.4, mask)
-            analytic = dense_gradient(objective_gradient(group, pi, mu, spec), pi.logits.shape)
+            analytic = dense_gradient(objective_gradient(group, pi, mu, spec)[1], pi.logits.shape)
             coeffs = frozen_nfpo_coefficients(group, pi, mu, 2, 3.0, 0.2, 0.4, mask)
             numeric = finite_difference_gradient(group, pi, mu, coeffs)
             assert gradient_gap(analytic, numeric) < 1e-5
@@ -218,8 +217,8 @@ def test_c11_trivial_window_equivalence(toy_mdp, mu05, pi08):
             group = sample_group(toy_mdp, mu05, 8, rng)
             mask = masks[trial % len(masks)]
             nfpo = ObjectiveSpec("nfpo", 1, 3.0, 0.2, 0.4, mask)
-            a = objective_value(group, pi08, mu05, nfpo)
-            b = objective_value(group, pi08, mu05, ObjectiveSpec("mpg", mask=mask))
+            a = objective_gradient(group, pi08, mu05, nfpo)[0]
+            b = objective_gradient(group, pi08, mu05, ObjectiveSpec("mpg", mask=mask))[0]
             assert abs(a - b) < 1e-14
 
 

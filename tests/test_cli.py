@@ -13,7 +13,7 @@ from tracelab import (
     EnumerationCapError,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
-    objective_value,
+    objective_gradient,
     sample_from_table,
     theorem_lower_bound,
 )
@@ -174,7 +174,7 @@ class TestEnumerationCap:
         # Target-following rows need no table, so the objective and the bound
         # both run under the cap; a prefix-keyed pi is refused before its
         # logits are allocated.
-        assert np.isfinite(objective_value(group, pi, mu, cfg.objective))
+        assert np.isfinite(objective_gradient(group, pi, mu, cfg.objective)[0])
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationCapError, match="cap is 100"):
@@ -212,9 +212,9 @@ class TestEnumerationCap:
 
     def test_long_target_sweep_refused_before_any_grid(self, tmp_path, capsys):
         """Two match-length policies at T=300 with a 300-token target: the
-        forward pass's largest grid, [300, 300, 301], is 27,090,000 cells
-        (217 MB), over the default cap, so the sweep is refused before any
-        grid is built."""
+        forward pass would hold five [300, 300, 301] grids and [1800, 301]
+        rows at once, 135,991,800 cells (1.1 GB), over the default cap, so the
+        sweep is refused before any grid is built."""
         sets = ["mdp.horizon=300", "mdp.target=" + "abc" * 100]
         tracemalloc.start()
         try:
@@ -223,7 +223,26 @@ class TestEnumerationCap:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert f"needs 27090000 items, cap is {DEFAULT_ENUMERATION_CAP}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"the (t, k) pass (cells held at once) needs 135991800 items, cap is {DEFAULT_ENUMERATION_CAP}" in err
+        assert "(config key 'enumeration_cap')" in err
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 1 << 20
+
+    def test_huge_group_refused_before_the_draw(self, tmp_path, capsys):
+        """A group of 10^9 trajectories at T=7 is 7 * 10^9 tokens, over the
+        default cap, so analyze is refused before any [G, T] array is drawn."""
+        tracemalloc.start()
+        try:
+            code = run(["analyze", "--out", str(tmp_path), "--set", "experiment.G=1000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert (
+            f"error: a sampled group (G x T tokens) needs 7000000000 items, cap is {DEFAULT_ENUMERATION_CAP} "
+            "(config key 'enumeration_cap')"
+        ) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
         assert peak < 1 << 20
 

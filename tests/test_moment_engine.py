@@ -8,6 +8,7 @@ runs below that size, so enumeration stays their path and the oracle here.
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,15 +192,38 @@ def test_only_enumeration_takes_the_log_of_the_rows():
 
 
 def test_engine_grids_are_held_to_the_cap():
-    """The pass's largest grid, [max N, max N, |target| + 1] or
-    [len(N_list), max N, |target| + 1], is held to the enumeration cap before
-    any grid is built: at T=12 under a cap of 500, N=[1, 8] needs 448 cells
-    and runs, and N=1..12 needs 1008 and is refused."""
-    mdp = TokenMdp.from_symbols("abc", 12, "abcabc", enumeration_cap=500)
+    """The cells the pass holds at once, five [max(L, W), L, K] grids and
+    [L + 5 W, K] rows for L = max N, W windows and K = |target| + 1, are held
+    to the enumeration cap before any grid is built: at T=12 under a cap of
+    2500, N=[1, 8] needs (320 + 18) * 7 = 2366 cells and runs, and N=1..12
+    needs (720 + 72) * 7 = 5544 and is refused."""
+    mdp = TokenMdp.from_symbols("abc", 12, "abcabc", enumeration_cap=2500)
     pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
     assert np.isfinite(population_moments(mdp, pi, mu, [1, 8]).variance).all()
-    with pytest.raises(EnumerationCapError, match="needs 1008 items, cap is 500"):
+    with pytest.raises(EnumerationCapError, match=r"\(t, k\) pass \(cells held at once\) needs 5544 items, cap is 2500"):
         population_moments(mdp, pi, mu, range(1, 13))
+    with pytest.raises(EnumerationCapError, match="needs 2366 items, cap is 2365"):
+        population_moments(replace(mdp, enumeration_cap=2365), pi, mu, [1, 8])
+
+
+@pytest.mark.parametrize("horizon", [40, 60])
+def test_engine_peak_is_within_the_counted_cells(horizon):
+    """The cells the pass counts against the cap bound its tracemalloc peak,
+    8 B a cell, for every window and a T-token target (about 4.4 grids at
+    T=40 and 4.15 at T=60, against the 5 grids and the rows it counts)."""
+    mdp = TokenMdp.from_symbols("abc", horizon, ("abc" * horizon)[:horizon], enumeration_cap=1)
+    pi, mu = TargetFollowingPolicy(mdp, 0.8), TargetFollowingPolicy(mdp, 0.5)
+    n_list = range(1, horizon + 1)
+    with pytest.raises(EnumerationCapError) as refused:
+        population_moments(mdp, pi, mu, n_list)
+    tracemalloc.start()
+    try:
+        moments = population_moments(replace(mdp, enumeration_cap=refused.value.required), pi, mu, n_list)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(moments.variance).all()
+    assert peak <= 8 * refused.value.required
 
 
 def test_prefix_keyed_and_mixed_pairs_still_enumerate():

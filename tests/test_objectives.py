@@ -21,7 +21,6 @@ from tracelab import (
     exact_return,
     n_step_surrogate_empirical,
     objective_gradient,
-    objective_value,
     policy_rows,
     sample_from_table,
 )
@@ -182,16 +181,22 @@ def test_rows_match_the_state_table_paths(data, seed):
     assert dtv_max == d_tv_max(mu, pi, mdp)
 
 
+def _gradient_bits(value, gradient):
+    """The value of :func:`objective_gradient` and its gradient's rows and values, as one array."""
+    return np.concatenate([[value], gradient.rows, gradient.values.ravel()])
+
+
 def _gated_quantities(mdp, mu, seed):
     """Every public quantity that reads a policy or its rows, as a function of
     (pi, mu); the sampled ones read a group drawn from ``mu``."""
     group = sample_from_table(mdp, mu, 6, np.random.default_rng(seed))
-    n_list = range(1, mdp.horizon + 1)
+    n_list, nfpo = range(1, mdp.horizon + 1), _nfpo(2, MASK_NONE)
     return {
         "exact_return": lambda pi, mu: exact_return(mdp, pi),
         "population_moments": lambda pi, mu: population_moments(mdp, pi, mu, n_list),
         "n_step_surrogate_empirical": lambda pi, mu: n_step_surrogate_empirical(group, pi, mu, 2),
-        "objective_value": lambda pi, mu: objective_value(group, pi, mu, _nfpo(2, MASK_NONE)),
+        "objective_value": lambda pi, mu: objective_gradient(group, pi, mu, nfpo)[0],
+        "objective_gradient": lambda pi, mu: _gradient_bits(*objective_gradient(group, pi, mu, nfpo)),
         "policy_prob_table": lambda pi, mu: policy_prob_table(pi, mdp),
         "sample_from_table": lambda pi, mu: sample_from_table(
             mdp, mu, 6, np.random.default_rng(seed)
@@ -204,17 +209,22 @@ GATED = (
     "population_moments",
     "n_step_surrogate_empirical",
     "objective_value",
+    "objective_gradient",
     "policy_prob_table",
     "sample_from_table",
 )
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), which=st.integers(0, 1))
+@given(seed=st.integers(0, 2**16), which=st.integers(0, 2))
 def test_rows_read_bit_for_bit_like_their_policy(seed, which):
     """Each quantity gives the same bits from a policy as from its rows, which
-    the gate passes through as they are."""
-    mdp, pi, mu = random_setups(2, seed)[which]
+    the gate passes through as they are: for a target-following pair, a
+    prefix-keyed tabular pair, and a match-length tabular pi (``which = 2``)."""
+    mdp, pi, mu = random_setups(2, seed)[which % 2]
+    if which == 2:
+        logits = np.random.default_rng(seed).normal(0.0, 0.8, (len(mdp.target) + 1, mdp.vocab_size))
+        pi = TabularSoftmaxPolicy(mdp, logits, "match_length")
     rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
     assert policy_rows(rows[0], mdp) is rows[0]
     quantities = _gated_quantities(mdp, mu, seed)
@@ -378,23 +388,23 @@ class TestVariance:
 class TestPpoObjective:
     def test_identical_policies_center_out(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        assert objective_value(group, mu05, mu05, PPO) == pytest.approx(0.0, abs=1e-12)
+        assert objective_gradient(group, mu05, mu05, PPO)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_clip_engages(self):
         mdp, pi, mu = _single_token_setup()
         group = _manual_group(mdp, [(0,)], [1.0])
-        assert objective_value(group, pi, mu, PPO) == pytest.approx(1.28, abs=1e-12)
+        assert objective_gradient(group, pi, mu, PPO)[0] == pytest.approx(1.28, abs=1e-12)
 
     def test_negative_advantage_stays_pessimistic(self):
         mdp, pi, mu = _single_token_setup()
         group = _manual_group(mdp, [(0,)], [-1.0])
-        assert objective_value(group, pi, mu, PPO) == pytest.approx(-2.0, abs=1e-12)
+        assert objective_gradient(group, pi, mu, PPO)[0] == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestMpgObjective:
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        value = objective_value(group, mu05, mu05, _mpg(MASK_NONE))
+        value = objective_gradient(group, mu05, mu05, _mpg(MASK_NONE))[0]
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_masked_tokens_contribute_nothing(self, toy_mdp, mu05, pi08):
@@ -408,7 +418,7 @@ class TestMpgObjective:
             expected += w * sum(
                 float(adv) * float(profile.ratios[t]) for t in range(7) if keep[t] == 1
             )
-        value = objective_value(group, pi08, mu05, _mpg(spec))
+        value = objective_gradient(group, pi08, mu05, _mpg(spec))[0]
         assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -418,13 +428,13 @@ class TestNfpoObjective:
         rng = np.random.default_rng(31)
         for _ in range(10):
             group = sample_group(toy_mdp, mu05, 8, rng)
-            a = objective_value(group, pi08, mu05, _nfpo(1, spec))
-            b = objective_value(group, pi08, mu05, _mpg(spec))
+            a = objective_gradient(group, pi08, mu05, _nfpo(1, spec))[0]
+            b = objective_gradient(group, pi08, mu05, _mpg(spec))[0]
             assert abs(a - b) < 1e-14
 
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        value = objective_value(group, mu05, mu05, _nfpo(4, MASK_NONE))
+        value = objective_gradient(group, mu05, mu05, _nfpo(4, MASK_NONE))[0]
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_evaluated_two_trajectory_group(self, toy_mdp, mu05, pi08):
@@ -434,7 +444,7 @@ class TestNfpoObjective:
         group = _manual_group(
             toy_mdp, [TOY_TRAJECTORY, (0,) * 7], [0.5, -0.5], rewards=[1.0, 0.0]
         )
-        value = objective_value(group, pi08, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))
+        value = objective_gradient(group, pi08, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))[0]
         assert value == pytest.approx(-0.07, abs=1e-12)
 
 
@@ -442,14 +452,16 @@ class TestNfpoGradient:
     def test_zero_advantages_give_zero_gradient(self, toy_mdp, mu05):
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
         group = _manual_group(toy_mdp, [TOY_TRAJECTORY, (1,) * 7], [0.0, 0.0])
-        grad = dense_gradient(objective_gradient(group, pi, mu05, _nfpo(4, MASK_NONE)), pi.logits.shape)
+        _, grad = objective_gradient(group, pi, mu05, _nfpo(4, MASK_NONE))
+        grad = dense_gradient(grad, pi.logits.shape)
         assert not grad.any()
 
     def test_single_state_score_identity(self):
         """One unmasked token: d/dlogit_b = c*rho*(1{b=tok} - pi(b))."""
         mdp, pi, mu = _single_token_setup()
         group = _manual_group(mdp, [(0,)], [1.0])
-        grad = dense_gradient(objective_gradient(group, pi, mu, _nfpo(1, MASK_NONE)), pi.logits.shape)
+        _, grad = objective_gradient(group, pi, mu, _nfpo(1, MASK_NONE))
+        grad = dense_gradient(grad, pi.logits.shape)
         probs = pi.probs(())
         rho = probs[0] / mu.probs(())[0]
         np.testing.assert_allclose(
@@ -460,7 +472,7 @@ class TestNfpoGradient:
         rng = np.random.default_rng(1)  # seed chosen so the group has a reward spread
         pi = random_tabular(toy_mdp, rng)
         group = sample_group(toy_mdp, mu05, 8, rng)
-        grad = objective_gradient(group, pi, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))
+        _, grad = objective_gradient(group, pi, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))
         grad = dense_gradient(grad, pi.logits.shape)
         assert grad.any()
         for row in grad:
@@ -475,7 +487,7 @@ class TestNfpoGradient:
         for _ in range(20):
             pi = random_tabular(mdp, rng)
             group = sample_group(mdp, mu, 6, rng)
-            grad = objective_gradient(group, pi, mu, _nfpo(2, MaskSpec("tv", delta=0.2)))
+            _, grad = objective_gradient(group, pi, mu, _nfpo(2, MaskSpec("tv", delta=0.2)))
             grad = dense_gradient(grad, pi.logits.shape)
             coeffs = frozen_nfpo_coefficients(
                 group, pi, mu, 2, 3.0, 0.2, 0.4, MaskSpec("tv", delta=0.2)
@@ -484,8 +496,3 @@ class TestNfpoGradient:
                 numeric = finite_difference_gradient(group, pi, mu, coeffs, minus_one=minus_one)
                 gap = gradient_gap(grad, numeric)
                 assert gap < 1e-5
-
-    def test_requires_tabular_policy(self, toy_mdp, mu05, pi08):
-        group = sample_group(toy_mdp, mu05, 4, np.random.default_rng(0))
-        with pytest.raises(TypeError):
-            objective_gradient(group, pi08, mu05, _nfpo(4, MASK_NONE))
