@@ -245,16 +245,16 @@ def _match_length_moments(
     stay, advance = (np.where(moves == step, factors, 0.0).sum(axis=-1) for step in (False, True))
     k_mu, k_rho, k_dev, k_rho2, k_rho_dev, k_dev2 = np.stack([stay, advance], axis=1)
 
-    last, windows = n_steps - 1, np.arange(len(n_steps))  # a term closes after age N - 1
+    last, windows = n_steps - 1, np.arange(width)  # a term closes after age N - 1
     open_ages = (np.arange(longest) < n_steps[:, None])[..., None]
     unstarted = np.eye(1, k_len)[0]
     live = np.zeros((longest, k_len))
     pairs = np.zeros(live.shape[:1] + live.shape)
-    closed, both_closed = np.zeros((2, len(n_steps), k_len))
+    closed, both_closed = np.zeros((2, width, k_len))
     closed_live = np.zeros(closed.shape[:1] + live.shape)
     for _ in range(mdp.horizon):  # every right-hand side is read before its row is written
         closing, closed_live_last = closed + live[last], closed_live[windows, last]
-        closed_live += pairs[last]  # now the closing pairs: a closed term and a live one, or two closing
+        closed_live += pairs[last]  # the closing pairs, in place: add those whose first term closes now
         both_closed = _chain_step(both_closed + closed_live[windows, last] + closed_live_last, k_mu)
         closed_live[:, 1:] = _chain_step(closed_live[:, :-1], k_rho)
         closed_live[:, 0] = _chain_step(closing, k_dev)

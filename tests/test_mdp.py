@@ -113,7 +113,7 @@ class TestEnumeration:
         """The refusal says what it counted, how many, and which config key caps it."""
         mdp = TokenMdp.from_symbols("abc", 20, "abc")
         with pytest.raises(EnumerationCapError) as err:
-            enumerate_trajectories(mdp)
+            next(trajectory_chunks(mdp))
         assert str(err.value) == (
             f"exhaustive enumeration (trajectories) needs {3**20} items, "
             f"cap is {mdp.enumeration_cap} (config key 'enumeration_cap')"
@@ -127,7 +127,7 @@ class TestEnumeration:
             enumerate_trajectories(mdp)
         with pytest.raises(EnumerationCapError, match="needs 81 items, cap is 40"):
             next(trajectory_chunks(mdp))
-        with pytest.raises(EnumerationCapError, match=r"a state table \(rows, one per state\) needs 40 items, cap is 39"):
+        with pytest.raises(EnumerationCapError, match="needs 40 items, cap is 39"):
             enumerate_prefixes(TokenMdp.from_symbols("abc", 4, "abc", enumeration_cap=39))
         with pytest.raises(ValueError, match="enumeration_cap"):
             TokenMdp.from_symbols("abc", 4, "abc", enumeration_cap=0)

@@ -155,7 +155,7 @@ class TestTabularSoftmax:
         small = replace(toy_mdp, enumeration_cap=toy_mdp.n_prefixes - 1)
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, state_key)
         for policy in (pi, mu05):
-            with pytest.raises(EnumerationCapError, match="needs 1093 items"):
+            with pytest.raises(EnumerationCapError, match=r"a state table \(rows, one per state\) needs 1093 items"):
                 policy_prob_table(policy, small)
         with pytest.raises(EnumerationCapError):
             TabularSoftmaxPolicy.from_policy(small, mu05)
