@@ -128,22 +128,20 @@ def bound_report(
     )
 
 
-def theorem_lower_bound(
-    group: GroupRollout, pi, mu, n_step: int, alpha_conf: float
-) -> BoundReport:
+def theorem_lower_bound(group: GroupRollout, pi, n_step: int, alpha_conf: float) -> BoundReport:
     """Assemble the full lower bound for one sampled group.
 
     The hypotheses are the exact ones: xi is ``mdp.reward_bound``, and eps
-    and dtv_max are exact for the policy pair; both, and the surrogate, are
-    read from each policy's own rows.
+    and dtv_max are exact for pi and the group's rollout policy; both, and
+    the surrogate, are read from pi's rows and the group's rollout rows.
     """
     mdp = group.mdp
     check_window(mdp.horizon, n_step)
     if float(np.abs(group.rewards).max(initial=0.0)) > mdp.reward_bound + 1e-12:
         raise ValueError(f"group contains rewards exceeding the bound xi = {mdp.reward_bound}")
-    pi_rows, mu_rows = policy_rows(pi, mdp), policy_rows(mu, mdp)
-    surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, n_step)
-    gap = policy_gap(mdp, pi_rows, mu_rows)
+    pi_rows = policy_rows(pi, mdp)
+    surrogate = n_step_surrogate_empirical(group, pi_rows, n_step)
+    gap = policy_gap(mdp, pi_rows, group.rollout)
     return bound_report(mdp, n_step, alpha_conf, group.group_size, surrogate, *gap)
 
 
@@ -162,7 +160,7 @@ def verify_coverage(mdp: TokenMdp, pi, mu, report: BoundReport, trials: int, see
     hits = 0
     for _ in range(trials):
         group = sample_from_table(mdp, mu_rows, report.group_size, rng)
-        surrogate = n_step_surrogate_empirical(group, pi_rows, mu_rows, report.n_step)
+        surrogate = n_step_surrogate_empirical(group, pi_rows, report.n_step)
         if truth >= surrogate - report.truncation_bias - report.hoeffding:
             hits += 1
     return hits / trials

@@ -14,7 +14,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +42,7 @@ from .lab import (
 from .policies import policy_rows
 from .weights import group_log_ratios, sample_from_table
 
-# Each CSV row is one record dataclass as a tuple; the header names its fields.
+# Each CSV row is one record's fields, read in order without copies; the header names them.
 SWEEP_COLUMNS = ("N",) + tuple(f.name for f in fields(SweepRow))[1:]
 TRAIN_COLUMNS = tuple(f.name for f in fields(TrainRecord))
 
@@ -134,7 +135,7 @@ def _stamp(cfg: RunConfig) -> str:
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     mu = cfg.build_mu()
     rows = bias_variance_sweep(cfg.mdp, cfg.build_pi(mu), mu, cfg.n_list, cfg.group_size, cfg.alpha_conf)
-    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, map(astuple, rows), _stamp(cfg))
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, map(attrgetter("n_step", *SWEEP_COLUMNS[1:]), rows), _stamp(cfg))
     _write_manifest(out_dir, "sweep", cfg, ["sweep.csv"])
     return 0
 
@@ -155,7 +156,7 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
         seed=cfg.seed,
         rollout_refresh=cfg.rollout_refresh,
     )
-    _write_csv(out_dir / "train.csv", TRAIN_COLUMNS, map(astuple, records), _stamp(cfg))
+    _write_csv(out_dir / "train.csv", TRAIN_COLUMNS, map(attrgetter(*TRAIN_COLUMNS), records), _stamp(cfg))
     _write_manifest(out_dir, "train", cfg, ["train.csv"])
     return 0
 
@@ -164,9 +165,8 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.mdp.horizon < 2:
         raise ConfigError(f"config key 'mdp.horizon': analyze needs T >= 2, got {cfg.mdp.horizon}")
     mu = cfg.build_mu()
-    mu_rows, pi_rows = policy_rows(mu, cfg.mdp), policy_rows(cfg.build_pi(mu), cfg.mdp)
-    group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
-    rho = np.exp(group_log_ratios(group, pi_rows, mu_rows))
+    group = sample_from_table(cfg.mdp, mu, cfg.group_size, np.random.default_rng(cfg.seed))
+    rho = np.exp(group_log_ratios(group, policy_rows(cfg.build_pi(mu), cfg.mdp)))
     spec = cfg.objective
     report = dynamics_report(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
     demo_profile = alternating_profile(0.2, 50)
@@ -194,7 +194,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     mu = cfg.build_mu()
     mu_rows, pi_rows = policy_rows(mu, cfg.mdp), policy_rows(cfg.build_pi(mu), cfg.mdp)
     group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
-    report = theorem_lower_bound(group, pi_rows, mu_rows, cfg.objective.n_step, cfg.alpha_conf)
+    report = theorem_lower_bound(group, pi_rows, cfg.objective.n_step, cfg.alpha_conf)
     coverage = verify_coverage(cfg.mdp, pi_rows, mu_rows, report, cfg.trials, seed=cfg.seed + 1)
     nominal = 1.0 - cfg.alpha_conf
     threshold = nominal - 3.0 * math.sqrt(nominal * cfg.alpha_conf / cfg.trials)

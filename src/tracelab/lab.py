@@ -112,7 +112,7 @@ def train(
             mu_rows.probs.flags.writeable = False
             moved = np.zeros(len(pi_rows.probs), dtype=bool)
             group = sample_from_table(mdp, mu_rows, group_size, rng)
-        value, gradient = objective_gradient(group, pi_rows, mu_rows, objective_spec)
+        value, gradient = objective_gradient(group, pi_rows, objective_spec)
         if not math.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} at step {step}")
         pi_rows.probs[gradient.rows] = pi.apply_gradient(gradient, learning_rate)

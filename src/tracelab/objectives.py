@@ -285,10 +285,11 @@ def _chain_step(weights: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # --- empirical estimators ------------------------------------------------------
 
 
-def n_step_surrogate_empirical(group: GroupRollout, pi, mu, n_step: int) -> float:
-    """Group mean of the per-sample statistic; unbiased for the population value."""
+def n_step_surrogate_empirical(group: GroupRollout, pi, n_step: int) -> float:
+    """Group mean of the per-sample statistic, with ratios over the group's
+    rollout policy; unbiased for the population value."""
     check_window(group.mdp.horizon, n_step)
-    log_r = group_log_ratios(group, policy_rows(pi, group.mdp), policy_rows(mu, group.mdp))
+    log_r = group_log_ratios(group, policy_rows(pi, group.mdp))
     (z,) = _windowed_statistics(group.rewards, log_r, [n_step])
     return float(group.weights @ z)
 
@@ -296,9 +297,7 @@ def n_step_surrogate_empirical(group: GroupRollout, pi, mu, n_step: int) -> floa
 # --- practical objectives ------------------------------------------------------
 
 
-def _token_terms(
-    group: GroupRollout, pi_rows: PolicyRows, mu_rows: PolicyRows, spec: ObjectiveSpec
-) -> tuple[float, np.ndarray]:
+def _token_terms(group: GroupRollout, pi_rows: PolicyRows, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """The group's objective value and the frozen gradient coefficients, [G, T].
 
     nfpo and mpg weigh each token by A * keep * trace * rho (trace = 1 for
@@ -307,7 +306,7 @@ def _token_terms(
     evaluation point, so with coefficient c = w * A * keep * trace * rho a
     token's term has d/d logit(s, b) = c * (1{b = token} - pi(b | s)).
     """
-    rho = np.exp(group_log_ratios(group, pi_rows, mu_rows))
+    rho = np.exp(group_log_ratios(group, pi_rows))
     adv = group.advantages[:, None]
     trace = 1.0
     if spec.kind == "ppo":
@@ -315,7 +314,7 @@ def _token_terms(
         terms = np.minimum(rho * adv, clipped * adv)
         keep = rho * adv <= clipped * adv
     else:
-        keep = group_token_mask(spec.mask, group, rho, pi_rows, mu_rows)
+        keep = group_token_mask(spec.mask, group, rho, pi_rows)
         if spec.kind == "nfpo":
             trace = clipped_trace(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
         terms = keep * adv * rho * trace
@@ -331,9 +330,10 @@ class RowGradient(NamedTuple):
     values: np.ndarray
 
 
-def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> tuple[float, RowGradient]:
-    """The practical objective ``spec`` of a group, and its gradient w.r.t. the
-    logits of pi's rows, from one pass of :func:`_token_terms`.
+def objective_gradient(group: GroupRollout, pi, spec: ObjectiveSpec) -> tuple[float, RowGradient]:
+    """The practical objective ``spec`` of a group, with ratios over the group's
+    rollout policy, and its gradient w.r.t. the logits of pi's rows, from one
+    pass of :func:`_token_terms`.
 
     The objective is nfpo (the masked surrogate reweighted by the clipped
     forward trace), mpg (masked tokens contribute nothing) or ppo (the
@@ -342,8 +342,8 @@ def objective_gradient(group: GroupRollout, pi, mu, spec: ObjectiveSpec) -> tupl
     the token ratio.  The gradient is on the rows that a token with a non-zero
     coefficient touches, each row summed in token order.
     """
-    pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
-    value, coeffs = _token_terms(group, pi_rows, mu_rows, spec)
+    pi_rows = policy_rows(pi, group.mdp)
+    value, coeffs = _token_terms(group, pi_rows, spec)
     hit = coeffs != 0.0
     c = coeffs[hit]
     ids = group.row_ids(pi_rows.key)[hit]

@@ -133,15 +133,13 @@ def _keep(mask: MaskSpec, rho: np.ndarray, advantage, measure: Callable) -> np.n
     return (measure() <= mask.delta) | toward_rollout
 
 
-def group_token_mask(
-    mask: MaskSpec, group: GroupRollout, rho, pi_rows: PolicyRows, mu_rows: PolicyRows
-) -> np.ndarray:
+def group_token_mask(mask: MaskSpec, group: GroupRollout, rho, pi_rows: PolicyRows) -> np.ndarray:
     """Keep/drop of every token of a group as a [G, T] bool array, for token
     ratios ``rho``; the tv and kl masks measure each token's state from the
-    two policies' rows."""
+    rows of the group's rollout policy and of pi."""
     measure = total_variation if mask.kind == "tv" else kl_divergence
     advantage = group.advantages[:, None]
-    return _keep(mask, rho, advantage, lambda: measure(group.dists(mu_rows), group.dists(pi_rows)))
+    return _keep(mask, rho, advantage, lambda: measure(group.dists(group.rollout), group.dists(pi_rows)))
 
 
 # --- group rollouts ----------------------------------------------------------
@@ -149,7 +147,8 @@ def group_token_mask(
 
 @dataclass(frozen=True)
 class GroupRollout:
-    """A batch of trajectories with rewards and group-centered advantages.
+    """A batch of trajectories with rewards and group-centered advantages,
+    and the rows of the rollout policy mu that drew them.
 
     ``tokens`` is a read-only ``[G, T]`` integer array.  :meth:`row_ids`
     gives the row id of every token's prefix under a row key, built the
@@ -163,6 +162,7 @@ class GroupRollout:
     rewards: np.ndarray
     advantages: np.ndarray
     weights: np.ndarray
+    rollout: PolicyRows
     _row_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -180,6 +180,7 @@ class GroupRollout:
         tokens = tokens.astype(np.int64, copy=False)
         tokens.flags.writeable = False
         object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "rollout", policy_rows(self.rollout, self.mdp))
 
     def row_ids(self, key: str) -> np.ndarray:
         """Read-only [G, T] row ids under ``key`` of every token's prefix."""
@@ -198,10 +199,10 @@ class GroupRollout:
         return len(self.tokens)
 
 
-def group_log_ratios(group: GroupRollout, pi_rows: PolicyRows, mu_rows: PolicyRows) -> np.ndarray:
-    """log(pi / mu) at every token of the group, [G, T], read from each
-    policy's rows."""
-    p_mu, p_pi = (rows.probs[group.row_ids(rows.key), group.tokens] for rows in (mu_rows, pi_rows))
+def group_log_ratios(group: GroupRollout, pi_rows: PolicyRows) -> np.ndarray:
+    """log(pi / mu) at every token of the group, [G, T], read from pi's rows
+    and the group's rollout rows."""
+    p_mu, p_pi = (rows.probs[group.row_ids(rows.key), group.tokens] for rows in (group.rollout, pi_rows))
     if np.any(p_mu == 0.0):
         raise ZeroSupportError("rollout policy gives zero probability to a sampled token")
     with np.errstate(divide="ignore"):
@@ -219,7 +220,7 @@ def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generat
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    probs, key = policy_rows(mu, mdp)
+    probs, key = rollout = policy_rows(mu, mdp)
     check_enumeration_cap(mdp, group_size * mdp.horizon, "a sampled group (G x T tokens)")
     u = rng.random((group_size, mdp.horizon))
     tokens = np.empty(u.shape, dtype=np.int64)
@@ -232,14 +233,14 @@ def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generat
     read = probs[ids]
     if np.any(read < 0) or not np.all(np.abs(read.sum(axis=-1) - 1.0) <= 1e-9):
         raise ValueError("rollout rows hold an invalid distribution at a sampled state")
-    group = _sampled_group(mdp, tokens)
+    group = _sampled_group(mdp, tokens, rollout)
     ids.flags.writeable = False
     group._row_ids[key] = ids
     return group
 
 
-def _sampled_group(mdp: TokenMdp, tokens: np.ndarray) -> GroupRollout:
-    """A uniformly weighted group with group-centered rewards."""
+def _sampled_group(mdp: TokenMdp, tokens: np.ndarray, rollout) -> GroupRollout:
+    """A uniformly weighted group drawn from ``rollout``, with group-centered rewards."""
     rewards = reward_vector(mdp, tokens)
     return GroupRollout(
         mdp=mdp,
@@ -247,4 +248,5 @@ def _sampled_group(mdp: TokenMdp, tokens: np.ndarray) -> GroupRollout:
         rewards=rewards,
         advantages=rewards - rewards.mean(),
         weights=np.full(len(tokens), 1.0 / len(tokens)),
+        rollout=rollout,
     )

@@ -77,6 +77,17 @@ class TargetFollowingPolicy(tracelab.TargetFollowingPolicy):
         return self._table[match_length(prefix, self.mdp.target)]
 
 
+def row_id(mdp: TokenMdp, key: str, prefix: Sequence[int]) -> int:
+    """The row id of ``prefix`` under ``key``, walked token by token: its
+    matched length, or its state code in the order of ``enumerate_prefixes``."""
+    if key == "match_length":
+        return match_length(prefix, mdp.target)
+    state = 0
+    for token in prefix:
+        state = mdp.vocab_size * state + 1 + token
+    return state
+
+
 class TabularSoftmaxPolicy(tracelab.TabularSoftmaxPolicy):
     """The package policy, with a prefix's row id found by a per-prefix walk."""
 
@@ -86,12 +97,7 @@ class TabularSoftmaxPolicy(tracelab.TabularSoftmaxPolicy):
         v = self.mdp.vocab_size
         if len(prefix) >= self.mdp.horizon or not all(0 <= token < v for token in prefix):
             raise UnknownStateError(f"no logits for state {tuple(prefix)!r}; policy/MDP mismatch?")
-        if self.state_key == "match_length":
-            return match_length(prefix, self.mdp.target)
-        state = 0
-        for token in prefix:
-            state = v * state + 1 + token
-        return state
+        return row_id(self.mdp, self.state_key, prefix)
 
     def probs(self, prefix: Sequence[int]) -> np.ndarray:
         return _softmax(self.logits[self.row(prefix)])
@@ -415,15 +421,17 @@ def token_mask(
 def sample_group(
     mdp: TokenMdp, mu, group_size: int, rng: np.random.Generator
 ) -> GroupRollout:
-    """Sample G trajectories from the rollout policy and center their rewards."""
+    """Sample G trajectories from the rollout policy and center their rewards;
+    the group carries mu's rows."""
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     tokens = np.array([sample_trajectory(mdp, mu, rng) for _ in range(group_size)])
-    return _sampled_group(mdp, tokens)
+    return _sampled_group(mdp, tokens, mu)
 
 
 def population_group(mdp: TokenMdp, mu) -> GroupRollout:
-    """Every trajectory, weighted by its exact rollout probability.
+    """Every trajectory, weighted by its exact rollout probability; the group
+    carries mu's rows.
 
     Batch means over this pseudo-group are population expectations under mu;
     zero-probability trajectories are dropped so ratios stay well-defined.
@@ -443,6 +451,7 @@ def population_group(mdp: TokenMdp, mu) -> GroupRollout:
         rewards=rewards,
         advantages=rewards - mean_reward,
         weights=weights,
+        rollout=mu,
     )
 
 
@@ -469,40 +478,59 @@ def residual_check(trace_set: TraceSet) -> float:
 
 
 class RationalMoments(NamedTuple):
-    """Exact E[Z] and Var[Z], one per window, the returns of pi and mu, and
-    E[(sum of |term|)^2] per window: Z is a sum of one term per token, and a
-    float path that adds or multiplies those terms rounds on their size."""
+    """Exact E[Z] and Var[Z], one per window, the returns of pi and mu,
+    E[(sum of |term|)^2] per window, and the pair's eps and dtv_max: Z is a
+    sum of one term per token, and a float path that adds or multiplies those
+    terms rounds on their size."""
 
     mean: list[Fraction]
     variance: list[Fraction]
     returns: tuple[Fraction, Fraction]
     term_size: list[Fraction]
+    gap: tuple[Fraction, Fraction]
+
+
+def _rational_rows(rows) -> tuple[list[list[Fraction]], str]:
+    """``PolicyRows``, or bare match-length rows, as [row][token] rationals
+    (floats convert exactly) and their key."""
+    probs, key = rows if isinstance(rows, PolicyRows) else (rows, "match_length")
+    return [[Fraction(p) for p in row] for row in probs], key
 
 
 def rational_moments(mdp: TokenMdp, pi, mu, n_list: Sequence[int]) -> RationalMoments:
-    """The population moments of Z and both returns in exact rationals, by brute
-    force over every trajectory, for match-length rows ``pi`` and ``mu`` given
-    as ``[k][token]`` rationals (floats convert exactly).
+    """The population moments of Z, both returns, and eps and dtv_max as
+    ``policy_gap`` defines them, in exact rationals, by brute force over every
+    trajectory and every state, for rows ``pi`` and ``mu`` given as
+    ``PolicyRows`` under either key, or as match-length ``[k][token]`` rows.
 
-    A prefix's row is its ``match_length``, walked token by token, and each
-    window multiplies the ratios after a token one by one, so nothing is
-    shared with the package's step table, row ids or window kernel.
+    A prefix's row is walked token by token (:func:`row_id`), and each window
+    multiplies the ratios after a token one by one, so nothing is shared
+    with the package's step table, row ids, state tables or window kernel.
     """
-    pi = [[Fraction(p) for p in row] for row in pi]
-    mu = [[Fraction(p) for p in row] for row in mu]
+    (pi, pi_key), (mu, mu_key) = _rational_rows(pi), _rational_rows(mu)
     t_len = mdp.horizon
     mean, second, size = ([Fraction(0)] * len(n_list) for _ in range(3))
-    ret_pi = ret_mu = Fraction(0)
+    ret_pi = ret_mu = eps = dtv_max = Fraction(0)
+    states = itertools.chain.from_iterable(
+        itertools.product(range(mdp.vocab_size), repeat=length) for length in range(t_len)
+    )
+    for state in states:
+        p, q = pi[row_id(mdp, pi_key, state)], mu[row_id(mdp, mu_key, state)]
+        eps = max([eps] + [abs(a / b - 1) for a, b in zip(p, q) if b])
+        dtv_max = max(dtv_max, sum(abs(a - b) for a, b in zip(p, q)) / 2)
     for y in itertools.product(range(mdp.vocab_size), repeat=t_len):
         if not reward(mdp, y):
             continue
-        steps = [(match_length(y[:t], mdp.target), token) for t, token in enumerate(y)]
-        p_pi = math.prod((pi[k][token] for k, token in steps), start=Fraction(1))
-        p_mu = math.prod((mu[k][token] for k, token in steps), start=Fraction(1))
+        steps = [
+            (pi[row_id(mdp, pi_key, y[:t])][token], mu[row_id(mdp, mu_key, y[:t])][token])
+            for t, token in enumerate(y)
+        ]
+        p_pi = math.prod((a for a, _ in steps), start=Fraction(1))
+        p_mu = math.prod((b for _, b in steps), start=Fraction(1))
         ret_pi, ret_mu = ret_pi + p_pi, ret_mu + p_mu
         if p_mu == 0:
             continue
-        rho = [pi[k][token] / mu[k][token] for k, token in steps]
+        rho = [a / b for a, b in steps]
         for i, n_step in enumerate(n_list):
             terms = [
                 (rho[t] - 1) * math.prod(rho[t + 1 : min(t + n_step, t_len)], start=Fraction(1))
@@ -513,4 +541,4 @@ def rational_moments(mdp: TokenMdp, pi, mu, n_list: Sequence[int]) -> RationalMo
             second[i] += p_mu * z * z
             size[i] += p_mu * sum(abs(term) for term in terms) ** 2
     variance = [s - m * m for s, m in zip(second, mean)]
-    return RationalMoments(mean, variance, (ret_pi, ret_mu), size)
+    return RationalMoments(mean, variance, (ret_pi, ret_mu), size, (eps, dtv_max))

@@ -110,7 +110,7 @@ def test_c05_empirical_coverage(toy_mdp, mu05, pi08):
         threshold = (1 - alpha) - 3 * math.sqrt(alpha * (1 - alpha) / trials)
         for n_step in (1, 4, 7):
             group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(n_step))
-            report = theorem_lower_bound(group, pi08, mu05, n_step, alpha_conf=alpha)
+            report = theorem_lower_bound(group, pi08, n_step, alpha_conf=alpha)
             coverage = verify_coverage(toy_mdp, pi08, mu05, report, trials=trials, seed=100 + n_step)
             assert coverage >= threshold
 
@@ -183,7 +183,7 @@ def test_c09_gradient_vs_finite_differences():
             group = sample_group(mdp, mu, 6, rng)
             mask = masks[trial % len(masks)]
             spec = ObjectiveSpec("nfpo", 2, 3.0, 0.2, 0.4, mask)
-            analytic = dense_gradient(objective_gradient(group, pi, mu, spec)[1], pi.logits.shape)
+            analytic = dense_gradient(objective_gradient(group, pi, spec)[1], pi.logits.shape)
             coeffs = frozen_nfpo_coefficients(group, pi, mu, 2, 3.0, 0.2, 0.4, mask)
             numeric = finite_difference_gradient(group, pi, mu, coeffs)
             assert gradient_gap(analytic, numeric) < 1e-5
@@ -217,8 +217,8 @@ def test_c11_trivial_window_equivalence(toy_mdp, mu05, pi08):
             group = sample_group(toy_mdp, mu05, 8, rng)
             mask = masks[trial % len(masks)]
             nfpo = ObjectiveSpec("nfpo", 1, 3.0, 0.2, 0.4, mask)
-            a = objective_gradient(group, pi08, mu05, nfpo)[0]
-            b = objective_gradient(group, pi08, mu05, ObjectiveSpec("mpg", mask=mask))[0]
+            a = objective_gradient(group, pi08, nfpo)[0]
+            b = objective_gradient(group, pi08, ObjectiveSpec("mpg", mask=mask))[0]
             assert abs(a - b) < 1e-14
 
 

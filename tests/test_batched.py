@@ -105,8 +105,8 @@ def test_kernel_matches_per_trajectory_oracle(kind, mask_kind, setup):
     mask = _mask(mask_kind, delta)
     spec = ObjectiveSpec(kind, n_step=n_step, eps_low=0.2, eps_high=0.28, mask=mask)
     value, grad = _oracle(group, pi, mu, spec)
-    assert objective_gradient(group, pi, mu, spec)[0] == pytest.approx(value, abs=1e-12)
-    analytic = dense_gradient(objective_gradient(group, pi, mu, spec)[1], pi.logits.shape)
+    assert objective_gradient(group, pi, spec)[0] == pytest.approx(value, abs=1e-12)
+    analytic = dense_gradient(objective_gradient(group, pi, spec)[1], pi.logits.shape)
     np.testing.assert_allclose(analytic, grad, rtol=0, atol=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_kernel_matches_per_trajectory_oracle(kind, mask_kind, setup):
 def test_gradient_rows_sum_to_zero(kind, setup, mask_kind):
     pi, mu, group, n_step, delta = setup
     spec = ObjectiveSpec(kind, n_step=n_step, mask=_mask(mask_kind, delta))
-    for row in dense_gradient(objective_gradient(group, pi, mu, spec)[1], pi.logits.shape):
+    for row in dense_gradient(objective_gradient(group, pi, spec)[1], pi.logits.shape):
         assert abs(row.sum()) < 1e-12
 
 
@@ -130,8 +130,8 @@ def test_row_gradient_is_the_dense_gradient_on_its_rows(kind, setup, mask_kind):
     pi, mu, group, n_step, delta = setup
     spec = ObjectiveSpec(kind, n_step=n_step, mask=_mask(mask_kind, delta))
     pi_rows = policy_rows(pi, group.mdp)
-    _, coeffs = _token_terms(group, pi_rows, policy_rows(mu, group.mdp), spec)
-    _, gradient = objective_gradient(group, pi, mu, spec)
+    _, coeffs = _token_terms(group, pi_rows, spec)
+    _, gradient = objective_gradient(group, pi, spec)
     hit = coeffs != 0.0
     ids = group.row_ids(pi_rows.key)[hit]
     np.testing.assert_array_equal(gradient.rows, np.unique(ids))
@@ -146,12 +146,12 @@ def test_row_gradient_is_the_dense_gradient_on_its_rows(kind, setup, mask_kind):
 @given(setup=sampled_setups())
 def test_every_mask_keeps_a_subset_of_none(setup):
     pi, mu, group, _, delta = setup
-    pi_rows, mu_rows = policy_rows(pi, group.mdp), policy_rows(mu, group.mdp)
-    rho = np.exp(group_log_ratios(group, pi_rows, mu_rows))
-    keep_all = group_token_mask(MaskSpec("none"), group, rho, pi_rows, mu_rows)
+    pi_rows = policy_rows(pi, group.mdp)
+    rho = np.exp(group_log_ratios(group, pi_rows))
+    keep_all = group_token_mask(MaskSpec("none"), group, rho, pi_rows)
     assert keep_all.all()
     for mask in (_mask(kind, delta) for kind in MASK_KINDS[1:]):
-        keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
+        keep = group_token_mask(mask, group, rho, pi_rows)
         assert np.all(keep <= keep_all)
         for row, adv, y in zip(keep, group.advantages, map(tuple, group.tokens.tolist())):
             oracle = token_mask(mask, ratios(pi, mu, y), float(adv), mu, pi, y)
@@ -168,8 +168,9 @@ def test_group_rejects_malformed_tokens(seed, bad):
     tokens = rng.integers(0, mdp.vocab_size, (g, width))
     if bad in ("high", "low"):
         tokens[rng.integers(g), rng.integers(width)] = mdp.vocab_size if bad == "high" else -1
+    rollout = TargetFollowingPolicy(mdp, 0.5)
     with pytest.raises(ValueError):
-        GroupRollout(mdp, tokens, np.zeros(g), np.zeros(g), np.full(g, 1.0 / g))
+        GroupRollout(mdp, tokens, np.zeros(g), np.zeros(g), np.full(g, 1.0 / g), rollout)
 
 
 @st.composite
@@ -239,14 +240,18 @@ def test_copy_from_rows_equals_the_per_prefix_copy(source, state_key):
 
 
 class TablePolicy:
-    """A duck-typed policy that answers ``probs(prefix)`` from a state-indexed table."""
+    """A duck-typed policy that answers ``probs(prefix)`` from a state-indexed
+    table, whose rows are that table."""
 
     def __init__(self, mdp, table):
-        self.table = table
+        self.mdp, self.table = mdp, table
         self.index = {prefix: i for i, prefix in enumerate(enumerate_prefixes(mdp))}
 
     def probs(self, prefix):
         return self.table[self.index[tuple(prefix)]]
+
+    def rows(self):
+        return PolicyRows(self.table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,11 +370,11 @@ def test_row_indexed_group_equals_per_prefix_oracles(setup, n_step):
     oracle = sample_group(mdp, mu, group_size, np.random.default_rng(seed))
     np.testing.assert_array_equal(group.tokens, oracle.tokens)
     profiles = [ratios(pi, mu, y) for y in group.tokens.tolist()]
-    log_r = group_log_ratios(group, pi_rows, mu_rows)
+    log_r = group_log_ratios(group, pi_rows)
     np.testing.assert_array_equal(log_r, [profile.log_ratios for profile in profiles])
     rho = np.exp(log_r)
     for mask in (_mask(kind, delta) for kind in MASK_KINDS):
-        keep = group_token_mask(mask, group, rho, pi_rows, mu_rows)
+        keep = group_token_mask(mask, group, rho, pi_rows)
         for row, profile, adv, y in zip(keep, profiles, group.advantages, group.tokens.tolist()):
             expected = token_mask(mask, profile, float(adv), mu, pi, y)
             np.testing.assert_array_equal(row, expected.astype(bool))

@@ -110,7 +110,7 @@ class TestHoeffdingPenalty:
 class TestTheoremLowerBound:
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(0))
-        report = theorem_lower_bound(group, mu05, mu05, 4, 0.05)
+        report = theorem_lower_bound(group, mu05, 4, 0.05)
         assert report.empirical_surrogate == 0.0
         assert report.truncation_bias == 0.0
         assert report.lower_bound == pytest.approx(-report.hoeffding)
@@ -118,13 +118,13 @@ class TestTheoremLowerBound:
 
     def test_full_window_drops_truncation(self, toy_mdp, mu05, pi08):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(1))
-        report = theorem_lower_bound(group, pi08, mu05, 7, 0.05)
+        report = theorem_lower_bound(group, pi08, 7, 0.05)
         assert report.truncation_bias == 0.0
         assert report.dtv_max > 0.0
 
     def test_component_assembly(self, toy_mdp, mu05, pi08):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(2))
-        report = theorem_lower_bound(group, pi08, mu05, 4, 0.05)
+        report = theorem_lower_bound(group, pi08, 4, 0.05)
         assert report.eps == pytest.approx(0.6)
         assert report.dtv_max == pytest.approx(0.3)
         assert report.b_n == pytest.approx(report.xi * report.eps * report.s_n)
@@ -142,24 +142,25 @@ class TestTheoremLowerBound:
             rewards=np.array([2.0, 0.0]),
             advantages=np.array([1.0, -1.0]),
             weights=np.full(2, 0.5),
+            rollout=mu05,
         )
         with pytest.raises(ValueError, match="exceeding the bound xi = 1.0"):
-            theorem_lower_bound(group, pi08, mu05, 4, 0.05)
+            theorem_lower_bound(group, pi08, 4, 0.05)
 
 
 class TestCoverage:
     def test_identical_policies_cover_always(self, toy_mdp, mu05):
-        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), mu05, mu05, 4, 0.05)
+        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), mu05, 4, 0.05)
         assert verify_coverage(toy_mdp, mu05, mu05, report, trials=50, seed=0) == 1.0
 
     def test_toy_coverage_quick(self, toy_mdp, mu05, pi08):
-        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), pi08, mu05, 4, 0.05)
+        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), pi08, 4, 0.05)
         coverage = verify_coverage(toy_mdp, pi08, mu05, report, trials=300, seed=5)
         sigma = math.sqrt(0.95 * 0.05 / 300)
         assert coverage >= 0.95 - 3 * sigma
 
     def test_loose_confidence_still_valid(self, toy_mdp, mu05, pi08):
-        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), pi08, mu05, 4, 0.5)
+        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), pi08, 4, 0.5)
         coverage = verify_coverage(toy_mdp, pi08, mu05, report, trials=300, seed=6)
         sigma = math.sqrt(0.5 * 0.5 / 300)
         assert coverage >= 0.5 - 3 * sigma

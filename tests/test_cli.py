@@ -41,6 +41,15 @@ _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0)
 """
 
+# Runs one command through tracelab.cli.run in this fresh interpreter and prints
+# its exit code and whether numpy.ma and numpy.random are loaded after it.
+LOADED_MODULES = """
+import sys
+import tracelab.cli
+code = tracelab.cli.run(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules, "numpy.random" in sys.modules)
+"""
+
 
 def _read_csv(path):
     lines = path.read_text().splitlines()
@@ -174,14 +183,14 @@ class TestEnumerationCap:
         # Target-following rows need no table, so the objective and the bound
         # both run under the cap; a prefix-keyed pi is refused before its
         # logits are allocated.
-        assert np.isfinite(objective_gradient(group, pi, mu, cfg.objective)[0])
+        assert np.isfinite(objective_gradient(group, pi, cfg.objective)[0])
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationCapError, match="cap is 100"):
                 cfg.build_pi()
             _, refused_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            report = theorem_lower_bound(group, pi, mu, 4, 0.05)
+            report = theorem_lower_bound(group, pi, 4, 0.05)
             _, bound_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,6 +296,31 @@ def test_every_command_runs_at_one_sample_per_group(tmp_path, command, overrides
         _, header, rows = _read_csv(tmp_path / "train.csv")
         returns = {row[header.index("exact_return")] for row in rows}
         assert len(rows) == 20 and len(returns) == 1
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        ("sweep", []),
+        ("train", ["experiment.steps=5", "experiment.rollout_refresh=4", COPY_OF_MU]),
+        ("analyze", []),
+        ("verify", ["experiment.trials=20"]),
+    ],
+    ids=["sweep", "train", "analyze", "verify"],
+)
+def test_commands_leave_numpy_ma_unloaded(tmp_path, command, overrides):
+    """In a fresh interpreter no command loads ``numpy.ma``, which
+    ``np.unique``, ``np.union1d``, ``np.percentile`` and ``np.quantile``
+    import on their first call (10-16 ms and 1.6 MB of peak RSS in a fresh
+    process on a 2-vCPU VM).
+    ``sweep``, which draws nothing, does not load ``numpy.random``; the
+    commands that draw do, so the probe sees a load."""
+    argv = [command, "--out", str(tmp_path), *(arg for s in overrides for arg in ("--set", s))]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert child.stdout.split() == ["0", "False", str(command != "sweep")], child.stderr
 
 
 def _no_per_prefix_read(*args, **kwargs):

@@ -131,7 +131,7 @@ class TestTrain:
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
         group = population_group(toy_mdp, pi)
         spec = ObjectiveSpec("nfpo", 4, 3.0, 0.2, 0.4, MASK_NONE)
-        _, gradient = objective_gradient(group, pi, pi, spec)
+        _, gradient = objective_gradient(group, pi, spec)
         pi.apply_gradient(gradient, 0.05)
         assert population_moments(toy_mdp, pi, mu05, [4]).mean[0] > 0.0
 
@@ -148,7 +148,7 @@ def _reference_train(mdp, pi, spec, steps, learning_rate, group_size, seed, roll
         if step > 0 and step % rollout_refresh == 0:
             mu = pi.copy()
             group = sample_group(mdp, mu, group_size, rng)
-        value, gradient = objective_gradient(group, pi, mu, spec)
+        value, gradient = objective_gradient(group, pi, spec)
         pi.apply_gradient(gradient, learning_rate)
         records.append(
             TrainRecord(

@@ -1,5 +1,6 @@
 """The forward pass over (t, k) that gives the moments of two match-length
-policies, checked against enumeration and against an exact rational oracle.
+policies, checked against enumeration and against an exact rational oracle,
+which also checks enumeration, the return and the gap under either key.
 
 ``population_moments`` takes the pass only for two match-length policies over
 more trajectories than one enumeration chunk; every identity test elsewhere
@@ -19,7 +20,9 @@ from tracelab import EnumerationCapError, PolicyRows, TokenMdp, bias_variance_sw
 from tracelab import mdp as mdp_module
 from tracelab import objectives
 from tracelab.cli import run
+from tracelab.mdp import n_rows
 from tracelab.objectives import _enumerated_moments, _match_length_moments, population_moments
+from tracelab.policies import policy_gap
 from helpers import TabularSoftmaxPolicy, TargetFollowingPolicy, rational_moments
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -95,6 +98,43 @@ def test_full_window_is_the_improvement_in_rationals(setup):
 
 
 @st.composite
+def keyed_rational_setups(draw):
+    """An MDP with V <= 3 and T <= 5 and two policies' rows, each under either
+    key, of integer weights in 1..1000: mu has full support, about a quarter
+    of pi's weights are 0 (each row keeps one), and the ratios reach the
+    thousands."""
+    v = draw(st.integers(2, 3), label="vocab")
+    horizon = draw(st.integers(1, RATIONAL_HORIZON), label="horizon")
+    target = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=horizon + 1), label="target")
+    keys = draw(st.tuples(*[st.sampled_from(TabularSoftmaxPolicy.STATE_KEYS)] * 2), label="keys")
+    mdp = TokenMdp("abc"[:v], horizon, tuple(target))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    pi, mu = (rng.integers(1, 1001, (n_rows(mdp, key), v)).astype(float) for key in keys)
+    zero = rng.random(pi.shape) < 0.25
+    zero[np.arange(len(pi)), rng.integers(0, v, len(pi))] = False
+    pi[zero] = 0.0
+    return mdp, *(PolicyRows(w / w.sum(axis=1, keepdims=True), key) for w, key in zip((pi, mu), keys))
+
+
+@PROPERTY
+@given(setup=keyed_rational_setups())
+def test_enumeration_returns_and_gap_match_the_rational_oracle_under_either_key(setup):
+    """For a pair under either key, mixed keys too: enumeration's moments to
+    1e-12 of the size of Z's terms, the return (the prefix tree for prefix
+    rows) to 1e-12 of itself, and eps and dtv_max to 1e-12 of the size of
+    their terms (1 + eps, the largest ratio, and 1); the N=T mean is the
+    exact improvement in rationals."""
+    mdp, pi, mu = setup
+    n_list = list(range(1, mdp.horizon + 1))
+    exact = rational_moments(mdp, pi, mu, n_list)
+    moments = population_moments(mdp, pi, mu, n_list)
+    _assert_moments_close(moments, exact.mean, exact.variance, exact.term_size, 1e-12, 1e-12)
+    _assert_close([exact_return(mdp, rows) for rows in (pi, mu)], exact.returns, 1e-12)
+    _assert_close(policy_gap(mdp, pi, mu), exact.gap, 1e-12, scale=[1.0 + float(exact.gap[0]), 1.0])
+    assert exact.mean[-1] == exact.returns[0] - exact.returns[1]
+
+
+@st.composite
 def match_length_pairs(draw):
     """Two random match-length rows with V 2-4 and T 1-9: mu has full support
     and some pi entries are zero.  Past the rational oracle's size mu is
@@ -132,7 +172,8 @@ def test_engine_matches_enumeration(setup):
         sizes = variance + mean * mean
     else:
         assert mdp.vocab_size <= 3 and mdp.horizon <= RATIONAL_HORIZON
-        mean, variance, _, sizes = rational_moments(mdp, pi, mu, n_list)
+        exact = rational_moments(mdp, pi, mu, n_list)
+        mean, variance, sizes = exact.mean, exact.variance, exact.term_size
     _assert_moments_close(engine, mean, variance, sizes, 1e-12, 1e-10)
 
 

@@ -68,7 +68,7 @@ def _single_token_setup():
     return mdp, pi, mu
 
 
-def _manual_group(mdp, trajectories, advantages, rewards=None):
+def _manual_group(mdp, mu, trajectories, advantages, rewards=None):
     g = len(trajectories)
     rewards = np.zeros(g) if rewards is None else np.asarray(rewards, dtype=float)
     return GroupRollout(
@@ -77,6 +77,7 @@ def _manual_group(mdp, trajectories, advantages, rewards=None):
         rewards=rewards,
         advantages=np.asarray(advantages, dtype=float),
         weights=np.full(g, 1.0 / g),
+        rollout=mu,
     )
 
 
@@ -188,15 +189,21 @@ def _gradient_bits(value, gradient):
 
 def _gated_quantities(mdp, mu, seed):
     """Every public quantity that reads a policy or its rows, as a function of
-    (pi, mu); the sampled ones read a group drawn from ``mu``."""
-    group = sample_from_table(mdp, mu, 6, np.random.default_rng(seed))
+    (pi, mu); the sampled ones read the tokens of a group drawn from ``mu``,
+    rebuilt with the given mu as its rollout, so mu is read where the group
+    is built."""
+    drawn = sample_from_table(mdp, mu, 6, np.random.default_rng(seed))
+
+    def group(mu):
+        return replace(drawn, rollout=mu)
+
     n_list, nfpo = range(1, mdp.horizon + 1), _nfpo(2, MASK_NONE)
     return {
         "exact_return": lambda pi, mu: exact_return(mdp, pi),
         "population_moments": lambda pi, mu: population_moments(mdp, pi, mu, n_list),
-        "n_step_surrogate_empirical": lambda pi, mu: n_step_surrogate_empirical(group, pi, mu, 2),
-        "objective_value": lambda pi, mu: objective_gradient(group, pi, mu, nfpo)[0],
-        "objective_gradient": lambda pi, mu: _gradient_bits(*objective_gradient(group, pi, mu, nfpo)),
+        "n_step_surrogate_empirical": lambda pi, mu: n_step_surrogate_empirical(group(mu), pi, 2),
+        "objective_value": lambda pi, mu: objective_gradient(group(mu), pi, nfpo)[0],
+        "objective_gradient": lambda pi, mu: _gradient_bits(*objective_gradient(group(mu), pi, nfpo)),
         "policy_prob_table": lambda pi, mu: policy_prob_table(pi, mdp),
         "sample_from_table": lambda pi, mu: sample_from_table(
             mdp, mu, 6, np.random.default_rng(seed)
@@ -249,6 +256,20 @@ def test_malformed_rows_refused(toy_mdp, mu05, pi08, name, key, bad):
     quantity = _gated_quantities(toy_mdp, mu05, 0)[name]
     with pytest.raises(ValueError, match=re.escape(expected)):
         quantity(rows, rows)
+
+
+def test_group_token_outside_its_rollout_refused(toy_mdp, pi08):
+    """A group whose rollout policy gives one of its tokens probability 0 was
+    not drawn from it: the one-hot policy puts no mass on the last token of
+    TOY_TRAJECTORY, read once the target is matched.  The objective of every
+    kind and the empirical surrogate refuse the group."""
+    group = _manual_group(toy_mdp, OneHotPolicy(toy_mdp), [TOY_TRAJECTORY], [0.0], rewards=[1.0])
+    message = "rollout policy gives zero probability to a sampled token"
+    for kind in ("nfpo", "mpg", "ppo"):
+        with pytest.raises(ZeroSupportError, match=message):
+            objective_gradient(group, pi08, ObjectiveSpec(kind))
+    with pytest.raises(ZeroSupportError, match=message):
+        n_step_surrogate_empirical(group, pi08, 4)
 
 
 class TestPerformanceDifference:
@@ -338,11 +359,11 @@ class TestPerSampleStatistic:
 class TestEmpiricalSurrogate:
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(0))
-        assert n_step_surrogate_empirical(group, mu05, mu05, 4) == 0.0
+        assert n_step_surrogate_empirical(group, mu05, 4) == 0.0
 
     def test_singleton_group_equals_statistic(self, toy_mdp, mu05, pi08):
-        group = _manual_group(toy_mdp, [TOY_TRAJECTORY], [0.0], rewards=[1.0])
-        assert n_step_surrogate_empirical(group, pi08, mu05, 1) == pytest.approx(3.6, abs=1e-12)
+        group = _manual_group(toy_mdp, mu05, [TOY_TRAJECTORY], [0.0], rewards=[1.0])
+        assert n_step_surrogate_empirical(group, pi08, 1) == pytest.approx(3.6, abs=1e-12)
 
     def test_unbiased_over_many_groups(self, toy_mdp, mu05, pi08):
         """Mean over 10^4 independent 8-sample groups lands within 3 SE of
@@ -352,7 +373,7 @@ class TestEmpiricalSurrogate:
         rows = policy_rows(mu05, toy_mdp)  # draws the tokens of sample_group on this generator
         values = np.array(
             [
-                n_step_surrogate_empirical(sample_from_table(toy_mdp, rows, 8, rng), pi08, mu05, 4)
+                n_step_surrogate_empirical(sample_from_table(toy_mdp, rows, 8, rng), pi08, 4)
                 for _ in range(10_000)
             ]
         )
@@ -388,23 +409,23 @@ class TestVariance:
 class TestPpoObjective:
     def test_identical_policies_center_out(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        assert objective_gradient(group, mu05, mu05, PPO)[0] == pytest.approx(0.0, abs=1e-12)
+        assert objective_gradient(group, mu05, PPO)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_clip_engages(self):
         mdp, pi, mu = _single_token_setup()
-        group = _manual_group(mdp, [(0,)], [1.0])
-        assert objective_gradient(group, pi, mu, PPO)[0] == pytest.approx(1.28, abs=1e-12)
+        group = _manual_group(mdp, mu, [(0,)], [1.0])
+        assert objective_gradient(group, pi, PPO)[0] == pytest.approx(1.28, abs=1e-12)
 
     def test_negative_advantage_stays_pessimistic(self):
         mdp, pi, mu = _single_token_setup()
-        group = _manual_group(mdp, [(0,)], [-1.0])
-        assert objective_gradient(group, pi, mu, PPO)[0] == pytest.approx(-2.0, abs=1e-12)
+        group = _manual_group(mdp, mu, [(0,)], [-1.0])
+        assert objective_gradient(group, pi, PPO)[0] == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestMpgObjective:
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        value = objective_gradient(group, mu05, mu05, _mpg(MASK_NONE))[0]
+        value = objective_gradient(group, mu05, _mpg(MASK_NONE))[0]
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_masked_tokens_contribute_nothing(self, toy_mdp, mu05, pi08):
@@ -418,7 +439,7 @@ class TestMpgObjective:
             expected += w * sum(
                 float(adv) * float(profile.ratios[t]) for t in range(7) if keep[t] == 1
             )
-        value = objective_gradient(group, pi08, mu05, _mpg(spec))[0]
+        value = objective_gradient(group, pi08, _mpg(spec))[0]
         assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -428,13 +449,13 @@ class TestNfpoObjective:
         rng = np.random.default_rng(31)
         for _ in range(10):
             group = sample_group(toy_mdp, mu05, 8, rng)
-            a = objective_gradient(group, pi08, mu05, _nfpo(1, spec))[0]
-            b = objective_gradient(group, pi08, mu05, _mpg(spec))[0]
+            a = objective_gradient(group, pi08, _nfpo(1, spec))[0]
+            b = objective_gradient(group, pi08, _mpg(spec))[0]
             assert abs(a - b) < 1e-14
 
     def test_identical_policies(self, toy_mdp, mu05):
         group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(4))
-        value = objective_gradient(group, mu05, mu05, _nfpo(4, MASK_NONE))[0]
+        value = objective_gradient(group, mu05, _nfpo(4, MASK_NONE))[0]
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_evaluated_two_trajectory_group(self, toy_mdp, mu05, pi08):
@@ -442,25 +463,25 @@ class TestNfpoObjective:
         of the first and the inward first token of the second survive the
         mask, giving 0.5*0.5 + 0.5*(-0.5*1.6*0.8) = -0.07."""
         group = _manual_group(
-            toy_mdp, [TOY_TRAJECTORY, (0,) * 7], [0.5, -0.5], rewards=[1.0, 0.0]
+            toy_mdp, mu05, [TOY_TRAJECTORY, (0,) * 7], [0.5, -0.5], rewards=[1.0, 0.0]
         )
-        value = objective_gradient(group, pi08, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))[0]
+        value = objective_gradient(group, pi08, _nfpo(4, MaskSpec("tv", delta=0.2)))[0]
         assert value == pytest.approx(-0.07, abs=1e-12)
 
 
 class TestNfpoGradient:
     def test_zero_advantages_give_zero_gradient(self, toy_mdp, mu05):
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
-        group = _manual_group(toy_mdp, [TOY_TRAJECTORY, (1,) * 7], [0.0, 0.0])
-        _, grad = objective_gradient(group, pi, mu05, _nfpo(4, MASK_NONE))
+        group = _manual_group(toy_mdp, mu05, [TOY_TRAJECTORY, (1,) * 7], [0.0, 0.0])
+        _, grad = objective_gradient(group, pi, _nfpo(4, MASK_NONE))
         grad = dense_gradient(grad, pi.logits.shape)
         assert not grad.any()
 
     def test_single_state_score_identity(self):
         """One unmasked token: d/dlogit_b = c*rho*(1{b=tok} - pi(b))."""
         mdp, pi, mu = _single_token_setup()
-        group = _manual_group(mdp, [(0,)], [1.0])
-        _, grad = objective_gradient(group, pi, mu, _nfpo(1, MASK_NONE))
+        group = _manual_group(mdp, mu, [(0,)], [1.0])
+        _, grad = objective_gradient(group, pi, _nfpo(1, MASK_NONE))
         grad = dense_gradient(grad, pi.logits.shape)
         probs = pi.probs(())
         rho = probs[0] / mu.probs(())[0]
@@ -472,7 +493,7 @@ class TestNfpoGradient:
         rng = np.random.default_rng(1)  # seed chosen so the group has a reward spread
         pi = random_tabular(toy_mdp, rng)
         group = sample_group(toy_mdp, mu05, 8, rng)
-        _, grad = objective_gradient(group, pi, mu05, _nfpo(4, MaskSpec("tv", delta=0.2)))
+        _, grad = objective_gradient(group, pi, _nfpo(4, MaskSpec("tv", delta=0.2)))
         grad = dense_gradient(grad, pi.logits.shape)
         assert grad.any()
         for row in grad:
@@ -487,7 +508,7 @@ class TestNfpoGradient:
         for _ in range(20):
             pi = random_tabular(mdp, rng)
             group = sample_group(mdp, mu, 6, rng)
-            _, grad = objective_gradient(group, pi, mu, _nfpo(2, MaskSpec("tv", delta=0.2)))
+            _, grad = objective_gradient(group, pi, _nfpo(2, MaskSpec("tv", delta=0.2)))
             grad = dense_gradient(grad, pi.logits.shape)
             coeffs = frozen_nfpo_coefficients(
                 group, pi, mu, 2, 3.0, 0.2, 0.4, MaskSpec("tv", delta=0.2)
