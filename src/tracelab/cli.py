@@ -22,13 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import theorem_lower_bound, verify_coverage
-from .config import (
-    RunConfig,
-    apply_overrides,
-    config_hash,
-    default_config,
-    parse_config,
-)
+from .config import RunConfig, apply_overrides, config_hash, default_config, parse_config
 from .errors import ConfigError, TracelabError
 from .lab import (
     SweepRow,
@@ -50,26 +44,20 @@ TRAIN_COLUMNS = tuple(f.name for f in fields(TrainRecord))
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracelab",
-        description="Exact-enumeration lab for forward-trace policy optimization",
+        description="""Exact-enumeration lab for forward-trace policy optimization
+
+commands:
+  sweep    bias/variance sweep over trace window sizes
+  train    gradient-ascent training of a tabular policy
+  analyze  token-weighting dynamics metrics on sampled rollouts
+  verify   improvement-bound report and Monte Carlo coverage check""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("sweep", "bias/variance sweep over trace window sizes"),
-        ("train", "gradient-ascent training of a tabular policy"),
-        ("analyze", "token-weighting dynamics metrics on sampled rollouts"),
-        ("verify", "improvement-bound report and Monte Carlo coverage check"),
-    ):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", type=Path, default=None, help="JSON config file")
-        cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        cmd.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config leaf, e.g. --set objective.N=2",
-        )
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
+    parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config leaf, e.g. --set objective.N=2")
     return parser
 
 

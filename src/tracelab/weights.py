@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ZeroSupportError
-from .mdp import TokenMdp, check_enumeration_cap, check_window, extend_rows, prefix_row_ids, reward_vector
+from .mdp import TokenMdp, check_enumeration_cap, check_window, extend_rows, prefix_row_ids
 from .policies import PolicyRows, kl_divergence, policy_rows, total_variation
 
 
@@ -145,16 +145,16 @@ def group_token_mask(mask: MaskSpec, group: GroupRollout, rho, pi_rows: PolicyRo
 # --- group rollouts ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupRollout:
     """A batch of trajectories with rewards and group-centered advantages,
     and the rows of the rollout policy mu that drew them.
 
-    ``tokens`` is a read-only ``[G, T]`` integer array.  :meth:`row_ids`
-    gives the row id of every token's prefix under a row key, built the
-    first time a policy with that key reads the group.  ``weights`` are the
-    aggregation weights of the batch mean: uniform 1/G for sampled groups,
-    exact trajectory probabilities for a population pseudo-group.
+    A group is complete when built, its arrays read-only, and compares by
+    identity.  ``tokens`` is ``[G, T]``; ``rollout_log_probs`` is the log
+    probability mu gave each token, a zero refused at build.  ``weights``
+    are the aggregation weights of the batch mean: uniform 1/G for sampled
+    groups, exact trajectory probabilities for a population pseudo-group.
     """
 
     mdp: TokenMdp
@@ -163,7 +163,8 @@ class GroupRollout:
     advantages: np.ndarray
     weights: np.ndarray
     rollout: PolicyRows
-    _row_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    rollout_log_probs: np.ndarray = field(init=False, repr=False)
+    _rollout_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         tokens = np.array(self.tokens)
@@ -172,23 +173,30 @@ class GroupRollout:
             raise ValueError(f"rollout tokens must be a [G, {t_len}] array, got {tokens.shape}")
         if not np.issubdtype(tokens.dtype, np.integer) or tokens.min() < 0 or tokens.max() >= v:
             raise ValueError(f"rollout tokens must be integers in [0, {v})")
-        g = len(tokens)
-        if not (len(self.rewards) == len(self.advantages) == len(self.weights) == g):
+        rewards, advantages, weights = (np.array(x, dtype=float) for x in (self.rewards, self.advantages, self.weights))
+        if not (len(rewards) == len(advantages) == len(weights) == len(tokens)):
             raise ValueError("rollout group field lengths disagree")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
+        if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ValueError("rollout group weights must sum to 1")
         tokens = tokens.astype(np.int64, copy=False)
-        tokens.flags.writeable = False
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "rollout", policy_rows(self.rollout, self.mdp))
+        rollout = policy_rows(self.rollout, self.mdp)
+        ids = prefix_row_ids(self.mdp, tokens, rollout.key)
+        p_mu = rollout.probs[ids, tokens]
+        if np.any(p_mu == 0.0):
+            raise ZeroSupportError("rollout policy gives zero probability to a sampled token")
+        derived = dict(tokens=tokens, rewards=rewards, advantages=advantages, weights=weights,
+                       rollout_log_probs=np.log(p_mu), _rollout_ids=ids)
+        for name, array in derived.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "rollout", rollout)
 
     def row_ids(self, key: str) -> np.ndarray:
-        """Read-only [G, T] row ids under ``key`` of every token's prefix."""
-        if key not in self._row_ids:
-            ids = prefix_row_ids(self.mdp, self.tokens, key)
-            ids.flags.writeable = False
-            self._row_ids[key] = ids
-        return self._row_ids[key]
+        """[G, T] row ids under ``key`` of every token's prefix: the group's
+        own, read-only, under its rollout's key, and built afresh under any other."""
+        if key == self.rollout.key:
+            return self._rollout_ids
+        return prefix_row_ids(self.mdp, self.tokens, key)
 
     def dists(self, rows: PolicyRows) -> np.ndarray:
         """The distribution of every token's state, [G, T, V]."""
@@ -201,12 +209,10 @@ class GroupRollout:
 
 def group_log_ratios(group: GroupRollout, pi_rows: PolicyRows) -> np.ndarray:
     """log(pi / mu) at every token of the group, [G, T], read from pi's rows
-    and the group's rollout rows."""
-    p_mu, p_pi = (rows.probs[group.row_ids(rows.key), group.tokens] for rows in (group.rollout, pi_rows))
-    if np.any(p_mu == 0.0):
-        raise ZeroSupportError("rollout policy gives zero probability to a sampled token")
+    and the log probabilities the group's rollout gave its tokens."""
+    p_pi = pi_rows.probs[group.row_ids(pi_rows.key), group.tokens]
     with np.errstate(divide="ignore"):
-        return np.log(p_pi) - np.log(p_mu)
+        return np.log(p_pi) - group.rollout_log_probs
 
 
 def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generator) -> GroupRollout:
@@ -214,9 +220,10 @@ def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generat
 
     One ``[G, T]`` draw of uniforms, in the trajectory-major order of a
     token-by-token sampler, so equal generators give equal tokens.  Each
-    step is an inverse-CDF lookup for all G rows at the row ids of mu's key,
-    which the group keeps.  Every distribution the draw reads is checked,
-    and the G * T tokens are held to the enumeration cap before the draw.
+    step is an inverse-CDF lookup for all G rows at the row ids of mu's key.
+    Every distribution the draw reads is checked, and the G * T tokens are
+    held to the enumeration cap before the draw.  Each row's reward is one
+    more step of its walk, from the match length of its last row.
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
@@ -233,15 +240,14 @@ def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generat
     read = probs[ids]
     if np.any(read < 0) or not np.all(np.abs(read.sum(axis=-1) - 1.0) <= 1e-9):
         raise ValueError("rollout rows hold an invalid distribution at a sampled state")
-    group = _sampled_group(mdp, tokens, rollout)
-    ids.flags.writeable = False
-    group._row_ids[key] = ids
-    return group
+    # State match lengths are stored narrow; widen them before extend_rows multiplies them by V.
+    last = ids[:, -1] if key == "match_length" else mdp.state_match_lengths[ids[:, -1]].astype(np.int64)
+    matched = extend_rows(mdp, "match_length", last, tokens[:, -1])
+    return _sampled_group(mdp, tokens, rollout, (matched == len(mdp.target)).astype(np.float64))
 
 
-def _sampled_group(mdp: TokenMdp, tokens: np.ndarray, rollout) -> GroupRollout:
+def _sampled_group(mdp: TokenMdp, tokens: np.ndarray, rollout, rewards: np.ndarray) -> GroupRollout:
     """A uniformly weighted group drawn from ``rollout``, with group-centered rewards."""
-    rewards = reward_vector(mdp, tokens)
     return GroupRollout(
         mdp=mdp,
         tokens=tokens,

@@ -22,6 +22,7 @@ from tracelab.mdp import (
     check_enumeration_cap,
     check_window,
     prefix_row_ids,
+    reward_vector,
     trajectory_chunks,
 )
 from tracelab.objectives import _windowed_statistics
@@ -426,7 +427,7 @@ def sample_group(
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     tokens = np.array([sample_trajectory(mdp, mu, rng) for _ in range(group_size)])
-    return _sampled_group(mdp, tokens, mu)
+    return _sampled_group(mdp, tokens, mu, reward_vector(mdp, tokens))
 
 
 def population_group(mdp: TokenMdp, mu) -> GroupRollout:

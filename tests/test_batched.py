@@ -25,6 +25,7 @@ from tracelab import (
     policy_rows,
 )
 from tracelab.lab import DynamicsReport, switch_count
+from tracelab.mdp import ROW_KEYS, prefix_row_ids, reward_vector
 from tracelab.objectives import _token_terms
 from tracelab.policies import policy_prob_table
 from tracelab.weights import group_log_ratios, group_token_mask, sample_from_table
@@ -199,6 +200,28 @@ def test_table_sampler_draws_the_tokens_of_sample_group(setup, group_size, seed)
         batched = sample_from_table(mdp, rows, group_size, table_rng)
         np.testing.assert_array_equal(batched.tokens, oracle.tokens)
         assert table_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@PROPERTY
+@given(setup=rollout_policies(), group_size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_sampled_group_is_complete_when_built(setup, group_size, seed):
+    """A drawn group's rewards are the reward of its tokens, its row ids are
+    its tokens' prefix ids under either key, its log probabilities are the
+    rollout rows' at its tokens, its arrays are read-only, and two groups
+    drawn alike are two groups."""
+    mdp, mu = setup
+    group, twin = (sample_from_table(mdp, mu, group_size, np.random.default_rng(seed)) for _ in range(2))
+    np.testing.assert_array_equal(group.rewards, reward_vector(mdp, group.tokens))
+    for key in ROW_KEYS:
+        np.testing.assert_array_equal(group.row_ids(key), prefix_row_ids(mdp, group.tokens, key))
+    rows = policy_rows(mu, mdp)
+    p_mu = rows.probs[prefix_row_ids(mdp, group.tokens, rows.key), group.tokens]
+    np.testing.assert_array_equal(group.rollout_log_probs, np.log(p_mu))
+    own_ids = group.row_ids(group.rollout.key)
+    for array in (group.tokens, group.rewards, group.advantages, group.weights, group.rollout_log_probs, own_ids):
+        assert not array.flags.writeable
+    assert (group == twin) is False
+    assert (group == group) is True
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 
 from tracelab import (
+    TargetFollowingPolicy,
+    TokenMdp,
     b_n,
     b_n_increment,
     hoeffding_penalty,
     s_n,
+    sample_from_table,
     theorem_lower_bound,
     truncation_bias_bound,
     verify_coverage,
@@ -164,6 +168,20 @@ class TestCoverage:
         coverage = verify_coverage(toy_mdp, pi08, mu05, report, trials=300, seed=6)
         sigma = math.sqrt(0.5 * 0.5 / 300)
         assert coverage >= 0.5 - 3 * sigma
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dropping_the_hoeffding_term_fails_coverage(self, seed):
+        """On a close pair with a large group the bound is not vacuous, so the
+        coverage check has teeth: the full bound reaches the CLI's threshold,
+        and the same bound without its Hoeffding term falls below it."""
+        mdp = TokenMdp.from_symbols("abc", 11, "abcabc")
+        mu, pi = TargetFollowingPolicy(mdp, 0.5), TargetFollowingPolicy(mdp, 0.52)
+        group = sample_from_table(mdp, mu, 1024, np.random.default_rng(seed))
+        report = theorem_lower_bound(group, pi, 11, 0.05)
+        threshold = 0.95 - 3 * math.sqrt(0.95 * 0.05 / 200)
+        assert verify_coverage(mdp, pi, mu, report, trials=200, seed=seed + 1) >= threshold
+        dropped = dataclasses.replace(report, hoeffding=0.0)
+        assert verify_coverage(mdp, pi, mu, dropped, trials=200, seed=seed + 1) < threshold
 
 
 PREFIX_PI = 'policies.pi={"family":"tabular_softmax","init":"zeros","state_key":"prefix"}'

@@ -423,6 +423,25 @@ class TestSweepCommand:
         assert code == 1
         assert "policies.mu.alpha" in capsys.readouterr().err
 
+    def test_options_may_come_before_the_command(self, tmp_path):
+        """One parser takes the command and its options in any order."""
+        assert run(["--out", str(tmp_path / "first"), "sweep"]) == 0
+        assert run(["sweep", "--out", str(tmp_path / "last")]) == 0
+        assert (tmp_path / "first" / "sweep.csv").read_bytes() == (tmp_path / "last" / "sweep.csv").read_bytes()
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in ("sweep", "train", "analyze", "verify"))
+
+    def test_unknown_command_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["nosuch"])
+        assert exit_info.value.code == 2
+        assert "usage: tracelab" in capsys.readouterr().err
+
     def test_output_path_naming_a_file_exits_one(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
