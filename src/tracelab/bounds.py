@@ -12,7 +12,7 @@ and :func:`verify_coverage` checks it empirically against enumerated truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ def hoeffding_penalty(b_n_value: float, alpha_conf: float, group_size: int) -> f
     return b_n_value * math.sqrt(2.0 * math.log(1.0 / alpha_conf) / group_size)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All components of the assembled high-probability lower bound."""
 
     xi: float

@@ -14,8 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, fields
-from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -36,9 +34,8 @@ from .lab import (
 from .policies import policy_rows
 from .weights import group_log_ratios, sample_from_table
 
-# Each CSV row is one record's fields, read in order without copies; the header names them.
-SWEEP_COLUMNS = ("N",) + tuple(f.name for f in fields(SweepRow))[1:]
-TRAIN_COLUMNS = tuple(f.name for f in fields(TrainRecord))
+# Each CSV row is one record as it is; the header is its field names, the sweep's window named N.
+SWEEP_COLUMNS = ("N",) + SweepRow._fields[1:]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +120,7 @@ def _stamp(cfg: RunConfig) -> str:
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     mu = cfg.build_mu()
     rows = bias_variance_sweep(cfg.mdp, cfg.build_pi(mu), mu, cfg.n_list, cfg.group_size, cfg.alpha_conf)
-    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, map(attrgetter("n_step", *SWEEP_COLUMNS[1:]), rows), _stamp(cfg))
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows, _stamp(cfg))
     _write_manifest(out_dir, "sweep", cfg, ["sweep.csv"])
     return 0
 
@@ -144,7 +141,7 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
         seed=cfg.seed,
         rollout_refresh=cfg.rollout_refresh,
     )
-    _write_csv(out_dir / "train.csv", TRAIN_COLUMNS, map(attrgetter(*TRAIN_COLUMNS), records), _stamp(cfg))
+    _write_csv(out_dir / "train.csv", TrainRecord._fields, records, _stamp(cfg))
     _write_manifest(out_dir, "train", cfg, ["train.csv"])
     return 0
 
@@ -164,7 +161,7 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     payload = {
         "config_hash": config_hash(cfg.to_dict()),
         "seed": cfg.seed,
-        "dynamics": asdict(report),
+        "dynamics": report._asdict(),
         "smoothing": {
             "amplitude": 0.2,
             "length": 50,
@@ -190,7 +187,7 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     payload = {
         "config_hash": config_hash(cfg.to_dict()),
         "seed": cfg.seed,
-        "bound_report": asdict(report),
+        "bound_report": report._asdict(),
         "coverage": coverage,
         "trials": cfg.trials,
         "threshold": threshold,

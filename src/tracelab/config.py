@@ -12,11 +12,11 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+import sys
+from typing import Any, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp
+from .mdp import DEFAULT_ENUMERATION_CAP, TokenMdp, check_enumeration_cap
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
 from .policies import TabularSoftmaxPolicy, TargetFollowingPolicy
 from .weights import MASK_KINDS, MaskSpec
@@ -73,9 +73,13 @@ def _number(section: dict, path: str, key: str, lo=None, hi=None, *, open_lo=Fal
     value = _present(section, path, key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(_join(path, key), "a number", value)
-    value = float(value)
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past float range
+        number = math.inf
+    if not math.isfinite(number):
         raise _fail(_join(path, key), "a finite number", value)
+    value = number
     if lo is not None and (value <= lo if open_lo else value < lo):
         raise _fail(_join(path, key), _domain(lo, hi, open_lo, open_hi), value)
     if hi is not None and (value >= hi if open_hi else value > hi):
@@ -106,8 +110,7 @@ def _choice(section: dict, path: str, key: str, options: Sequence[str], default=
     return value
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(NamedTuple):
     family: str
     alpha: float | None = None
     init: str | None = None
@@ -147,8 +150,7 @@ def _parse_mask(section: dict, path: str) -> MaskSpec:
     return MaskSpec(kind, **kwargs)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully validated run description."""
 
     mdp: TokenMdp
@@ -163,7 +165,7 @@ class RunConfig:
     n_list: tuple[int, ...]
     rollout_refresh: int
     seed: int
-    echo: str = field(repr=False)
+    echo: str
 
     def build_mu(self):
         return _build_policy(self.mu, self.mdp, mu=None)
@@ -249,13 +251,18 @@ def parse_config(data: dict) -> RunConfig:
         [],
     )
     group_size = _integer(experiment, "experiment", "G", lo=1, default=8)
+    if group_size > sys.float_info.max:  # the Hoeffding term divides by G as a float
+        raise _fail("experiment.G", "an integer within float range", group_size)
     steps = _integer(experiment, "experiment", "steps", lo=1, default=500)
     learning_rate = _number(experiment, "experiment", "learning_rate", 0.0, default=0.1)
     trials = _integer(experiment, "experiment", "trials", lo=1, default=2000)
     alpha_conf = _number(
         experiment, "experiment", "alpha_conf", 0.0, 1.0, open_lo=True, open_hi=True, default=0.05
     )
-    n_list_raw = experiment.setdefault("N_list", list(range(1, mdp.horizon + 1)))
+    if "N_list" not in experiment:
+        check_enumeration_cap(mdp, mdp.horizon, "the default experiment.N_list (one window per token)")
+        experiment["N_list"] = list(range(1, mdp.horizon + 1))
+    n_list_raw = experiment["N_list"]
     if (
         not isinstance(n_list_raw, list)
         or not n_list_raw

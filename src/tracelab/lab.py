@@ -4,8 +4,7 @@ full-batch tabular training, and learning-dynamics metrics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,8 +17,7 @@ from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps 
 from .weights import clipped_trace, sample_from_table
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One window size of the bias/variance sweep."""
 
     n_step: int
@@ -65,8 +63,7 @@ def bias_variance_sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class TrainRecord:
+class TrainRecord(NamedTuple):
     """Telemetry for one gradient-ascent step (post-update policy)."""
 
     step: int
@@ -125,8 +122,7 @@ def train(
     return records
 
 
-@dataclass(frozen=True)
-class DynamicsReport:
+class DynamicsReport(NamedTuple):
     """Pooled token-weighting statistics for a batch of rollouts.
 
     Correction strength is the mean absolute deviation of a weighting

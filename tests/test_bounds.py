@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 
@@ -180,7 +179,7 @@ class TestCoverage:
         report = theorem_lower_bound(group, pi, 11, 0.05)
         threshold = 0.95 - 3 * math.sqrt(0.95 * 0.05 / 200)
         assert verify_coverage(mdp, pi, mu, report, trials=200, seed=seed + 1) >= threshold
-        dropped = dataclasses.replace(report, hoeffding=0.0)
+        dropped = report._replace(hoeffding=0.0)
         assert verify_coverage(mdp, pi, mu, dropped, trials=200, seed=seed + 1) < threshold
 
 

@@ -31,6 +31,8 @@ from tracelab.errors import ConfigError
 SRC = Path(__file__).resolve().parent.parent / "src"
 COPY_OF_MU = 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu"}'
 PREFIX_ZEROS = 'policies.pi={"family":"tabular_softmax","init":"zeros","state_key":"prefix"}'
+# An integer that converts to no float.
+PAST_FLOAT_RANGE = "1" + "0" * 400
 # Runs argv[1:] from a small interpreter and prints its exit code and peak RSS
 # in MB.  A child started straight from the test process would report the
 # test process's own high-water mark instead.
@@ -84,6 +86,9 @@ class TestConfigParsing:
             ("enumeration_cap", "0"),
             ("mdp.target", '"abx"'),
             ("mdp.reward_bound", "0.5"),
+            pytest.param("experiment.learning_rate", PAST_FLOAT_RANGE, id="experiment.learning_rate-1e400"),
+            pytest.param("mdp.reward_bound", PAST_FLOAT_RANGE, id="mdp.reward_bound-1e400"),
+            pytest.param("experiment.G", PAST_FLOAT_RANGE, id="experiment.G-1e400"),
         ],
     )
     def test_domain_violation_named(self, key, value):
@@ -142,6 +147,24 @@ class TestEnumerationCap:
         assert cfg.mdp.enumeration_cap == 5000
         assert cfg.to_dict()["enumeration_cap"] == 5000
         assert parse_config(default_config()).mdp.enumeration_cap == DEFAULT_ENUMERATION_CAP
+
+    @pytest.mark.parametrize(
+        "sets",
+        [["mdp.horizon=1000", "enumeration_cap=100"], [f"mdp.horizon={PAST_FLOAT_RANGE}"]],
+        ids=["T=1000-cap=100", "T=1e400"],
+    )
+    def test_default_n_list_held_to_the_cap(self, sets):
+        """Left out, N_list defaults to the windows 1..T: T entries past the cap
+        are refused before the list is built."""
+        raw = apply_overrides(default_config(), sets)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match=r"the default experiment\.N_list .* needs \d+ items"):
+                parse_config(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "command,horizon,overrides",

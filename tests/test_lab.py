@@ -1,6 +1,5 @@
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -336,9 +335,9 @@ class TestDynamics:
         trajectories = [(0, 1, 2, 0, 1, 2, 0), (1,) * 7, (2, 0, 1, 2, 0, 1, 2)]
         forward = dynamics_report(_ratio_rows(trajectories, pi08, mu05), 4, 3.0, 0.2, 0.4)
         shuffled = dynamics_report(_ratio_rows(trajectories[::-1], pi08, mu05), 4, 3.0, 0.2, 0.4)
-        for field in asdict(forward):
-            assert asdict(forward)[field] == pytest.approx(
-                asdict(shuffled)[field], abs=1e-12
+        for field in forward._asdict():
+            assert forward._asdict()[field] == pytest.approx(
+                shuffled._asdict()[field], abs=1e-12
             )
 
     def test_rejects_empty_input(self, toy_mdp, mu05):
