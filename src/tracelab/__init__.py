@@ -32,7 +32,6 @@ from .lab import (
     alternating_profile,
     bias_variance_sweep,
     dynamics_report,
-    smoothing_demo,
     switch_frequency,
     train,
 )

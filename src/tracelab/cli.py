@@ -28,7 +28,6 @@ from .lab import (
     alternating_profile,
     bias_variance_sweep,
     dynamics_report,
-    smoothing_demo,
     train,
 )
 from .policies import policy_rows
@@ -66,7 +65,7 @@ def _load_config(args) -> RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer past 4300 digits
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return parse_config(apply_overrides(raw, args.overrides))
 
@@ -89,43 +88,22 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _csv(columns: Sequence[str], rows) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows, stamp: str) -> None:
-    lines = [stamp, ",".join(columns)]
-    lines.extend(",".join(_format(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+# Each command returns its output's file name, its body (CSV text, or JSON sections) and its exit code.
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
-    echo = cfg.to_dict()
-    manifest = {
-        "command": command,
-        "config": echo,
-        "config_hash": config_hash(echo),
-        "seed": cfg.seed,
-        "outputs": outputs,
-    }
-    _write_json(out_dir / "run_manifest.json", manifest)
-
-
-def _stamp(cfg: RunConfig) -> str:
-    return f"# config_hash={config_hash(cfg.to_dict())} seed={cfg.seed}"
-
-
-def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
+def _cmd_sweep(cfg: RunConfig):
     mu = cfg.build_mu()
     rows = bias_variance_sweep(cfg.mdp, cfg.build_pi(mu), mu, cfg.n_list, cfg.group_size, cfg.alpha_conf)
-    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows, _stamp(cfg))
-    _write_manifest(out_dir, "sweep", cfg, ["sweep.csv"])
-    return 0
+    return "sweep.csv", _csv(SWEEP_COLUMNS, rows), 0
 
 
-def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
+def _cmd_train(cfg: RunConfig):
     if cfg.pi.family != "tabular_softmax":
         raise ConfigError(
             "config key 'policies.pi.family': train needs 'tabular_softmax', "
@@ -141,12 +119,10 @@ def _cmd_train(cfg: RunConfig, out_dir: Path) -> int:
         seed=cfg.seed,
         rollout_refresh=cfg.rollout_refresh,
     )
-    _write_csv(out_dir / "train.csv", TrainRecord._fields, records, _stamp(cfg))
-    _write_manifest(out_dir, "train", cfg, ["train.csv"])
-    return 0
+    return "train.csv", _csv(TrainRecord._fields, records), 0
 
 
-def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
+def _cmd_analyze(cfg: RunConfig):
     if cfg.mdp.horizon < 2:
         raise ConfigError(f"config key 'mdp.horizon': analyze needs T >= 2, got {cfg.mdp.horizon}")
     mu = cfg.build_mu()
@@ -154,28 +130,23 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     rho = np.exp(group_log_ratios(group, policy_rows(cfg.build_pi(mu), cfg.mdp)))
     spec = cfg.objective
     report = dynamics_report(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
-    demo_profile = alternating_profile(0.2, 50)
-    before, after = smoothing_demo(
-        demo_profile, spec.n_step, spec.beta, spec.eps_low, spec.eps_high
+    demo = dynamics_report(
+        alternating_profile(0.2, 50)[None], spec.n_step, spec.beta, spec.eps_low, spec.eps_high
     )
-    payload = {
-        "config_hash": config_hash(cfg.to_dict()),
-        "seed": cfg.seed,
+    sections = {
         "dynamics": report._asdict(),
         "smoothing": {
             "amplitude": 0.2,
             "length": 50,
             "n_step": spec.n_step,
-            "switch_freq_rho": before,
-            "switch_freq_traced": after,
+            "switch_freq_rho": demo.switch_freq_rho,
+            "switch_freq_traced": demo.switch_freq_trace,
         },
     }
-    _write_json(out_dir / "analyze.json", payload)
-    _write_manifest(out_dir, "analyze", cfg, ["analyze.json"])
-    return 0
+    return "analyze.json", sections, 0
 
 
-def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
+def _cmd_verify(cfg: RunConfig):
     mu = cfg.build_mu()
     mu_rows, pi_rows = policy_rows(mu, cfg.mdp), policy_rows(cfg.build_pi(mu), cfg.mdp)
     group = sample_from_table(cfg.mdp, mu_rows, cfg.group_size, np.random.default_rng(cfg.seed))
@@ -184,18 +155,14 @@ def _cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     nominal = 1.0 - cfg.alpha_conf
     threshold = nominal - 3.0 * math.sqrt(nominal * cfg.alpha_conf / cfg.trials)
     passed = coverage >= threshold
-    payload = {
-        "config_hash": config_hash(cfg.to_dict()),
-        "seed": cfg.seed,
+    sections = {
         "bound_report": report._asdict(),
         "coverage": coverage,
         "trials": cfg.trials,
         "threshold": threshold,
         "passed": passed,
     }
-    _write_json(out_dir / "verify.json", payload)
-    _write_manifest(out_dir, "verify", cfg, ["verify.json"])
-    return 0 if passed else 2
+    return "verify.json", sections, 0 if passed else 2
 
 
 _COMMANDS = {
@@ -212,7 +179,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         cfg = _load_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        name, body, code = _COMMANDS[args.command](cfg)
+        echo = cfg.to_dict()
+        stamp = {"config_hash": config_hash(echo), "seed": cfg.seed}
+        if isinstance(body, str):
+            _atomic_write(out_dir / name, "# config_hash={config_hash} seed={seed}\n".format(**stamp) + body)
+        else:
+            _write_json(out_dir / name, {**stamp, **body})
+        manifest = {"command": args.command, "config": echo, **stamp, "outputs": [name]}
+        _write_json(out_dir / "run_manifest.json", manifest)
+        return code
     except (ConfigError, TracelabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

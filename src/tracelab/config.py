@@ -259,7 +259,11 @@ def parse_config(data: dict) -> RunConfig:
     alpha_conf = _number(
         experiment, "experiment", "alpha_conf", 0.0, 1.0, open_lo=True, open_hi=True, default=0.05
     )
-    if "N_list" not in experiment:
+    # Every command takes one step per token, so a horizon past the cap is refused
+    # here, before the default N_list's T windows or a command's first step.
+    if "N_list" in experiment:
+        check_enumeration_cap(mdp, mdp.horizon, "mdp.horizon (one step per token)")
+    else:
         check_enumeration_cap(mdp, mdp.horizon, "the default experiment.N_list (one window per token)")
         experiment["N_list"] = list(range(1, mdp.horizon + 1))
     n_list_raw = experiment["N_list"]
@@ -311,6 +315,8 @@ def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:
             value = json.loads(raw_value)
         except json.JSONDecodeError:
             value = raw_value
+        except ValueError as exc:  # valid JSON that Python refuses, e.g. an integer past 4300 digits
+            raise ConfigError(f"config key '{path}': cannot read override value: {exc}") from exc
         cursor = out
         for key in keys[:-1]:
             cursor = cursor.setdefault(key, {})

@@ -182,17 +182,3 @@ def alternating_profile(amplitude: float, length: int = 50) -> np.ndarray:
     profile = np.where(np.arange(length) % 2 == 0, 1.0 + amplitude, 1.0 - amplitude)
     return profile.astype(float)
 
-
-def smoothing_demo(
-    oscillation_profile: Sequence[float],
-    n_step: int,
-    beta: float = 3.0,
-    eps_low: float = 0.2,
-    eps_high: float = 0.4,
-) -> tuple[float, float]:
-    """Switch frequency of a ratio profile before and after trace correction."""
-    rho = np.asarray(oscillation_profile, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("ratios must be positive")
-    clipped = clipped_trace(rho, n_step, beta, eps_low, eps_high)
-    return switch_frequency(rho), switch_frequency(rho * clipped)

@@ -12,7 +12,7 @@ trajectory ``[T]`` and a whole group ``[G, T]`` share the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -21,18 +21,13 @@ from .mdp import TokenMdp, check_enumeration_cap, check_window, extend_rows, pre
 from .policies import PolicyRows, kl_divergence, policy_rows, total_variation
 
 
-def window_products(log_ratios: np.ndarray, n_step: int) -> np.ndarray:
-    """For each position i: product of the next min(n_step-1, T-1-i) ratios.
+def iter_window_products(log_ratios: np.ndarray, n_steps: Iterable[int]) -> Iterator[np.ndarray]:
+    """For each window N in ``n_steps``, in order: at each position i, the
+    product of the next min(N-1, T-1-i) ratios.
 
     This is the truncated forward correction attached to token i+1; an
     empty window gives 1.  Works along the last axis and stays exact when
     a ratio is zero (log ratio -inf).
-    """
-    return next(iter_window_products(log_ratios, [n_step]))
-
-
-def iter_window_products(log_ratios: np.ndarray, n_steps: Iterable[int]) -> Iterator[np.ndarray]:
-    """:func:`window_products` for each window in ``n_steps``, in order.
 
     The kernel runs time-major, on ``log_ratios.T``: one suffix sum along
     axis 0, and each window is one ``exp`` of the difference of two blocks of
@@ -74,7 +69,7 @@ def clipped_trace(ratios, n_step: int, beta: float, eps_low: float, eps_high: fl
     if not eps_high > 0.0:
         raise ValueError(f"eps_high must be positive, got {eps_high}")
     log_clipped = np.log(np.clip(ratios, 1.0 / beta, beta))
-    return np.clip(window_products(log_clipped, n_step), 1.0 - eps_low, 1.0 + eps_high)
+    return np.clip(next(iter_window_products(log_clipped, [n_step])), 1.0 - eps_low, 1.0 + eps_high)
 
 
 # --- token masks -------------------------------------------------------------
@@ -119,10 +114,11 @@ class MaskSpec:
 MASK_NONE = MaskSpec("none")
 
 
-def _keep(mask: MaskSpec, rho: np.ndarray, advantage, measure: Callable) -> np.ndarray:
-    """Keep/drop for tokens with ratios ``rho``; ``measure()`` gives each
-    token's state TV or KL and is only called by the tv and kl masks."""
-    toward_rollout = advantage * (rho - 1.0) <= 0.0
+def group_token_mask(mask: MaskSpec, group: GroupRollout, rho, pi_rows: PolicyRows) -> np.ndarray:
+    """Keep/drop of every token of a group as a [G, T] bool array, for token
+    ratios ``rho``; the tv and kl masks measure each token's state from the
+    rows of the group's rollout policy and of pi."""
+    toward_rollout = group.advantages[:, None] * (rho - 1.0) <= 0.0
     if mask.kind == "none":
         return np.ones(rho.shape, dtype=bool)
     if mask.kind == "grpo_ratio":
@@ -130,16 +126,8 @@ def _keep(mask: MaskSpec, rho: np.ndarray, advantage, measure: Callable) -> np.n
         return inside | toward_rollout
     if mask.kind == "icepop":
         return (rho >= 1.0 / mask.beta) & (rho <= mask.beta)
-    return (measure() <= mask.delta) | toward_rollout
-
-
-def group_token_mask(mask: MaskSpec, group: GroupRollout, rho, pi_rows: PolicyRows) -> np.ndarray:
-    """Keep/drop of every token of a group as a [G, T] bool array, for token
-    ratios ``rho``; the tv and kl masks measure each token's state from the
-    rows of the group's rollout policy and of pi."""
     measure = total_variation if mask.kind == "tv" else kl_divergence
-    advantage = group.advantages[:, None]
-    return _keep(mask, rho, advantage, lambda: measure(group.dists(group.rollout), group.dists(pi_rows)))
+    return (measure(group.dists(group.rollout), group.dists(pi_rows)) <= mask.delta) | toward_rollout
 
 
 # --- group rollouts ----------------------------------------------------------
@@ -243,16 +231,12 @@ def sample_from_table(mdp: TokenMdp, mu, group_size: int, rng: np.random.Generat
     # State match lengths are stored narrow; widen them before extend_rows multiplies them by V.
     last = ids[:, -1] if key == "match_length" else mdp.state_match_lengths[ids[:, -1]].astype(np.int64)
     matched = extend_rows(mdp, "match_length", last, tokens[:, -1])
-    return _sampled_group(mdp, tokens, rollout, (matched == len(mdp.target)).astype(np.float64))
-
-
-def _sampled_group(mdp: TokenMdp, tokens: np.ndarray, rollout, rewards: np.ndarray) -> GroupRollout:
-    """A uniformly weighted group drawn from ``rollout``, with group-centered rewards."""
+    rewards = (matched == len(mdp.target)).astype(np.float64)
     return GroupRollout(
         mdp=mdp,
         tokens=tokens,
         rewards=rewards,
         advantages=rewards - rewards.mean(),
-        weights=np.full(len(tokens), 1.0 / len(tokens)),
+        weights=np.full(group_size, 1.0 / group_size),
         rollout=rollout,
     )

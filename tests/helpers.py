@@ -27,7 +27,7 @@ from tracelab.mdp import (
 )
 from tracelab.objectives import _windowed_statistics
 from tracelab.policies import _softmax, kl_divergence, policy_prob_table, total_variation
-from tracelab.weights import _keep, _sampled_group, _suffix_sums, clipped_trace, window_products
+from tracelab.weights import _suffix_sums, clipped_trace, iter_window_products
 
 Trajectory = tuple[int, ...]
 
@@ -390,7 +390,7 @@ def traces(
     suffix = _suffix_sums(profile.log_ratios)
     return TraceSet(
         full=np.exp(suffix[1:]),
-        n_step=window_products(profile.log_ratios, n_step),
+        n_step=next(iter_window_products(profile.log_ratios, [n_step])),
         residual=np.exp(suffix[np.minimum(np.arange(t_len) + n_step, t_len)]),
         clipped_ratio=np.clip(profile.ratios, 1.0 / beta, beta),
         clipped=clipped_trace(profile.ratios, n_step, beta, eps_low, eps_high),
@@ -409,14 +409,22 @@ def token_mask(
     pi,
     y: Sequence[int],
 ) -> np.ndarray:
-    """Binary keep/drop vector for one trajectory's tokens."""
+    """Binary keep/drop vector for one trajectory's tokens, decided token by
+    token; the tv and kl masks measure each token's state prefix by prefix."""
     y = tuple(y)
     measure = state_tv if mask.kind == "tv" else state_kl
-
-    def per_token() -> np.ndarray:
-        return np.array([measure(mu, pi, y[:t]) for t in range(len(y))])
-
-    return _keep(mask, profile.ratios, advantage, per_token).astype(np.int64)
+    keep = []
+    for t, rho in enumerate(profile.ratios):
+        toward_rollout = advantage * (rho - 1.0) <= 0.0
+        if mask.kind == "none":
+            keep.append(True)
+        elif mask.kind == "grpo_ratio":
+            keep.append(1.0 - mask.eps_low < rho < 1.0 + mask.eps_high or toward_rollout)
+        elif mask.kind == "icepop":
+            keep.append(1.0 / mask.beta <= rho <= mask.beta)
+        else:
+            keep.append(measure(mu, pi, y[:t]) <= mask.delta or toward_rollout)
+    return np.array(keep, dtype=np.int64)
 
 
 def sample_group(
@@ -427,7 +435,15 @@ def sample_group(
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     tokens = np.array([sample_trajectory(mdp, mu, rng) for _ in range(group_size)])
-    return _sampled_group(mdp, tokens, mu, reward_vector(mdp, tokens))
+    rewards = reward_vector(mdp, tokens)
+    return GroupRollout(
+        mdp=mdp,
+        tokens=tokens,
+        rewards=rewards,
+        advantages=rewards - rewards.mean(),
+        weights=np.full(group_size, 1.0 / group_size),
+        rollout=mu,
+    )
 
 
 def population_group(mdp: TokenMdp, mu) -> GroupRollout:

@@ -20,10 +20,10 @@ from tracelab import (
     b_n_increment,
     bias_variance_sweep,
     d_tv_max,
+    dynamics_report,
     exact_return,
     objective_gradient,
     population_moments,
-    smoothing_demo,
     theorem_lower_bound,
     train,
     truncation_bias_bound,
@@ -224,6 +224,6 @@ def test_c11_trivial_window_equivalence(toy_mdp, mu05, pi08):
 
 def test_c12_low_pass_smoothing():
     with reported(12, "trace correction quiets a perfectly alternating profile"):
-        before, after = smoothing_demo(alternating_profile(0.2, 50), 4)
-        assert before == 1.0
-        assert after < 1.0
+        report = dynamics_report(alternating_profile(0.2, 50)[None], 4, 3.0, 0.2, 0.4)
+        assert report.switch_freq_rho == 1.0
+        assert report.switch_freq_trace < 1.0

@@ -10,7 +10,9 @@ import pytest
 
 from tracelab import (
     DEFAULT_ENUMERATION_CAP,
+    MASK_NONE,
     EnumerationCapError,
+    MaskSpec,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
     objective_gradient,
@@ -27,6 +29,7 @@ from tracelab.config import (
     parse_config,
 )
 from tracelab.errors import ConfigError
+from tracelab.weights import MASK_KINDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COPY_OF_MU = 'policies.pi={"family":"tabular_softmax","init":"copy_of_mu"}'
@@ -89,12 +92,18 @@ class TestConfigParsing:
             pytest.param("experiment.learning_rate", PAST_FLOAT_RANGE, id="experiment.learning_rate-1e400"),
             pytest.param("mdp.reward_bound", PAST_FLOAT_RANGE, id="mdp.reward_bound-1e400"),
             pytest.param("experiment.G", PAST_FLOAT_RANGE, id="experiment.G-1e400"),
+            pytest.param("experiment.learning_rate", "1" * 5000, id="experiment.learning_rate-5000-digits"),
         ],
     )
     def test_domain_violation_named(self, key, value):
-        raw = apply_overrides(default_config(), [f"{key}={value}"])
         with pytest.raises(ConfigError, match=key):
-            parse_config(raw)
+            parse_config(apply_overrides(default_config(), [f"{key}={value}"]))
+
+    def test_config_file_past_the_digit_limit_named(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"seed": %s}' % ("1" * 5000))
+        assert run(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: config file is not valid JSON")
 
     def test_integer_range_named_as_integer(self):
         raw = apply_overrides(default_config(), ["experiment.G=0"])
@@ -109,6 +118,31 @@ class TestConfigParsing:
     def test_mask_params_checked_per_kind(self):
         raw = apply_overrides(default_config(), ["objective.mask.beta=3.0"])
         with pytest.raises(ConfigError, match="objective.mask.beta"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "mask,spec,foreign",
+        [
+            (
+                {"kind": "grpo_ratio", "eps_low": 0.2, "eps_high": 0.3},
+                MaskSpec("grpo_ratio", eps_low=0.2, eps_high=0.3),
+                "delta",
+            ),
+            ({"kind": "tv", "delta": 0.2}, MaskSpec("tv", delta=0.2), "eps_high"),
+            ({"kind": "kl", "delta": 0.1}, MaskSpec("kl", delta=0.1), "eps_low"),
+            ({"kind": "icepop", "beta": 2}, MaskSpec("icepop", beta=2.0), "delta"),
+            ({"kind": "none"}, MASK_NONE, "beta"),
+        ],
+        ids=MASK_KINDS,
+    )
+    def test_every_mask_kind_parses_and_round_trips(self, mask, spec, foreign):
+        raw = default_config()
+        raw["objective"]["mask"] = mask
+        cfg = parse_config(raw)
+        assert cfg.objective.mask == spec
+        assert parse_config(cfg.to_dict()) == cfg
+        raw["objective"]["mask"] = {**mask, foreign: 0.5}
+        with pytest.raises(ConfigError, match=f"'objective.mask.{foreign}' does not apply to mask kind"):
             parse_config(raw)
 
     def test_override_parses_json_values(self):
@@ -160,6 +194,24 @@ class TestEnumerationCap:
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationCapError, match=r"the default experiment\.N_list .* needs \d+ items"):
+                parse_config(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "sets",
+        [["mdp.horizon=1000", "enumeration_cap=100"], [f"mdp.horizon={PAST_FLOAT_RANGE}"]],
+        ids=["T=1000-cap=100", "T=1e400"],
+    )
+    def test_horizon_held_to_the_cap_with_any_n_list(self, sets):
+        """Every command takes one step per token, so a horizon past the cap is
+        refused while parsing even when N_list is given."""
+        raw = apply_overrides(default_config(), [*sets, "experiment.N_list=[1]"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match=r"mdp\.horizon .* needs \d+ items"):
                 parse_config(raw)
             _, peak = tracemalloc.get_traced_memory()
         finally:

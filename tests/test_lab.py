@@ -18,7 +18,6 @@ from tracelab import (
     gradient_norm,
     objective_gradient,
     population_moments,
-    smoothing_demo,
     switch_frequency,
     train,
 )
@@ -347,14 +346,14 @@ class TestDynamics:
 
 class TestSmoothing:
     def test_perfect_alternation_smoothed(self):
-        before, after = smoothing_demo(alternating_profile(0.2, 50), 4)
-        assert before == 1.0
-        assert after < 1.0
+        report = dynamics_report(alternating_profile(0.2, 50)[None], 4, 3.0, 0.2, 0.4)
+        assert report.switch_freq_rho == 1.0
+        assert report.switch_freq_trace < 1.0
 
     def test_constant_profile_untouched(self):
-        before, after = smoothing_demo(np.full(20, 1.1), 4)
-        assert before == 0.0
-        assert after == 0.0
+        report = dynamics_report(np.full((1, 20), 1.1), 4, 3.0, 0.2, 0.4)
+        assert report.switch_freq_rho == 0.0
+        assert report.switch_freq_trace == 0.0
 
     def test_reduction_for_all_windows(self):
         """Every window size >= 3 lowers the switch frequency of the
@@ -363,15 +362,15 @@ class TestSmoothing:
         for amplitude in (0.05, 0.1, 0.2, 0.24):
             profile = alternating_profile(amplitude, 50)
             for n_step in range(3, 51):
-                before, after = smoothing_demo(profile, n_step)
-                assert before == 1.0
-                assert after < 1.0, (amplitude, n_step)
+                report = dynamics_report(profile[None], n_step, 3.0, 0.2, 0.4)
+                assert report.switch_freq_rho == 1.0
+                assert report.switch_freq_trace < 1.0, (amplitude, n_step)
 
     def test_clip_floor_defeats_smoothing_for_large_swings(self):
         """Above the threshold the lower trace clip pins the correction, so
         the corrected signal oscillates exactly like the raw ratio."""
-        before, after = smoothing_demo(alternating_profile(0.3, 50), 4)
-        assert before == after == 1.0
+        report = dynamics_report(alternating_profile(0.3, 50)[None], 4, 3.0, 0.2, 0.4)
+        assert report.switch_freq_rho == report.switch_freq_trace == 1.0
 
     def test_amplitude_domain(self):
         with pytest.raises(ValueError):
