@@ -135,7 +135,6 @@ def theorem_lower_bound(group: GroupRollout, pi, n_step: int, alpha_conf: float)
     the surrogate, are read from pi's rows and the group's rollout rows.
     """
     mdp = group.mdp
-    check_window(mdp.horizon, n_step)
     if float(np.abs(group.rewards).max(initial=0.0)) > mdp.reward_bound + 1e-12:
         raise ValueError(f"group contains rewards exceeding the bound xi = {mdp.reward_bound}")
     pi_rows = policy_rows(pi, mdp)

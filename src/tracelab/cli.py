@@ -128,17 +128,14 @@ def _cmd_analyze(cfg: RunConfig):
     mu = cfg.build_mu()
     group = sample_from_table(cfg.mdp, mu, cfg.group_size, np.random.default_rng(cfg.seed))
     rho = np.exp(group_log_ratios(group, policy_rows(cfg.build_pi(mu), cfg.mdp)))
-    spec = cfg.objective
-    report = dynamics_report(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
-    demo = dynamics_report(
-        alternating_profile(0.2, 50)[None], spec.n_step, spec.beta, spec.eps_low, spec.eps_high
-    )
+    length = max(50, cfg.objective.n_step)  # the demo profile holds every window the config accepts
+    demo = dynamics_report(alternating_profile(0.2, length)[None], cfg.objective)
     sections = {
-        "dynamics": report._asdict(),
+        "dynamics": dynamics_report(rho, cfg.objective)._asdict(),
         "smoothing": {
             "amplitude": 0.2,
-            "length": 50,
-            "n_step": spec.n_step,
+            "length": length,
+            "n_step": cfg.objective.n_step,
             "switch_freq_rho": demo.switch_freq_rho,
             "switch_freq_traced": demo.switch_freq_trace,
         },
@@ -177,9 +174,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         name, body, code = _COMMANDS[args.command](cfg)
+        out_dir = Path(args.out)  # made only once the command has returned, so a refusal leaves none
+        out_dir.mkdir(parents=True, exist_ok=True)
         echo = cfg.to_dict()
         stamp = {"config_hash": config_hash(echo), "seed": cfg.seed}
         if isinstance(body, str):

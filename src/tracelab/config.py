@@ -60,17 +60,8 @@ def _require_keys(section: dict, path: str, known: Sequence[str], required: Sequ
             raise ConfigError(f"missing config key '{_join(path, key)}'")
 
 
-def _present(section: dict, path: str, key: str, default):
-    """The value at ``key``; a missing key gets ``default`` written in, or fails without one."""
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing config key '{_join(path, key)}'")
-        section[key] = default
-    return section[key]
-
-
 def _number(section: dict, path: str, key: str, lo=None, hi=None, *, open_lo=False, open_hi=False, default=None):
-    value = _present(section, path, key, default)
+    value = section.setdefault(key, default)  # _require_keys has refused a missing required key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(_join(path, key), "a number", value)
     try:
@@ -89,7 +80,7 @@ def _number(section: dict, path: str, key: str, lo=None, hi=None, *, open_lo=Fal
 
 
 def _integer(section: dict, path: str, key: str, lo=None, hi=None, default=None):
-    value = _present(section, path, key, default)
+    value = section.setdefault(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(_join(path, key), "an integer", value)
     if (lo is not None and value < lo) or (hi is not None and value > hi):
@@ -104,7 +95,7 @@ def _domain(lo, hi, open_lo, open_hi, kind: str = "a number") -> str:
 
 
 def _choice(section: dict, path: str, key: str, options: Sequence[str], default=None):
-    value = _present(section, path, key, default)
+    value = section.setdefault(key, default)
     if value not in options:
         raise _fail(_join(path, key), f"one of {list(options)}", value)
     return value
@@ -133,8 +124,11 @@ def _parse_policy(section: dict, path: str, *, allow_copy: bool) -> PolicyConfig
 
 
 def _parse_mask(section: dict, path: str) -> MaskSpec:
-    _require_keys(section, path, ["kind", "eps_low", "eps_high", "delta", "beta"], ["kind"])
+    known = ["kind", "eps_low", "eps_high", "delta", "beta"]
+    _require_keys(section, path, known, ["kind"])
     kind = _choice(section, path, "kind", MASK_KINDS)
+    params = {"grpo_ratio": ["eps_low", "eps_high"], "tv": ["delta"], "kl": ["delta"], "icepop": ["beta"]}
+    _require_keys(section, path, known, params.get(kind, []))
     kwargs: dict[str, float] = {}
     if kind == "grpo_ratio":
         kwargs["eps_low"] = _number(section, path, "eps_low", 0.0, 1.0, open_lo=True, open_hi=True)
@@ -203,7 +197,7 @@ def parse_config(data: dict) -> RunConfig:
     )
 
     mdp_section = data["mdp"]
-    _require_keys(mdp_section, "mdp", ["vocab", "horizon", "target", "reward_bound"], ["vocab", "horizon", "target"])
+    _require_keys(mdp_section, "mdp", ["vocab", "horizon", "target"], ["vocab", "horizon", "target"])
     vocab = mdp_section["vocab"]
     if (
         not isinstance(vocab, list)
@@ -216,10 +210,8 @@ def parse_config(data: dict) -> RunConfig:
     target = mdp_section["target"]
     if not isinstance(target, str) or not target or not set(target) <= set(vocab):
         raise _fail("mdp.target", "a non-empty string over the vocab", target)
-    # The subsequence reward reaches 1, so a smaller bound voids the bound's hypothesis.
-    reward_bound = _number(mdp_section, "mdp", "reward_bound", 1.0, default=1.0)
     cap = _integer(data, "", "enumeration_cap", lo=1, default=DEFAULT_ENUMERATION_CAP)
-    mdp = TokenMdp.from_symbols(vocab, horizon, target, reward_bound, cap)
+    mdp = TokenMdp.from_symbols(vocab, horizon, target, cap)
 
     policies = data["policies"]
     _require_keys(policies, "policies", ["mu", "pi"], ["mu", "pi"])

@@ -14,7 +14,7 @@ from .mdp import TokenMdp
 from .objectives import ObjectiveSpec, exact_return, gradient_norm, objective_gradient, population_moments
 from .policies import PolicyRows, TabularSoftmaxPolicy, policy_gap, policy_rows, total_variation
 from .policies import d_tv_max  # noqa: F401  (bench/tests/test_tracer.py wraps this binding)
-from .weights import clipped_trace, sample_from_table
+from .weights import sample_from_table
 
 
 class SweepRow(NamedTuple):
@@ -153,15 +153,14 @@ def switch_frequency(signal: Sequence[float]) -> float:
     return switch_count(signal) / (signal.size - signal.size // signal.shape[-1])
 
 
-def dynamics_report(
-    rho: np.ndarray, n_step: int, beta: float, eps_low: float, eps_high: float
-) -> DynamicsReport:
+def dynamics_report(rho: np.ndarray, spec: ObjectiveSpec) -> DynamicsReport:
     """Correction-strength / switch-frequency metrics pooled over the tokens
-    of a [G, T] array of token ratios, one row per rollout."""
+    of a [G, T] array of token ratios, one row per rollout, with the clipped
+    trace of ``spec``."""
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or len(rho) < 1:
         raise ValueError("dynamics_report needs a [G, T] ratio array with G >= 1")
-    clipped = clipped_trace(rho, n_step, beta, eps_low, eps_high)
+    clipped = spec.trace(rho)
     corrected = rho * clipped
     # Pooled over the flattened tokens: 2-D reductions sum in another order.
     return DynamicsReport(

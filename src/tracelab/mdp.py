@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -30,16 +30,16 @@ class TokenMdp:
     """Deterministic prefix-append MDP over a finite vocabulary.
 
     ``target`` is stored as vocabulary indices.  ``reward_bound`` is the
-    declared bound xi on |reward| that the concentration formulas use; the
-    binary subsequence reward reaches 1, so it must be at least 1.
-    ``enumeration_cap`` bounds every enumeration and every state-indexed
-    table built for this MDP; each is checked before it is built.
+    bound xi on |reward| that the concentration formulas use: 1, the largest
+    value of the binary subsequence reward.  ``enumeration_cap`` bounds every
+    enumeration and every state-indexed table built for this MDP; each is
+    checked before it is built.
     """
 
+    reward_bound: ClassVar[float] = 1.0
     vocab: tuple[str, ...]
     horizon: int
     target: tuple[int, ...]
-    reward_bound: float = 1.0
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
@@ -53,8 +53,6 @@ class TokenMdp:
             raise ValueError("target must be non-empty")
         if any(not (0 <= s < len(self.vocab)) for s in self.target):
             raise ValueError("target contains out-of-vocab indices")
-        if not self.reward_bound >= 1.0:
-            raise ValueError("reward_bound must be >= 1, the largest reward")
         if not self.enumeration_cap >= 1:
             raise ValueError("enumeration_cap must be >= 1")
 
@@ -64,7 +62,6 @@ class TokenMdp:
         vocab: Sequence[str],
         horizon: int,
         target: Sequence[str],
-        reward_bound: float = 1.0,
         enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     ) -> "TokenMdp":
         """Build an MDP from token symbols, e.g. vocab "abc", target "abcabc"."""
@@ -73,7 +70,7 @@ class TokenMdp:
             target_idx = tuple(index[s] for s in target)
         except KeyError as exc:
             raise ValueError(f"target symbol {exc.args[0]!r} not in vocab") from exc
-        return cls(tuple(vocab), int(horizon), target_idx, float(reward_bound), enumeration_cap)
+        return cls(tuple(vocab), int(horizon), target_idx, enumeration_cap)
 
     @property
     def vocab_size(self) -> int:

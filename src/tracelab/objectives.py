@@ -33,7 +33,6 @@ from .weights import (
     MASK_NONE,
     GroupRollout,
     MaskSpec,
-    clipped_trace,
     group_log_ratios,
     group_token_mask,
     iter_window_products,
@@ -70,6 +69,15 @@ class ObjectiveSpec:
             raise ValueError("eps_low must lie in (0, 1)")
         if not self.eps_high > 0.0:
             raise ValueError("eps_high must be positive")
+
+    def trace(self, ratios) -> np.ndarray:
+        """The clipped forward trace along the last axis: the window product of
+        the ratios clipped to [1/beta, beta], then clipped to
+        [1 - eps_low, 1 + eps_high]."""
+        check_window(np.shape(ratios)[-1], self.n_step)
+        log_clipped = np.log(np.clip(ratios, 1.0 / self.beta, self.beta))
+        window = next(iter_window_products(log_clipped, [self.n_step]))
+        return np.clip(window, 1.0 - self.eps_low, 1.0 + self.eps_high)
 
 
 # --- exact population quantities ---------------------------------------------
@@ -316,7 +324,7 @@ def _token_terms(group: GroupRollout, pi_rows: PolicyRows, spec: ObjectiveSpec) 
     else:
         keep = group_token_mask(spec.mask, group, rho, pi_rows)
         if spec.kind == "nfpo":
-            trace = clipped_trace(rho, spec.n_step, spec.beta, spec.eps_low, spec.eps_high)
+            trace = spec.trace(rho)
         terms = keep * adv * rho * trace
     value = float(group.weights @ terms.sum(axis=-1))
     return value, group.weights[:, None] * adv * keep * trace * rho

@@ -1,5 +1,5 @@
-"""Per-group weighting machinery: likelihood ratios, forward traces, token
-masks, and group-centered advantages.
+"""Per-group weighting machinery: likelihood ratios, forward-window products,
+token masks, and group-centered advantages.
 
 All products are accumulated in log space and exponentiated once, so the
 window/residual decomposition stays numerically exact at any horizon.
@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ZeroSupportError
-from .mdp import TokenMdp, check_enumeration_cap, check_window, extend_rows, prefix_row_ids
+from .mdp import TokenMdp, check_enumeration_cap, extend_rows, prefix_row_ids
 from .policies import PolicyRows, kl_divergence, policy_rows, total_variation
 
 
@@ -56,20 +56,6 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
     out = np.zeros((values.shape[0] + 1,) + values.shape[1:])
     np.cumsum(values[::-1], axis=0, out=out[-2::-1])  # written in place, no temporary
     return out
-
-
-def clipped_trace(ratios, n_step: int, beta: float, eps_low: float, eps_high: float) -> np.ndarray:
-    """Window product of ratios clipped to [1/beta, beta], then clipped to
-    [1 - eps_low, 1 + eps_high]; along the last axis."""
-    check_window(np.shape(ratios)[-1], n_step)
-    if not beta > 1:
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    if not 0.0 < eps_low < 1.0:
-        raise ValueError(f"eps_low must lie in (0, 1), got {eps_low}")
-    if not eps_high > 0.0:
-        raise ValueError(f"eps_high must be positive, got {eps_high}")
-    log_clipped = np.log(np.clip(ratios, 1.0 / beta, beta))
-    return np.clip(next(iter_window_products(log_clipped, [n_step])), 1.0 - eps_low, 1.0 + eps_high)
 
 
 # --- token masks -------------------------------------------------------------

@@ -15,7 +15,15 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 import tracelab
-from tracelab import GroupRollout, MaskSpec, PolicyRows, TokenMdp, UnknownStateError, ZeroSupportError
+from tracelab import (
+    GroupRollout,
+    MaskSpec,
+    ObjectiveSpec,
+    PolicyRows,
+    TokenMdp,
+    UnknownStateError,
+    ZeroSupportError,
+)
 from tracelab.mdp import (
     ENUMERATION,
     STATE_TABLE,
@@ -27,7 +35,7 @@ from tracelab.mdp import (
 )
 from tracelab.objectives import _windowed_statistics
 from tracelab.policies import _softmax, kl_divergence, policy_prob_table, total_variation
-from tracelab.weights import _suffix_sums, clipped_trace, iter_window_products
+from tracelab.weights import _suffix_sums, iter_window_products
 
 Trajectory = tuple[int, ...]
 
@@ -380,12 +388,6 @@ def traces(
     """All trace variants for one trajectory's ratio profile."""
     t_len = len(profile)
     check_window(t_len, n_step)
-    if not beta > 1:
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    if not 0.0 < eps_low < 1.0:
-        raise ValueError(f"eps_low must lie in (0, 1), got {eps_low}")
-    if not eps_high > 0.0:
-        raise ValueError(f"eps_high must be positive, got {eps_high}")
 
     suffix = _suffix_sums(profile.log_ratios)
     return TraceSet(
@@ -393,7 +395,7 @@ def traces(
         n_step=next(iter_window_products(profile.log_ratios, [n_step])),
         residual=np.exp(suffix[np.minimum(np.arange(t_len) + n_step, t_len)]),
         clipped_ratio=np.clip(profile.ratios, 1.0 / beta, beta),
-        clipped=clipped_trace(profile.ratios, n_step, beta, eps_low, eps_high),
+        clipped=ObjectiveSpec("nfpo", n_step, beta, eps_low, eps_high).trace(profile.ratios),
         horizon_n=n_step,
         beta=beta,
         eps_low=eps_low,

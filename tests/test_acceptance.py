@@ -224,6 +224,7 @@ def test_c11_trivial_window_equivalence(toy_mdp, mu05, pi08):
 
 def test_c12_low_pass_smoothing():
     with reported(12, "trace correction quiets a perfectly alternating profile"):
-        report = dynamics_report(alternating_profile(0.2, 50)[None], 4, 3.0, 0.2, 0.4)
+        spec = ObjectiveSpec("nfpo", 4, 3.0, 0.2, 0.4)
+        report = dynamics_report(alternating_profile(0.2, 50)[None], spec)
         assert report.switch_freq_rho == 1.0
         assert report.switch_freq_trace < 1.0

@@ -401,5 +401,5 @@ def test_row_indexed_group_equals_per_prefix_oracles(setup, n_step):
         for row, profile, adv, y in zip(keep, profiles, group.advantages, group.tokens.tolist()):
             expected = token_mask(mask, profile, float(adv), mu, pi, y)
             np.testing.assert_array_equal(row, expected.astype(bool))
-    report = dynamics_report(rho, n_step, 3.0, 0.2, 0.4)
+    report = dynamics_report(rho, ObjectiveSpec("nfpo", n_step, 3.0, 0.2, 0.4))
     assert report == per_prefix_dynamics_report(group.tokens.tolist(), pi, mu, n_step, 3.0, 0.2, 0.4)

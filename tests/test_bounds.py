@@ -109,6 +109,14 @@ class TestHoeffdingPenalty:
         base = hoeffding_penalty(2.0, 0.05, 8)
         assert hoeffding_penalty(2.0, 0.05, 32) == pytest.approx(base / 2)
 
+    @pytest.mark.parametrize(
+        "b_n_value,group_size,message",
+        [(1.0, 0, "group_size must be >= 1"), (-1.0, 8, "b_n_value must be non-negative")],
+    )
+    def test_sample_domains(self, b_n_value, group_size, message):
+        with pytest.raises(ValueError, match=message):
+            hoeffding_penalty(b_n_value, 0.05, group_size)
+
 
 class TestTheoremLowerBound:
     def test_identical_policies(self, toy_mdp, mu05):
@@ -150,11 +158,22 @@ class TestTheoremLowerBound:
         with pytest.raises(ValueError, match="exceeding the bound xi = 1.0"):
             theorem_lower_bound(group, pi08, 4, 0.05)
 
+    @pytest.mark.parametrize("n_step", [0, 8])
+    def test_window_past_the_horizon_refused(self, toy_mdp, mu05, pi08, n_step):
+        group = sample_group(toy_mdp, mu05, 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"n_step must lie in \[1, 7\], got {n_step}"):
+            theorem_lower_bound(group, pi08, n_step, 0.05)
+
 
 class TestCoverage:
     def test_identical_policies_cover_always(self, toy_mdp, mu05):
         report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), mu05, 4, 0.05)
         assert verify_coverage(toy_mdp, mu05, mu05, report, trials=50, seed=0) == 1.0
+
+    def test_needs_a_trial(self, toy_mdp, mu05):
+        report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), mu05, 4, 0.05)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_coverage(toy_mdp, mu05, mu05, report, trials=0)
 
     def test_toy_coverage_quick(self, toy_mdp, mu05, pi08):
         report = theorem_lower_bound(sample_group(toy_mdp, mu05, 8, np.random.default_rng(0)), pi08, 4, 0.05)

@@ -15,6 +15,7 @@ from tracelab import (
     MaskSpec,
     TabularSoftmaxPolicy,
     TargetFollowingPolicy,
+    TokenMdp,
     objective_gradient,
     sample_from_table,
     theorem_lower_bound,
@@ -79,18 +80,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mdp.reward_scale"):
             parse_config(raw)
 
+    def test_reward_bound_is_the_rewards_maximum(self):
+        """xi is the binary reward's maximum, not a knob: a config that names it is refused."""
+        raw = apply_overrides(default_config(), ["mdp.reward_bound=1.0"])
+        with pytest.raises(ConfigError, match="unknown config key 'mdp.reward_bound'"):
+            parse_config(raw)
+        assert TokenMdp.reward_bound == parse_config(default_config()).mdp.reward_bound == 1.0
+
     @pytest.mark.parametrize(
         "key,value",
         [
             ("policies.mu.alpha", "1.5"),
             ("experiment.learning_rate", "NaN"),
             ("objective.beta", "NaN"),
-            ("mdp.reward_bound", "Infinity"),
             ("enumeration_cap", "0"),
             ("mdp.target", '"abx"'),
-            ("mdp.reward_bound", "0.5"),
             pytest.param("experiment.learning_rate", PAST_FLOAT_RANGE, id="experiment.learning_rate-1e400"),
-            pytest.param("mdp.reward_bound", PAST_FLOAT_RANGE, id="mdp.reward_bound-1e400"),
             pytest.param("experiment.G", PAST_FLOAT_RANGE, id="experiment.G-1e400"),
             pytest.param("experiment.learning_rate", "1" * 5000, id="experiment.learning_rate-5000-digits"),
         ],
@@ -98,6 +103,50 @@ class TestConfigParsing:
     def test_domain_violation_named(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config(apply_overrides(default_config(), [f"{key}={value}"]))
+
+    @pytest.mark.parametrize(
+        "assignment,message",
+        [
+            ("policies.mu=3", "config key 'policies.mu': expected an object, got 3"),
+            ('mdp={"vocab":["a","b"],"horizon":3}', "missing config key 'mdp.target'"),
+            ('objective.mask={"kind":"grpo_ratio","eps_low":0.2}', "missing config key 'objective.mask.eps_high'"),
+            ('objective.beta="big"', "config key 'objective.beta': expected a number, got 'big'"),
+            (
+                "experiment.learning_rate=-0.5",
+                "config key 'experiment.learning_rate': expected a number in [0.0, inf], got -0.5",
+            ),
+            ("experiment.G=2.5", "config key 'experiment.G': expected an integer, got 2.5"),
+            (
+                'objective.kind="trpo"',
+                "config key 'objective.kind': expected one of ['nfpo', 'mpg', 'ppo'], got 'trpo'",
+            ),
+            (
+                'policies.mu={"family":"tabular_softmax","init":"copy_of_mu"}',
+                "config key 'policies.mu.init': expected 'zeros' (only pi may copy mu), got 'copy_of_mu'",
+            ),
+            (
+                'mdp.vocab=["a","a"]',
+                "config key 'mdp.vocab': expected a list of >= 2 distinct single-character strings, got ['a', 'a']",
+            ),
+            (
+                "experiment.N_list=[0]",
+                "config key 'experiment.N_list': expected a non-empty list of integers in [1, 7], got [0]",
+            ),
+            ("seed", "override 'seed' is not of the form key=value"),
+            ("mdp..horizon=3", "override 'mdp..horizon=3' has an empty key segment"),
+            ("mdp.horizon.x=1", "override path 'mdp.horizon.x' crosses a non-object value"),
+        ],
+    )
+    def test_refusal_message_names_the_key(self, assignment, message):
+        with pytest.raises(ConfigError) as refused:
+            parse_config(apply_overrides(default_config(), [assignment]))
+        assert str(refused.value) == message
+
+    def test_unreadable_config_file_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run(["sweep", "--config", str(missing), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_past_the_digit_limit_named(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -160,7 +209,7 @@ class TestConfigParsing:
         """The built-in default names only the toy problem; the parser fills in
         every other key, so the echo and every output's stamp stay put."""
         echo = parse_config(default_config()).to_dict()
-        assert config_hash(echo) == "67f5b595091ddf93f5cff6ff1c456d8670403c8b4620f7c6ab2b614d7224bc9b"
+        assert config_hash(echo) == "06b00e9f49ca950e92b9a06233e561bfb2eabe3b93995c840b1ed18faf6ef8ff"
 
     @pytest.mark.parametrize("override", ["seed=1", "a.b=1"])
     def test_override_on_a_non_object_root_named(self, tmp_path, capsys, override):
@@ -457,6 +506,18 @@ def test_each_command_builds_mu_once(tmp_path, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "command,overrides,key",
+    [("train", [], "policies.pi.family"), ("analyze", ["mdp.horizon=1"], "mdp.horizon")],
+)
+def test_a_refused_command_leaves_no_output_directory(tmp_path, capsys, command, overrides, key):
+    out = tmp_path / "out"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert run([command, "--out", str(out), *sets]) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSweepCommand:
     def test_default_run_produces_seven_rows(self, tmp_path):
         assert run(["sweep", "--out", str(tmp_path)]) == 0
@@ -492,6 +553,14 @@ class TestSweepCommand:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["run_manifest.json", "sweep.csv", "sweep.csv.tmp"]
         assert (tmp_path / "sweep.csv").stat().st_mode & 0o777 == 0o644
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        """A write that cannot replace its target (here a directory) exits 1 and
+        removes its temporary file."""
+        (tmp_path / "sweep.csv").mkdir()
+        assert run(["sweep", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         code = run(["sweep", "--out", str(tmp_path), "--set", "policies.mu.alpha=1.5"])
@@ -537,7 +606,7 @@ class TestSweepCommand:
             "experiment": {"learning_rate": 1},
         }
         expected = {
-            "mdp": {"vocab": ["a", "b"], "horizon": 5, "target": "ab", "reward_bound": 1.0},
+            "mdp": {"vocab": ["a", "b"], "horizon": 5, "target": "ab"},
             "policies": {
                 "mu": {"family": "target_following", "alpha": 0.5},
                 "pi": {"family": "tabular_softmax", "init": "zeros", "state_key": "prefix"},
@@ -634,6 +703,14 @@ class TestAnalyzeCommand:
         assert run(args) == 1
         assert "config key 'mdp.horizon'" in capsys.readouterr().err
         assert not (tmp_path / "analyze.json").exists()
+
+    def test_window_past_the_default_profile_runs(self, tmp_path):
+        """The smoothing profile is as long as the window, so every N the config accepts runs."""
+        sets = ["--set", "mdp.horizon=60", "--set", "objective.N=55"]
+        assert run(["analyze", "--out", str(tmp_path), *sets]) == 0
+        smoothing = json.loads((tmp_path / "analyze.json").read_text())["smoothing"]
+        assert smoothing["length"] == 55
+        assert smoothing["n_step"] == 55
 
     def test_long_horizon_needs_no_state_ids(self, tmp_path):
         """At T=45 state ids overflow int64 and raise; target-following rows

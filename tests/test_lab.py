@@ -9,6 +9,7 @@ from tracelab import (
     MaskSpec,
     ObjectiveSpec,
     TokenMdp,
+    TrainingDivergedError,
     TrainRecord,
     alternating_profile,
     bias_variance_sweep,
@@ -86,6 +87,23 @@ class TestSweep:
 
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "steps,refresh,message", [(0, 1, "steps must be >= 1"), (5, 0, "rollout_refresh must be >= 1")]
+    )
+    def test_schedule_domains(self, toy_mdp, mu05, steps, refresh, message):
+        pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
+        with pytest.raises(ValueError, match=message):
+            train(toy_mdp, pi, NFPO_TOY, steps, learning_rate=0.1, group_size=8, seed=0, rollout_refresh=refresh)
+
+    def test_non_finite_objective_refused(self, toy_mdp, mu05):
+        """An infinite step leaves non-finite logits, so the next step's ratios
+        over the same rollouts, and its objective, are NaN."""
+        pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05, "match_length")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TrainingDivergedError, match="objective became nan at step 1"
+        ):
+            train(toy_mdp, pi, NFPO_TOY, steps=4, learning_rate=np.inf, group_size=64, seed=0, rollout_refresh=4)
+
     def test_zero_learning_rate_freezes_return(self, toy_mdp, mu05):
         pi = TabularSoftmaxPolicy.from_policy(toy_mdp, mu05)
         records = train(toy_mdp, pi, NFPO_TOY, steps=10, learning_rate=0.0, group_size=8, seed=0)
@@ -318,7 +336,7 @@ class TestDynamics:
 
     def test_identical_policies_silent(self, toy_mdp, mu05):
         trajectories = [(0, 1, 2, 0, 1, 2, 0), (1,) * 7]
-        report = dynamics_report(_ratio_rows(trajectories, mu05, mu05), 4, 3.0, 0.2, 0.4)
+        report = dynamics_report(_ratio_rows(trajectories, mu05, mu05), NFPO_TOY)
         assert report.correction_strength_rho == 0.0
         assert report.correction_strength_trace == 0.0
         assert report.switch_freq_rho == 0.0
@@ -326,14 +344,14 @@ class TestDynamics:
 
     def test_correction_strength_pools_tokens(self, toy_mdp, mu05, pi08):
         rho = _ratio_rows([(0, 1, 2, 0, 1, 2, 0)], pi08, mu05)
-        report = dynamics_report(rho, 4, 3.0, 0.2, 0.4)
+        report = dynamics_report(rho, NFPO_TOY)
         # six tokens deviate by 0.6, the absorbed one by 0
         assert report.correction_strength_rho == pytest.approx(0.6 * 6 / 7)
 
     def test_permutation_equivariant(self, toy_mdp, mu05, pi08):
         trajectories = [(0, 1, 2, 0, 1, 2, 0), (1,) * 7, (2, 0, 1, 2, 0, 1, 2)]
-        forward = dynamics_report(_ratio_rows(trajectories, pi08, mu05), 4, 3.0, 0.2, 0.4)
-        shuffled = dynamics_report(_ratio_rows(trajectories[::-1], pi08, mu05), 4, 3.0, 0.2, 0.4)
+        forward = dynamics_report(_ratio_rows(trajectories, pi08, mu05), NFPO_TOY)
+        shuffled = dynamics_report(_ratio_rows(trajectories[::-1], pi08, mu05), NFPO_TOY)
         for field in forward._asdict():
             assert forward._asdict()[field] == pytest.approx(
                 shuffled._asdict()[field], abs=1e-12
@@ -341,17 +359,21 @@ class TestDynamics:
 
     def test_rejects_empty_input(self, toy_mdp, mu05):
         with pytest.raises(ValueError):
-            dynamics_report(np.empty((0, 7)), 4, 3.0, 0.2, 0.4)
+            dynamics_report(np.empty((0, 7)), NFPO_TOY)
+
+    def test_switch_needs_two_tokens(self):
+        with pytest.raises(ValueError, match="switch frequency needs at least 2 tokens"):
+            switch_frequency([[1.2], [0.8]])
 
 
 class TestSmoothing:
     def test_perfect_alternation_smoothed(self):
-        report = dynamics_report(alternating_profile(0.2, 50)[None], 4, 3.0, 0.2, 0.4)
+        report = dynamics_report(alternating_profile(0.2, 50)[None], NFPO_TOY)
         assert report.switch_freq_rho == 1.0
         assert report.switch_freq_trace < 1.0
 
     def test_constant_profile_untouched(self):
-        report = dynamics_report(np.full((1, 20), 1.1), 4, 3.0, 0.2, 0.4)
+        report = dynamics_report(np.full((1, 20), 1.1), NFPO_TOY)
         assert report.switch_freq_rho == 0.0
         assert report.switch_freq_trace == 0.0
 
@@ -362,16 +384,20 @@ class TestSmoothing:
         for amplitude in (0.05, 0.1, 0.2, 0.24):
             profile = alternating_profile(amplitude, 50)
             for n_step in range(3, 51):
-                report = dynamics_report(profile[None], n_step, 3.0, 0.2, 0.4)
+                report = dynamics_report(profile[None], ObjectiveSpec("nfpo", n_step, 3.0, 0.2, 0.4))
                 assert report.switch_freq_rho == 1.0
                 assert report.switch_freq_trace < 1.0, (amplitude, n_step)
 
     def test_clip_floor_defeats_smoothing_for_large_swings(self):
         """Above the threshold the lower trace clip pins the correction, so
         the corrected signal oscillates exactly like the raw ratio."""
-        report = dynamics_report(alternating_profile(0.3, 50)[None], 4, 3.0, 0.2, 0.4)
+        report = dynamics_report(alternating_profile(0.3, 50)[None], NFPO_TOY)
         assert report.switch_freq_rho == report.switch_freq_trace == 1.0
 
     def test_amplitude_domain(self):
         with pytest.raises(ValueError):
             alternating_profile(0.6, 50)
+
+    def test_length_domain(self):
+        with pytest.raises(ValueError, match="length must be >= 2"):
+            alternating_profile(0.2, 1)

@@ -85,12 +85,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vocab tokens must be distinct"):
             TokenMdp(("a", "b", "a"), 3, (0, 1))
 
-    @pytest.mark.parametrize("bound", [0.5, 0.0, float("nan")])
-    def test_reward_bound_covers_the_reward(self, bound):
-        """The reward reaches 1, so a smaller declared bound is refused."""
-        with pytest.raises(ValueError, match="reward_bound"):
-            TokenMdp.from_symbols("ab", 3, "a", reward_bound=bound)
-        assert TokenMdp.from_symbols("ab", 3, "a", reward_bound=2.0).reward_bound == 2.0
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            ((), "target must be non-empty"),
+            ((2,), "target contains out-of-vocab indices"),
+            ((0, -1), "target contains out-of-vocab indices"),
+        ],
+    )
+    def test_rejects_bad_target_indices(self, target, message):
+        """The constructor checks the indices that ``from_symbols`` would have mapped."""
+        with pytest.raises(ValueError, match=message):
+            TokenMdp(("a", "b"), 3, target)
 
 
 class TestEnumeration:

@@ -464,6 +464,10 @@ class TestNfpoObjective:
         value = objective_gradient(group, pi08, _nfpo(4, MaskSpec("tv", delta=0.2)))[0]
         assert value == pytest.approx(-0.07, abs=1e-12)
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match=r"objective kind must be one of \('nfpo', 'mpg', 'ppo'\)"):
+            ObjectiveSpec("trpo")
+
 
 class TestNfpoGradient:
     def test_zero_advantages_give_zero_gradient(self, toy_mdp, mu05):

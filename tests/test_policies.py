@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -148,6 +149,12 @@ class TestTabularSoftmax:
         with pytest.raises(ValueError, match="^gradient"):
             pi.apply_gradient(RowGradient(np.array(rows), values), 0.1)
         assert not pi.logits.any()
+
+    @pytest.mark.parametrize("state_key,rows", [("prefix", 1093), ("match_length", 7)])
+    def test_logits_of_the_wrong_shape_refused(self, toy_mdp, state_key, rows):
+        message = f"logits must be ({rows}, 3) under '{state_key}', got (2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabularSoftmaxPolicy(toy_mdp, np.zeros((2, 3)), state_key)
 
     @pytest.mark.parametrize("state_key", TabularSoftmaxPolicy.STATE_KEYS)
     def test_table_bounded_by_the_asking_mdps_cap(self, toy_mdp, mu05, state_key):

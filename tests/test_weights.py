@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from tracelab import (
     MASK_NONE,
+    GroupRollout,
     MaskSpec,
+    ObjectiveSpec,
     ZeroSupportError,
     exact_return,
     sample_from_table,
@@ -99,12 +101,19 @@ class TestTraces:
         np.testing.assert_allclose(ts.clipped_ratio, [3.0, 1 / 3, 1.0])
 
     @pytest.mark.parametrize(
-        "n_step,beta,eps_low,eps_high",
-        [(0, 3.0, 0.2, 0.4), (8, 3.0, 0.2, 0.4), (7, 1.0, 0.2, 0.4), (7, 3.0, 1.2, 0.4), (7, 3.0, 0.2, 0.0)],
+        "n_step,beta,eps_low,eps_high,message",
+        [
+            pytest.param(0, 3.0, 0.2, 0.4, "n_step must be >= 1", id="0-3.0-0.2-0.4"),
+            pytest.param(8, 3.0, 0.2, 0.4, r"n_step must lie in \[1, 7\], got 8", id="8-3.0-0.2-0.4"),
+            pytest.param(7, 1.0, 0.2, 0.4, "beta must exceed 1", id="7-1.0-0.2-0.4"),
+            pytest.param(7, 3.0, 1.2, 0.4, r"eps_low must lie in \(0, 1\)", id="7-3.0-1.2-0.4"),
+            pytest.param(7, 3.0, 0.2, 0.0, "eps_high must be positive", id="7-3.0-0.2-0.0"),
+        ],
     )
-    def test_parameter_domains(self, toy_mdp, mu05, pi08, n_step, beta, eps_low, eps_high):
-        with pytest.raises(ValueError):
-            traces(self._toy_profile(mu05, pi08), n_step, beta, eps_low, eps_high)
+    def test_parameter_domains(self, toy_mdp, mu05, pi08, n_step, beta, eps_low, eps_high, message):
+        """The spec refuses the trace's knobs when built, and the trace a window past the horizon."""
+        with pytest.raises(ValueError, match=message):
+            ObjectiveSpec("nfpo", n_step, beta, eps_low, eps_high).trace(self._toy_profile(mu05, pi08).ratios)
 
     @given(
         st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=10),
@@ -191,6 +200,36 @@ class TestTokenMask:
             MaskSpec("icepop", beta=0.5)
         with pytest.raises(ValueError):
             MaskSpec("sequence")
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(
+            lambda mdp, mu: MaskSpec("grpo_ratio", eps_low=0.2, eps_high=0.0),
+            "grpo_ratio mask needs eps_high > 0",
+            id="grpo_ratio-eps_high",
+        ),
+        pytest.param(
+            lambda mdp, mu: GroupRollout(mdp, [TOY_TRAJECTORY], [0.0, 1.0], [0.0], [1.0], mu),
+            "rollout group field lengths disagree",
+            id="field-lengths",
+        ),
+        pytest.param(
+            lambda mdp, mu: GroupRollout(mdp, [TOY_TRAJECTORY], [0.0], [0.0], [0.5], mu),
+            "rollout group weights must sum to 1",
+            id="weights-sum",
+        ),
+        pytest.param(
+            lambda mdp, mu: sample_from_table(mdp, mu, 0, np.random.default_rng(0)),
+            "group_size must be >= 1, got 0",
+            id="empty-draw",
+        ),
+    ],
+)
+def test_group_inputs_refused(toy_mdp, mu05, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(toy_mdp, mu05)
 
 
 def _sampled_groups(mdp, policy, group_size: int, count: int, seed: int):
